@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.experiments.runner import ExperimentConfig, geometric_mean
 from repro.experiments.tables import p1_experiment, recomputation_ablation
 
-from helpers import env_limit, env_time_limit, make_engine, record_results, record_text
+from helpers import env_limit, env_time_limit, make_session, record_results, record_text
 
 
 def test_single_processor_pebbling(benchmark):
@@ -19,7 +19,7 @@ def test_single_processor_pebbling(benchmark):
     limit = env_limit(8)
 
     results = benchmark.pedantic(
-        lambda: p1_experiment(config=config, limit=limit, engine=make_engine()), rounds=1, iterations=1
+        lambda: p1_experiment(config=config, limit=limit, session=make_session()), rounds=1, iterations=1
     )
     record_results(
         "ablation_p1_pebbling",
@@ -39,7 +39,7 @@ def test_recomputation_ablation(benchmark):
     limit = env_limit(4)
 
     results = benchmark.pedantic(
-        lambda: recomputation_ablation(config=config, limit=limit, engine=make_engine()), rounds=1, iterations=1
+        lambda: recomputation_ablation(config=config, limit=limit, session=make_session()), rounds=1, iterations=1
     )
     with_rec = results["with_recompute"]
     without = results["no_recompute"]

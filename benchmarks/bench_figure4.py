@@ -13,7 +13,7 @@ from repro.experiments import paper_reference
 from repro.experiments.figures import figure4, render_figure4
 from repro.experiments.runner import ExperimentConfig
 
-from helpers import env_limit, env_time_limit, make_engine, record_text
+from helpers import env_limit, env_time_limit, make_session, record_text
 
 CONFIGURATIONS = ("base", "r5", "async")
 
@@ -21,11 +21,11 @@ CONFIGURATIONS = ("base", "r5", "async")
 def test_figure4_ratio_distributions(benchmark):
     base = ExperimentConfig(name="base", ilp_time_limit=env_time_limit(5.0))
     limit = env_limit(5)
-    engine = make_engine()
+    session = make_session()
 
     series = benchmark.pedantic(
         lambda: figure4(base_config=base, limit=limit, configurations=CONFIGURATIONS,
-                        engine=engine),
+                        session=session),
         rounds=1,
         iterations=1,
     )

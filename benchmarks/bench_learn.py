@@ -69,7 +69,7 @@ def _dataset():
 
 def run_bench() -> str:
     """The byte-stable JSON rendering of the pinned learn bench."""
-    from repro.experiments.parallel import ExperimentEngine
+    from repro.exec import Session
 
     stats = solver_call_stats()
     config = _config()
@@ -82,21 +82,21 @@ def run_bench() -> str:
         # phase 1: exhaustive ground truth (streams member-tagged records)
         before = stats.snapshot()
         exhaustive = Portfolio(config=config)
-        engine = ExperimentEngine(workers=1, results_path=results_path)
-        rows_exhaustive = exhaustive.run(members, dags, engine=engine)
-        engine.session.log.close()
+        session = Session(workers=1, results_path=results_path)
+        rows_exhaustive = exhaustive.run(members, dags, session=session)
+        session.log.close()
         exhaustive_calls = stats.delta_since(before)["solver_calls"]
 
         # phase 2: mine the history the adaptive run will consult
         history, mining = mine_history([results_path], dags, config)
 
-    # phase 3: adaptive replay (fresh engine, no shared cache: the call
+    # phase 3: adaptive replay (fresh session, no shared cache: the call
     # delta measures what adaptive actually dispatches)
     before = stats.snapshot()
     adaptive = Portfolio(
         config=config, select="adaptive", top_k=TOP_K, history=history
     )
-    rows_adaptive = adaptive.run(members, dags, engine=None)
+    rows_adaptive = adaptive.run(members, dags)
     adaptive_calls = stats.delta_since(before)["solver_calls"]
 
     selection = adaptive.last_selection

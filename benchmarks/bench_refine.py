@@ -32,9 +32,10 @@ import sys
 import time
 from pathlib import Path
 
+from repro.core.scheduler import MbspIlpScheduler
 from repro.core.two_stage import baseline_schedule
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig, run_instance
+from repro.experiments.runner import ExperimentConfig
 from repro.refine import refine_schedule
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -55,17 +56,17 @@ def run_bench(limit=None, time_limit=5.0, refine_budget=3000, seed=0):
         refine_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        ilp = run_instance(dag, config, instance=instance, baseline=base)
+        ilp = MbspIlpScheduler(config.ilp_config()).schedule(instance, baseline=base)
         ilp_time = time.perf_counter() - t0
 
-        gap = base.cost - ilp.ilp_cost
+        gap = base.cost - ilp.best_cost
         closed = (base.cost - refined.final_cost) / gap if gap > 1e-9 else None
         rows.append({
             "instance": dag.name,
             "nodes": dag.num_nodes,
             "base_cost": base.cost,
             "refined_cost": refined.final_cost,
-            "ilp_cost": ilp.ilp_cost,
+            "ilp_cost": ilp.best_cost,
             "closed_gap": closed,
             "base_time": base_time,
             "refine_time": refine_time,

@@ -12,16 +12,16 @@ from repro.experiments import paper_reference
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.tables import table1
 
-from helpers import env_limit, env_time_limit, make_engine, record_results
+from helpers import env_limit, env_time_limit, make_session, record_results
 
 
 def test_table1_base_case(benchmark):
     config = ExperimentConfig(name="base", ilp_time_limit=env_time_limit(10.0))
     limit = env_limit(None)
-    engine = make_engine()
+    session = make_session()
 
     results = benchmark.pedantic(
-        lambda: table1(config=config, limit=limit, engine=engine), rounds=1, iterations=1
+        lambda: table1(config=config, limit=limit, session=session), rounds=1, iterations=1
     )
     record_results(
         "table1_base",

@@ -13,7 +13,7 @@ from repro.experiments import paper_reference
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.tables import table2
 
-from helpers import env_limit, env_time_limit, make_engine, record_results
+from helpers import env_limit, env_time_limit, make_session, record_results
 
 
 def test_table2_divide_and_conquer(benchmark):
@@ -21,10 +21,10 @@ def test_table2_divide_and_conquer(benchmark):
         name="table2", cache_factor=5.0, ilp_time_limit=env_time_limit(5.0)
     )
     limit = env_limit(6)
-    engine = make_engine()
+    session = make_session()
 
     results = benchmark.pedantic(
-        lambda: table2(config=config, limit=limit, max_part_size=20, engine=engine),
+        lambda: table2(config=config, limit=limit, max_part_size=20, session=session),
         rounds=1,
         iterations=1,
     )

@@ -12,16 +12,16 @@ from repro.experiments import paper_reference
 from repro.experiments.runner import ExperimentConfig, geometric_mean
 from repro.experiments.tables import table3
 
-from helpers import env_limit, env_time_limit, make_engine, record_results, record_text
+from helpers import env_limit, env_time_limit, make_session, record_results, record_text
 
 
 def test_table3_all_baselines(benchmark):
     config = ExperimentConfig(name="table3", ilp_time_limit=env_time_limit(8.0))
     limit = env_limit(8)
-    engine = make_engine()
+    session = make_session()
 
     results = benchmark.pedantic(
-        lambda: table3(config=config, limit=limit, engine=engine), rounds=1, iterations=1
+        lambda: table3(config=config, limit=limit, session=session), rounds=1, iterations=1
     )
     record_results(
         "table3_columns_base_ilp",

@@ -15,7 +15,7 @@ from repro.experiments import paper_reference
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.tables import table4
 
-from helpers import env_limit, env_time_limit, make_engine, record_results
+from helpers import env_limit, env_time_limit, make_session, record_results
 
 CONFIG_NAMES = ["r5", "r1", "p8", "L0", "async"]
 
@@ -24,11 +24,11 @@ CONFIG_NAMES = ["r5", "r1", "p8", "L0", "async"]
 def test_table4_configuration(benchmark, config_name):
     base = ExperimentConfig(name="base", ilp_time_limit=env_time_limit(6.0))
     limit = env_limit(6)
-    engine = make_engine()
+    session = make_session()
 
     results_by_config = benchmark.pedantic(
         lambda: table4(base_config=base, limit=limit, configurations=[config_name],
-                       engine=engine),
+                       session=session),
         rounds=1,
         iterations=1,
     )

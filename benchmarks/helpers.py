@@ -14,8 +14,8 @@ Environment knobs:
   benchmarks construct and recorded in the benchmark ``extra_info``),
 * ``REPRO_BENCH_SCALE``     — ``default`` (reduced sizes) or ``paper``,
 * ``REPRO_BENCH_LIMIT``     — only run the first N instances of a dataset,
-* ``REPRO_BENCH_WORKERS``   — worker processes for the experiment engine,
-* ``REPRO_CACHE_DIR``       — on-disk result cache for the engine (repeat
+* ``REPRO_BENCH_WORKERS``   — worker processes of the execution session,
+* ``REPRO_CACHE_DIR``       — on-disk result cache of the session (repeat
   benchmark invocations then skip all solver calls).
 """
 
@@ -68,13 +68,13 @@ def env_backend() -> str:
     return default_backend()
 
 
-def make_engine(workers: Optional[int] = None):
-    """An :class:`~repro.experiments.parallel.ExperimentEngine` configured
-    from the environment (REPRO_BENCH_WORKERS, REPRO_CACHE_DIR, both
-    warn-and-fall-back on invalid values)."""
-    from repro.experiments.parallel import ExperimentEngine
+def make_session(workers: Optional[int] = None):
+    """A :class:`~repro.exec.Session` configured from the environment
+    (REPRO_BENCH_WORKERS, REPRO_CACHE_DIR, both warn-and-fall-back on
+    invalid values)."""
+    from repro.exec import Session
 
-    return ExperimentEngine(
+    return Session(
         workers=env_workers() if workers is None else workers,
         cache_dir=env_cache_dir(),
     )

@@ -58,13 +58,14 @@ requested member (``"<member>+refine"`` for legacy names, ``"<spec>|refine"``
 for pipeline specs; ``--refine-budget`` bounds the move proposals per
 schedule, ``--refine-strategy hill|anneal`` picks the search strategy).
 
-The ``experiment`` and ``portfolio`` commands submit through the parallel
-experiment engine: ``--workers N`` fans instances out over N processes,
-``--cache-dir DIR`` caches results on disk (a repeated invocation performs
-zero solver calls), and ``--results FILE.jsonl`` / ``--resume`` stream
-results and resume interrupted sweeps.  Add ``--node-limit`` to bound ILP
-solves by branch-and-bound nodes instead of wall clock when a sweep must be
-exactly reproducible regardless of machine load.
+The ``experiment`` and ``portfolio`` commands run their pipeline plans on
+an execution session (:mod:`repro.exec`): ``--workers N`` fans jobs out
+over N processes, ``--cache-dir DIR`` caches results on disk (a repeated
+invocation performs zero solver calls), and ``--results FILE.jsonl`` /
+``--resume`` stream results and resume interrupted sweeps.  Add
+``--node-limit`` to bound ILP solves by branch-and-bound nodes instead of
+wall clock when a sweep must be exactly reproducible regardless of machine
+load.
 
 Every ILP solve goes through the pluggable backend registry
 (:mod:`repro.ilp.backends`): ``--backend scipy|bnb|auto`` selects the solver
@@ -404,10 +405,11 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_engine(args: argparse.Namespace):
-    from repro.experiments.parallel import ExperimentEngine
+def _make_session(args: argparse.Namespace):
+    """The session behind ``--workers``/``--cache-dir``/``--results``/``--resume``."""
+    from repro.exec import Session
 
-    return ExperimentEngine(
+    return Session(
         workers=args.workers,
         cache_dir=args.cache_dir,
         results_path=args.results,
@@ -427,10 +429,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.runner import ExperimentConfig
     from repro.experiments.tables import table1, table2, table4
 
-    engine = _make_engine(args)
+    session = _make_session(args)
     progress = _make_progress(args)
     if progress is not None:
-        progress.attach(engine.session)
+        progress.attach(session)
     refine_kwargs = (
         {"refine": _refine_config_from_args(args)} if args.refine else {}
     )
@@ -441,7 +443,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         **refine_kwargs,
     )
     if args.table == 1:
-        results = table1(config=config, limit=args.limit, engine=engine)
+        results = table1(config=config, limit=args.limit, session=session)
         print(format_results_table(results, "Table 1", paper_reference.TABLE1))
     elif args.table == 2:
         results = table2(limit=args.limit,
@@ -450,10 +452,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                                                  ilp_node_limit=args.node_limit,
                                                  **_backend_kwargs(args),
                                                  **refine_kwargs),
-                         engine=engine)
+                         session=session)
         print(format_results_table(results, "Table 2", paper_reference.TABLE2))
     elif args.table == 4:
-        by_config = table4(base_config=config, limit=args.limit, engine=engine)
+        by_config = table4(base_config=config, limit=args.limit, session=session)
         for name, results in by_config.items():
             ref = paper_reference.TABLE4.get(name, paper_reference.TABLE1)
             print(format_results_table(results, f"Table 4 [{name}]", ref))
@@ -462,7 +464,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise SystemExit("only tables 1, 2 and 4 are runnable from the CLI")
     if progress is not None:
         progress.close()
-    print(f"engine: {engine.stats.describe()}")
+    print(f"engine: {session.stats.describe()}")
     return 0
 
 
@@ -531,9 +533,9 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
             resolved[variant] = resolve_member(variant)
     dags = (tiny_dataset(scale=args.scale, limit=args.limit) if args.which == "tiny"
             else small_dataset(scale=args.scale, limit=args.limit))
-    engine = _make_engine(args)
+    session = _make_session(args)
     # only thread the refine knobs into the config (and therefore into the
-    # engine's job hashes) when a refined member actually consumes them, so
+    # job hashes) when a refined member actually consumes them, so
     # that runs without refined members keep cache keys independent of the
     # knobs.  (With refined members present the knobs are part of every job
     # hash by design — ExperimentConfig.refine is covered by the content
@@ -573,7 +575,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         history=history,
         selector=args.selector,
     )
-    rows = portfolio.run(members, dags, engine=engine)
+    rows = portfolio.run(members, dags, session=session)
     print(format_portfolio_table(
         rows, reuse=portfolio.last_reuse, selection=portfolio.last_selection
     ))
@@ -589,7 +591,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     else:
         print(f"bound pruning: {pruned} ILP solve(s) skipped (gap {prune_gap:g})")
     print(f"ilp backend: {config.ilp_backend}")
-    print(f"engine: {engine.stats.describe()}")
+    print(f"engine: {session.stats.describe()}")
     return 0
 
 
@@ -863,12 +865,7 @@ def _exec_run_body(args: argparse.Namespace) -> int:
               f"(+ the same spec/dataset flags)")
         return 0
 
-    session = Session(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        results_path=args.results,
-        resume=args.resume,
-    )
+    session = _make_session(args)
     if progress is not None:
         progress.attach(session)
     results = [None] * len(plan)
@@ -1289,9 +1286,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "distinct-job execution (TTY only)")
     serve_bench.set_defaults(func=_cmd_serve_bench)
 
-    def add_engine_arguments(p: argparse.ArgumentParser) -> None:
+    def add_session_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the experiment engine (1 = serial)")
+                       help="worker processes of the execution session (1 = serial)")
         p.add_argument("--cache-dir", default=None,
                        help="on-disk result cache; repeated runs become free")
         p.add_argument("--results", default=None,
@@ -1309,7 +1306,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--limit", type=int, default=None, help="only the first N instances")
     exp.add_argument("--time-limit", type=float, default=5.0)
     add_backend_argument(exp)
-    add_engine_arguments(exp)
+    add_session_arguments(exp)
     add_refine_arguments(exp)
     exp.add_argument("--progress", action="store_true",
                      help="live stderr progress line (TTY only)")
@@ -1349,7 +1346,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "incumbents)")
         p.add_argument("--no-prune", action="store_true",
                        help="disable bound-aware pruning")
-        add_engine_arguments(p)
+        add_session_arguments(p)
         add_refine_arguments(p, with_switch=False)
 
     exec_run = exec_sub.add_parser(
@@ -1599,7 +1596,7 @@ def build_parser() -> argparse.ArgumentParser:
     port.add_argument("--selector", choices=["greedy", "knn"],
                       default="greedy",
                       help="adaptive ranking model (default greedy)")
-    add_engine_arguments(port)
+    add_session_arguments(port)
     add_refine_arguments(port)
     port.set_defaults(func=_cmd_portfolio)
     return parser

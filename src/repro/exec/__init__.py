@@ -5,9 +5,10 @@ sweeps and individual pipelines are all :class:`RunPlan`\\ s — job graphs of
 pipeline-stage nodes — run on an asyncio core with bounded worker slots and
 streaming :class:`ResultEvent`\\ s.  The content-hash result cache, JSONL
 streaming + resume, and in-pipeline concurrency slots (used by ``race``
-stages) are session services; the legacy ``ExperimentEngine`` and
-``Portfolio`` entry points are thin shims over a session.  Plans also
-split across processes or machines (:mod:`repro.exec.shard`):
+stages) are session services.  The paper's tables and the ``Portfolio``
+build their plans with :func:`plan_pipelines` and run them on a session;
+a plain batch of jobs runs as ``Session.run(RunPlan.from_jobs(jobs))``.
+Plans also split across processes or machines (:mod:`repro.exec.shard`):
 ``Session.run_sharded(plan, shards)`` fork-joins locally, and the CLI's
 ``repro exec run --shards N --shard-id I`` / ``repro exec merge`` pair
 runs shards anywhere that shares the cache directory, with the per-shard
@@ -22,7 +23,7 @@ Quick start::
     ...     print(event.instance, event.result.ilp_cost, event.source)
 """
 
-from repro.exec.plan import PlanNode, RunPlan, as_plan, plan_pipelines
+from repro.exec.plan import PlanNode, RunPlan, as_plan, pipeline_job, plan_pipelines
 from repro.exec.session import ResultEvent, Session, SessionStats
 from repro.exec.shard import (
     PlanShard,
@@ -47,6 +48,7 @@ __all__ = [
     "as_plan",
     "branch_slots",
     "merge_shard_logs",
+    "pipeline_job",
     "plan_pipelines",
     "run_sharded",
     "shard_assignment",

@@ -2,18 +2,20 @@
 
 A :class:`RunPlan` is an ordered collection of :class:`PlanNode`\\ s, each
 wrapping one picklable :class:`~repro.experiments.parallel.ExperimentJob`
-(the existing unit of work: kind + DAG + config + params) plus optional
+(one pipeline spec on one DAG under one config) plus optional
 ``after=(node_id, ...)`` ordering edges.  The session executes ready nodes
 concurrently under its worker slots, respecting the edges; results are
-always *returned* in plan order, so a plan without edges behaves exactly
-like the historical engine batch.
+always *returned* in plan order.
 
 Builders:
 
-* :meth:`RunPlan.from_jobs` — one node per job, no edges (the engine shim);
-* :func:`plan_pipelines` — the ``specs x dags`` fan-out used by the
-  portfolio and ``repro exec run``: one ``portfolio``-kind node per
-  (dag, canonical spec) pair, instance-major.
+* :func:`pipeline_job` — the one way to build a job: a pipeline spec on a
+  DAG, hashed under the canonical spec;
+* :meth:`RunPlan.from_jobs` — one node per job, no edges (the batch API:
+  ``Session.run(RunPlan.from_jobs(jobs))``);
+* :func:`plan_pipelines` — the ``specs x dags`` fan-out used by the paper's
+  tables, the portfolio and ``repro exec run``: one node per
+  (dag, spec) pair, instance-major.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class RunPlan:
 
     @classmethod
     def from_jobs(cls, jobs: Sequence["ExperimentJob"]) -> "RunPlan":
-        """An edge-free plan: one node per job, engine-batch semantics."""
+        """An edge-free plan: one node per job, in the given order."""
         plan = cls()
         for job in jobs:
             plan.add(job)
@@ -129,6 +131,30 @@ def as_plan(plan_or_jobs) -> RunPlan:
     return RunPlan.from_jobs(list(plan_or_jobs))
 
 
+def pipeline_job(
+    dag: "ComputationalDag",
+    spec: str,
+    config: "ExperimentConfig",
+    prune_gap: Optional[float] = None,
+) -> "ExperimentJob":
+    """The job that runs pipeline ``spec`` on ``dag`` under ``config``.
+
+    The spec is resolved to its canonical pipeline first (legacy member
+    names and raw specs are equally valid), so the job is hashed — and
+    disk-cached — under the canonical spelling.  ``prune_gap`` is attached
+    only when the pipeline has a prunable stage, keeping the other jobs'
+    cache keys independent of the knob.
+    """
+    from repro.experiments.parallel import ExperimentJob
+    from repro.portfolio.members import is_prunable_member, resolve_member
+
+    canonical = resolve_member(spec)
+    params = {"member": canonical}
+    if prune_gap is not None and is_prunable_member(canonical):
+        params["prune_gap"] = prune_gap
+    return ExperimentJob.make(dag, config, **params)
+
+
 def plan_pipelines(
     specs: Sequence[str],
     dags: Sequence["ComputationalDag"],
@@ -137,21 +163,11 @@ def plan_pipelines(
 ) -> RunPlan:
     """The ``specs x dags`` fan-out plan (instance-major, like the portfolio).
 
-    Every spec is resolved to its canonical pipeline first (legacy member
-    names and sweep-free raw specs are equally valid), so jobs are hashed —
-    and disk-cached — under the canonical spelling.  ``prune_gap`` is
-    attached only to members with prunable stages, keeping the other jobs'
-    cache keys independent of the knob.
+    Every node is a :func:`pipeline_job`; see there for the canonical
+    hashing and the ``prune_gap`` attachment.
     """
-    from repro.experiments.parallel import ExperimentJob
-    from repro.portfolio.members import is_prunable_member, resolve_member
-
-    canonical = {spec: resolve_member(spec) for spec in specs}
     plan = RunPlan()
     for dag in dags:
         for spec in specs:
-            params = {"member": canonical[spec]}
-            if prune_gap is not None and is_prunable_member(spec):
-                params["prune_gap"] = prune_gap
-            plan.add(ExperimentJob.make("portfolio", dag, config, **params))
+            plan.add(pipeline_job(dag, spec, config, prune_gap))
     return plan

@@ -1,17 +1,13 @@
 """The unified execution core: one :class:`Session` for every surface.
 
-Historically the repository had three parallel execution surfaces —
-``ExperimentEngine`` (process fan-out + cache + JSONL), ``Portfolio.run``
-(member loop with prefix reuse) and the ``Pipeline`` runner (sequential
-stages).  A :class:`Session` subsumes them: it accepts a
-:class:`~repro.exec.plan.RunPlan` (a job graph of pipeline-stage nodes) and
-executes it on an asyncio core with bounded worker slots, streaming one
-:class:`ResultEvent` per completed node.  Experiments, portfolio runs and
-individual pipelines are all *plans* now; the legacy entry points are thin
-shims over a session and remain byte-identical (pinned by the golden
-equivalence suites).
+A :class:`Session` accepts a :class:`~repro.exec.plan.RunPlan` (a job graph
+whose nodes each run one pipeline spec on one instance) and executes it on
+an asyncio core with bounded worker slots, streaming one
+:class:`ResultEvent` per completed node.  The paper's tables, portfolio
+runs, ``repro exec run``, the serve layer and individual pipelines are all
+*plans*; a plain batch of jobs is ``Session.run(RunPlan.from_jobs(jobs))``.
 
-Execution semantics (all inherited from the engine, now session services):
+Execution semantics (session services):
 
 * **Determinism** — results are returned in plan order, and winner
   selection inside ``race(...)`` stages is order-independent, so a
@@ -79,11 +75,10 @@ class ResultEvent:
     index: int
     node_id: str
     key: str
-    kind: str
     instance: str
     result: InstanceResult
     source: str
-    #: the job's member/pipeline spec when it has one (progress display)
+    #: the job's pipeline spec (progress display)
     member: str = ""
 
 
@@ -131,7 +126,7 @@ class Session:
                 "resume=True without a results_path is a no-op: there is no "
                 "results file to resume from, so every job will re-execute",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
 
     # ------------------------------------------------------------------
@@ -396,8 +391,8 @@ class Session:
         inline = self.workers == 1 or len(pending) == 1
         if inline:
             # sequential execution *in the driving thread* (no executor):
-            # exactly the legacy engine behaviour — Ctrl-C lands inside the
-            # running solver, and nothing can outlive the interpreter.
+            # Ctrl-C lands inside the running solver, and nothing can
+            # outlive the interpreter.
             # Pipelines inherit the session's slots, so race branches can
             # still fan out over threads.
             executor = None
@@ -437,7 +432,6 @@ class Session:
                             category="session",
                             parent=session_span_id,
                             node=node.id,
-                            kind=node.job.kind,
                             instance=node.job.instance_name,
                             queued_wait=loop.time() - queued_at,
                             slots_busy=busy_slots[0],
@@ -457,14 +451,12 @@ class Session:
 
         async def execute_one(node) -> InstanceResult:
             if executor is None:
-                # inline: block the driving thread for this job, exactly
-                # like the historical serial engine (the job_timeout
-                # liveness guard applies to pool execution only — the
-                # engine's historical contract, since a thread cannot be
-                # interrupted).  The cooperative yield first lets the
-                # previous job's event reach the consumer and gives pending
-                # cancellations (an abandoned stream) a point to land
-                # between jobs.
+                # inline: block the driving thread for this job (the
+                # job_timeout liveness guard applies to pool execution
+                # only, since a thread cannot be interrupted).  The
+                # cooperative yield first lets the previous job's event
+                # reach the consumer and gives pending cancellations (an
+                # abandoned stream) a point to land between jobs.
                 await asyncio.sleep(0)
                 return call(node.job)
             future = loop.run_in_executor(executor, call, node.job)
@@ -554,7 +546,6 @@ class Session:
             index=index,
             node_id=node.id,
             key=key,
-            kind=node.job.kind,
             instance=node.job.instance_name,
             result=result,
             source=source,

@@ -9,13 +9,13 @@ Two stores, both keyed by the job content hash
   raced outcomes, whose limits are part of the canonical spec and hence of
   the hash.  Corrupt entries read as misses and are overwritten.
 * :class:`ResultLog` — an append-only JSONL stream of completed results
-  (one object per line: job key, kind, instance name, result), which
-  doubles as the *resume* store: keys already recorded are not re-executed.
+  (one object per line: job key, kind, instance name, pipeline spec,
+  result), which doubles as the *resume* store: keys already recorded are
+  not re-executed.
 
-Both were previously private to ``ExperimentEngine``; they are now session
-services shared by every execution surface (engine shim, portfolio,
-``repro exec run`` — including its sharded coordinator/worker mode,
-:mod:`repro.exec.shard`).
+Both are session services shared by every execution surface (the paper's
+tables, the portfolio, serve, ``repro exec run`` — including its sharded
+coordinator/worker mode, :mod:`repro.exec.shard`).
 
 Multi-process contract (what sharded execution relies on):
 
@@ -139,12 +139,12 @@ class ResultLog:
 
     The file is parsed at most once per log instance; afterwards the
     in-memory index is kept current by :meth:`append` (one log instance is
-    the file's only appender, matching the engine's historical contract —
-    concurrent appender *processes* must not share one file, which is why
-    sharded runs write per-shard files and merge them afterwards, see
-    :mod:`repro.exec.shard`).  Keys already present in the file — or
-    already appended by this instance — are skipped, so re-running a batch
-    against the same results file never double-counts a job.  The file is
+    the file's only appender — concurrent appender *processes* must not
+    share one file, which is why sharded runs write per-shard files and
+    merge them afterwards, see :mod:`repro.exec.shard`).  Keys already
+    present in the file — or already appended by this instance — are
+    skipped, so re-running a batch against the same results file never
+    double-counts a job.  The file is
     streamed line by line when first indexed, so resuming a very large
     results file does not hold the whole file in memory.
 
@@ -229,10 +229,10 @@ class ResultLog:
             "instance": job.instance_name,
             "result": result.to_dict(),
         }
-        # jobs carrying a canonical member spec (portfolio kind) record it,
-        # so the history miner (repro.learn.history) can attribute the cost
-        # to the spec without rebuilding the job; older files without the
-        # field simply mine to nothing
+        # jobs record their canonical pipeline spec, so the history miner
+        # (repro.learn.history) can attribute the cost to the spec without
+        # rebuilding the job; older files without the field simply mine to
+        # nothing
         member = dict(getattr(job, "params", ()) or ()).get("member")
         if member is not None:
             record["member"] = str(member)

@@ -1,4 +1,4 @@
-"""Experiment harness: datasets, runner, table/figure regeneration."""
+"""Experiment harness: datasets, configuration, table/figure regeneration."""
 
 from repro.experiments.datasets import (
     InstanceSpec,
@@ -11,17 +11,8 @@ from repro.experiments.runner import (
     ExperimentConfig,
     InstanceResult,
     geometric_mean,
-    run_dataset,
-    run_instance,
-    run_instance_with_baselines,
-    run_divide_and_conquer_instance,
 )
-from repro.experiments.parallel import (
-    EngineStats,
-    ExperimentEngine,
-    ExperimentJob,
-    run_jobs,
-)
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.reporting import (
     format_results_table,
     read_jsonl,
@@ -58,14 +49,7 @@ __all__ = [
     "ExperimentConfig",
     "InstanceResult",
     "geometric_mean",
-    "run_dataset",
-    "run_instance",
-    "run_instance_with_baselines",
-    "run_divide_and_conquer_instance",
-    "EngineStats",
-    "ExperimentEngine",
     "ExperimentJob",
-    "run_jobs",
     "format_results_table",
     "read_jsonl",
     "results_to_rows",

@@ -58,7 +58,7 @@ class InstanceSpec:
         The per-instance seed uses a *stable* hash of the name (crc32):
         ``hash()`` on strings is salted per process, which silently made the
         "seeded" datasets differ between invocations (and defeated the
-        experiment engine's cross-run result cache).
+        session's cross-run result cache).
         """
         dag = self.builder()
         dag.name = self.name

@@ -5,6 +5,9 @@
   asynchronous).  The figure in the paper is a strip/box plot; this module
   produces the underlying per-instance ratio series plus summary statistics,
   and can render a simple ASCII box summary (no plotting dependencies).
+  The series come from the Table 4 sweep, i.e. the
+  ``baseline|ilp(warm=objective)`` pipeline run per configuration on a
+  :class:`~repro.exec.Session`.
 * **Figures 1 and 2** — the Theorem 4.1 construction and its two schedules;
   :func:`theorem41_comparison` reports the two-stage vs. optimal cost ratio
   as a function of the construction size.
@@ -17,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cache.conversion import two_stage_schedule
 from repro.cache.policies import ClairvoyantPolicy
+from repro.exec import Session
 from repro.model.cost import synchronous_cost
 from repro.model.validation import validate_schedule
 from repro.theory.constructions import (
@@ -60,19 +64,19 @@ def figure4(
     limit: Optional[int] = None,
     configurations: Sequence[str] = ("base", "r5", "p8", "L0", "async"),
     verbose: bool = False,
-    engine=None,
+    session: Optional[Session] = None,
 ) -> Dict[str, RatioSeries]:
     """Cost-reduction ratio distributions for the Figure 4 configurations.
 
-    The underlying Table 4 sweep runs through the parallel experiment
-    engine; pass a pre-built ``engine`` to parallelise or cache it.
+    The underlying Table 4 sweep runs as pipeline plans on a session; pass
+    a pre-built ``session`` to parallelise or cache it.
     """
     results = table4(
         base_config=base_config,
         limit=limit,
         configurations=configurations,
         verbose=verbose,
-        engine=engine,
+        session=session,
     )
     series = {
         name: RatioSeries(name=name, ratios=[r.ratio for r in rows])

@@ -1,44 +1,29 @@
-"""Parallel experiment engine: fan ``(instance, config)`` jobs over processes.
+"""The unit of work of every experiment: one pipeline spec on one instance.
 
-The paper's experiments sweep many instances x many scheduler configurations;
-historically every run executed strictly serially in one process.  This
-module provides the architectural seam all experiment batches go through:
+* :class:`ExperimentJob` — one picklable unit of work: a serialized DAG, an
+  :class:`~repro.experiments.runner.ExperimentConfig` and the job
+  parameters (the canonical pipeline spec under ``"member"``, plus an
+  optional ``"prune_gap"``).  Every job has a stable content hash
+  (:meth:`ExperimentJob.key`) over the DAG structure, weights and the full
+  configuration — including the per-job ILP solver backend
+  (``ExperimentConfig.ilp_backend``), so sweeps over different backends
+  never collide in the result cache.
+* :func:`execute_job` — runs one job to completion; this is the function
+  :class:`repro.exec.Session` calls inline or in its worker processes.
 
-* :class:`ExperimentJob` — one picklable unit of work: an experiment *kind*
-  (which per-instance runner to call), a serialized DAG, an
-  :class:`~repro.experiments.runner.ExperimentConfig` and extra parameters.
-  Every job has a stable content hash (:meth:`ExperimentJob.key`) over the
-  DAG structure, weights and the full configuration — including the per-job
-  ILP solver backend (``ExperimentConfig.ilp_backend``), so sweeps over
-  different backends never collide in the result cache.
-* :class:`ExperimentEngine` — since the ``repro.exec`` redesign a thin,
-  behaviour-preserving shim over :class:`repro.exec.Session`, the unified
-  async execution core.  A batch of jobs becomes an edge-free
-  :class:`~repro.exec.plan.RunPlan`; the session executes it inline
-  (``workers=1``) or on a process pool (``workers>1``) with bounded worker
-  slots.  Results are returned in submission order, so a parallel run is
-  *bit-identical* to the serial one whenever the jobs themselves are
-  deterministic: two-stage pipelines always are, and ILP jobs are when
-  solved to optimality or bounded by ``ExperimentConfig.ilp_node_limit``
-  (with a time limit generous enough that the node limit is what binds).
-  A *wall-clock*-limited ILP that hits its limit can return a different
-  incumbent under CPU contention — use node limits (CLI: ``--node-limit``)
-  for sweeps that must be exactly reproducible.
-  The session services the engine exposes (see :mod:`repro.exec.store`):
-
-  - the content-hash disk cache (``cache_dir=...``) — a re-run of the same
-    batch performs zero solver calls;
-  - JSONL result streaming (``results_path=...``) and *resume*
-    (``resume=True``) of interrupted sweeps.
-
-The engine is deliberately scheduler-agnostic: job kinds are dispatched in
-:func:`execute_job`, and new kinds (e.g. the scheduler portfolio in
-:mod:`repro.portfolio`) plug in without touching the execution core.
-Callers that want streaming events, job graphs with ordering edges, the
-in-pipeline concurrency of ``race(...)`` stages, or coordinator/worker
-sharding across processes and machines (``Session.run_sharded``,
-:mod:`repro.exec.shard`) should use the session API directly
-(:mod:`repro.exec`).
+Jobs are built by :func:`repro.exec.plan.pipeline_job` and executed as
+:class:`~repro.exec.plan.RunPlan` nodes by a :class:`repro.exec.Session`,
+which provides the process pool, the content-hash disk cache and JSONL
+streaming with resume.  The paper's tables (:mod:`repro.experiments.tables`),
+the portfolio, ``repro exec run`` and the serve layer all submit such jobs.
+Results come back in plan order, so a parallel run is *bit-identical* to
+the serial one whenever the jobs themselves are deterministic: two-stage
+pipelines always are, and ILP jobs are when solved to optimality or bounded
+by ``ExperimentConfig.ilp_node_limit`` (with a time limit generous enough
+that the node limit is what binds).  A *wall-clock*-limited ILP that hits
+its limit can return a different incumbent under CPU contention — use node
+limits (CLI: ``--node-limit``) for sweeps that must be exactly
+reproducible.
 """
 
 from __future__ import annotations
@@ -46,38 +31,28 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Tuple
 
 from repro.dag.graph import ComputationalDag
 from repro.dag.io import dag_from_dict, dag_to_dict
-from repro.exceptions import ConfigurationError
-from repro.exec.plan import RunPlan
-from repro.exec.session import Session, SessionStats
-from repro.experiments.runner import (
-    ExperimentConfig,
-    InstanceResult,
-    run_divide_and_conquer_instance,
-    run_instance,
-    run_instance_with_baselines,
-)
-
-PathLike = Union[str, Path]
-
-#: Job kinds understood by :func:`execute_job`.
-JOB_KINDS = ("instance", "baselines", "dac", "portfolio")
+from repro.experiments.runner import ExperimentConfig, InstanceResult
 
 
 @dataclass(frozen=True)
 class ExperimentJob:
-    """One unit of work: run one experiment kind on one instance.
+    """One unit of work: run one pipeline spec on one instance.
 
     The DAG is stored in its plain-dict form so jobs are cheap to pickle
     into worker processes and so the job hash covers the exact graph
     structure and weights rather than object identity.
     """
 
-    kind: str
+    #: Every job runs a pipeline spec.  The constant stays in the key
+    #: payload and the JSONL record (under the name of the job kind that
+    #: ran pipelines when there were several), so existing caches, results
+    #: files and mined histories keep their keys.
+    kind: ClassVar[str] = "portfolio"
+
     dag_data: dict
     config: ExperimentConfig
     params: Tuple[Tuple[str, object], ...] = ()
@@ -85,18 +60,12 @@ class ExperimentJob:
     @classmethod
     def make(
         cls,
-        kind: str,
         dag: ComputationalDag,
         config: ExperimentConfig,
         **params,
     ) -> "ExperimentJob":
-        """Build a job from a live DAG; extra kwargs become job parameters."""
-        if kind not in JOB_KINDS:
-            raise ConfigurationError(
-                f"unknown experiment job kind {kind!r}; available: {JOB_KINDS}"
-            )
+        """Build a job from a live DAG; keyword arguments become job parameters."""
         return cls(
-            kind=kind,
             dag_data=dag_to_dict(dag),
             config=config,
             params=tuple(sorted(params.items())),
@@ -111,7 +80,7 @@ class ExperimentJob:
         return str(self.dag_data.get("name", "dag"))
 
     def key(self) -> str:
-        """Stable content hash of the job (DAG + config + kind + params)."""
+        """Stable content hash of the job (DAG + config + params)."""
         payload = {
             "kind": self.kind,
             "dag": self.dag_data,
@@ -133,6 +102,8 @@ def execute_job(job: ExperimentJob) -> InstanceResult:
     """
     from repro import obs
     from repro.ilp.backends import solver_call_stats
+    # imported lazily: repro.portfolio.members imports this package
+    from repro.portfolio.members import run_member
 
     before = solver_call_stats().snapshot()
     span = obs.NULL_SCOPE
@@ -141,12 +112,13 @@ def execute_job(job: ExperimentJob) -> InstanceResult:
         span = obs.trace_span(
             "job.execute",
             category="session",
-            kind=job.kind,
             instance=job.instance_name,
         )
     try:
         with span:
-            result = _dispatch_job(job)
+            params = dict(job.params)
+            member = str(params.pop("member"))
+            result = run_member(job.dag(), job.config, member, **params)
             if traced:
                 span.set(cost=result.ilp_cost, status=result.solver_status)
     finally:
@@ -162,109 +134,3 @@ def execute_job(job: ExperimentJob) -> InstanceResult:
         **solver_call_stats().delta_since(before),
     }
     return result
-
-
-def _dispatch_job(job: ExperimentJob) -> InstanceResult:
-    dag = job.dag()
-    params = dict(job.params)
-    if job.kind == "instance":
-        return run_instance(dag, job.config)
-    if job.kind == "baselines":
-        return run_instance_with_baselines(dag, job.config)
-    if job.kind == "dac":
-        return run_divide_and_conquer_instance(dag, job.config, **params)
-    if job.kind == "portfolio":
-        # imported lazily: repro.portfolio itself submits through this engine
-        from repro.portfolio.members import run_member
-
-        member = str(params.pop("member"))
-        return run_member(dag, job.config, member, **params)
-    raise ConfigurationError(f"unknown experiment job kind {job.kind!r}")
-
-
-#: Backwards-compatible alias: engine statistics *are* session statistics.
-EngineStats = SessionStats
-
-
-class ExperimentEngine:
-    """Batch-of-jobs facade over the unified execution core.
-
-    Every parameter maps one-to-one onto :class:`repro.exec.Session` (the
-    engine owns one session for its whole lifetime, so the resume index,
-    stream deduplication and statistics accumulate across :meth:`run`
-    calls exactly as they historically did).  :meth:`run` wraps the job
-    list in an edge-free :class:`~repro.exec.plan.RunPlan`; results come
-    back in submission order, bit-identical to the pre-session engine
-    (pinned by the golden equivalence and determinism suites).
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes; ``1`` executes inline (no pool).
-    cache_dir:
-        Directory for the on-disk result cache (one JSON file per job hash).
-        Cache hits skip execution entirely — no solver is ever invoked.
-    results_path:
-        JSONL file to which completed results are streamed (one object per
-        line: job key, kind, instance name, result).
-    resume:
-        If true and ``results_path`` exists, jobs whose key already appears
-        in the file are not re-executed; their recorded results are returned.
-    job_timeout:
-        Optional per-job liveness bound in seconds for process-pool
-        execution; exceeding it raises :class:`TimeoutError` without
-        killing the stuck worker.  It does not apply to inline
-        (``workers=1``) execution, and budgets never truncate a completed
-        result, so results stay deterministic.
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        cache_dir: Optional[PathLike] = None,
-        results_path: Optional[PathLike] = None,
-        resume: bool = False,
-        job_timeout: Optional[float] = None,
-    ) -> None:
-        self.session = Session(
-            workers=workers,
-            cache_dir=cache_dir,
-            results_path=results_path,
-            resume=resume,
-            job_timeout=job_timeout,
-        )
-        self.workers = self.session.workers
-        self.cache_dir = self.session.cache.cache_dir
-        self.results_path = self.session.log.results_path
-        self.resume = resume
-        self.job_timeout = job_timeout
-
-    @property
-    def stats(self) -> SessionStats:
-        """The underlying session's statistics (shared object)."""
-        return self.session.stats
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def run(self, jobs: Sequence[ExperimentJob]) -> List[InstanceResult]:
-        """Execute ``jobs`` and return their results in submission order."""
-        return self.session.run(RunPlan.from_jobs(list(jobs)))
-
-    def run_one(self, job: ExperimentJob) -> InstanceResult:
-        """Convenience wrapper: run a single job."""
-        return self.run([job])[0]
-
-
-def run_jobs(
-    jobs: Sequence[ExperimentJob],
-    workers: int = 1,
-    cache_dir: Optional[PathLike] = None,
-    results_path: Optional[PathLike] = None,
-    resume: bool = False,
-) -> List[InstanceResult]:
-    """One-shot convenience wrapper around :class:`ExperimentEngine`."""
-    engine = ExperimentEngine(
-        workers=workers, cache_dir=cache_dir, results_path=results_path, resume=resume
-    )
-    return engine.run(jobs)

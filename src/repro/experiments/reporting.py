@@ -1,9 +1,9 @@
 """Formatting and persistence of experiment results.
 
 Besides the fixed-width tables and CSV export, this module reads and writes
-the streaming JSONL result files produced by the parallel experiment engine
-(:mod:`repro.experiments.parallel`): one JSON object per line with the job
-key, kind, instance name and the serialized result.
+the streaming JSONL result files produced by the execution session
+(:mod:`repro.exec.store`): one JSON object per line with the job key, kind,
+instance name, pipeline spec and the serialized result.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def iter_jsonl_records(path: PathLike) -> Iterator[dict]:
 
 def read_jsonl(path: PathLike) -> List[InstanceResult]:
     """Read results from a JSONL file written by :func:`write_jsonl` or
-    streamed by the experiment engine (``results_path=...``)."""
+    streamed by a session (``results_path=...``)."""
     return [InstanceResult.from_dict(record["result"]) for record in iter_jsonl_records(path)]
 
 

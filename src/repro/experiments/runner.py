@@ -1,18 +1,15 @@
-"""Experiment runner: schedules benchmark instances and collects costs.
+"""Experiment configuration and per-instance results.
 
-All experiment functions in :mod:`repro.experiments.tables` and ``figures``
-are thin wrappers around :func:`run_instance` / :func:`run_dataset`, which
-execute the two-stage baselines and the ILP-based schedulers on one instance
-and record the costs, improvement ratios and solver diagnostics.
-
-:func:`run_dataset` routes every batch through the parallel experiment
-engine (:mod:`repro.experiments.parallel`): pass ``workers=N`` to fan the
-instances out over a process pool, ``cache_dir=...`` to reuse results across
-invocations (keyed by an instance/config hash) and ``results_path=...`` /
-``resume=True`` to stream results to a JSONL file and skip already-recorded
-jobs.  The same knobs are exposed on the CLI (``repro experiment --workers N
---cache-dir DIR --resume``) and as environment variables for the benchmark
-harness.
+:class:`ExperimentConfig` holds the parameters of one experimental
+configuration (one column of Figure 4) and :class:`InstanceResult` the costs
+one pipeline job reports for one instance.  The experiments themselves are
+pipeline specs (:mod:`repro.experiments.tables`): every batch is a
+:class:`~repro.exec.plan.RunPlan` run by a :class:`repro.exec.Session`,
+which fans jobs out over ``workers`` processes, caches results by job
+content hash (``cache_dir``) and streams them to a resumable JSONL file
+(``results_path`` / ``resume``).  The same knobs are exposed on the CLI
+(``repro experiment --workers N --cache-dir DIR --resume``) and as
+environment variables for the benchmark harness.
 
 Environment knobs (respected by the default configuration):
 
@@ -22,8 +19,8 @@ Environment knobs (respected by the default configuration):
   :mod:`repro.ilp.backends`);
 * ``REPRO_BENCH_SCALE`` — ``default`` or ``paper`` dataset scale;
 * ``REPRO_BENCH_LIMIT`` — only run the first N instances of each dataset;
-* ``REPRO_BENCH_WORKERS`` — worker processes for the experiment engine;
-* ``REPRO_CACHE_DIR`` — on-disk result cache directory for the engine.
+* ``REPRO_BENCH_WORKERS`` — worker processes of the session;
+* ``REPRO_CACHE_DIR`` — on-disk result cache directory of the session.
 
 Malformed values of the knobs fall back to their defaults, but emit a
 :class:`UserWarning` instead of being silently swallowed.
@@ -33,20 +30,15 @@ from __future__ import annotations
 
 import math
 import os
-import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.dag.graph import ComputationalDag
 from repro.ilp import SolverOptions, default_backend
 from repro.model.instance import MbspInstance, make_instance
 from repro.core.full_ilp import MbspIlpConfig
-from repro.core.scheduler import MbspIlpScheduler
-from repro.core.two_stage import baseline_schedule, run_two_stage
-from repro.core.divide_conquer import DivideAndConquerScheduler
-from repro.core.acyclic_partition import PartitionConfig
-from repro.refine import RefineConfig, Refiner
+from repro.refine import RefineConfig
 
 
 def _env_float(name: str, default: float) -> float:
@@ -99,15 +91,16 @@ class ExperimentConfig:
     ilp_time_limit: float = field(default_factory=lambda: _env_float("REPRO_ILP_TIME_LIMIT", 10.0))
     ilp_node_limit: Optional[int] = None
     # resolved at construction time (env: REPRO_ILP_BACKEND) so that the
-    # parallel engine's content-hash job keys cover the backend actually used
+    # session's content-hash job keys cover the backend actually used
     ilp_backend: str = field(default_factory=default_backend)
     step_cap: Optional[int] = None
     seed: int = 0
-    # local-search refinement knobs; part of the engine job hash, so sweeps
-    # with different refinement settings never collide in the result cache.
-    # ``refine.enabled`` switches post-optimization on for the per-instance
-    # runners; the explicit "<member>+refine" portfolio members refine
-    # regardless (using these budget/seed/strategy knobs).
+    # local-search refinement knobs; part of the job hash, so sweeps with
+    # different refinement settings never collide in the result cache.
+    # ``refine.enabled`` appends a refine stage to the paper's table
+    # pipelines (the CLI's ``experiment --refine``); the explicit
+    # "<member>+refine" portfolio members refine regardless (using these
+    # budget/seed/strategy knobs).
     refine: RefineConfig = field(default_factory=RefineConfig)
 
     def instance_for(self, dag: ComputationalDag) -> MbspInstance:
@@ -150,7 +143,7 @@ class InstanceResult:
     solve_time: float = 0.0
     extra_costs: Dict[str, float] = field(default_factory=dict)
     #: per-job solver telemetry (``solver_calls`` / ``solver_time`` totals
-    #: plus per-backend breakdowns), attached by the experiment engine.
+    #: plus per-backend breakdowns), attached by ``execute_job``.
     #: Excluded from :meth:`fingerprint`: call counts are deterministic but
     #: the times are wall clock.
     solver_stats: Dict[str, float] = field(default_factory=dict)
@@ -211,198 +204,6 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def run_instance(
-    dag: ComputationalDag,
-    config: ExperimentConfig,
-    *,
-    instance: Optional[MbspInstance] = None,
-    baseline=None,
-) -> InstanceResult:
-    """Run the main comparison (two-stage baseline vs. full ILP) on one DAG.
-
-    ``instance`` and ``baseline`` let callers that already materialized them
-    (e.g. the portfolio's bound-pruning check) avoid recomputing; both must
-    stem from the same ``config`` when provided.
-    """
-    if instance is None:
-        instance = config.instance_for(dag)
-    base = baseline if baseline is not None else baseline_schedule(
-        instance, synchronous=config.synchronous, seed=config.seed
-    )
-    scheduler = MbspIlpScheduler(config.ilp_config())
-    result = scheduler.schedule(instance, baseline=base)
-    ilp_cost = result.best_cost
-    extra: Dict[str, float] = {}
-    if config.refine.enabled:
-        refined = Refiner(config.refine).refine(
-            result.best_schedule, synchronous=config.synchronous
-        )
-        extra = refined.telemetry(result.best_cost)
-        ilp_cost = min(ilp_cost, refined.final_cost)
-    return InstanceResult(
-        instance_name=dag.name,
-        num_nodes=dag.num_nodes,
-        baseline_cost=base.cost,
-        ilp_cost=ilp_cost,
-        solver_status=result.solver_status,
-        solve_time=result.solve_time,
-        extra_costs=extra,
-    )
-
-
-def run_dataset(
-    dags: Sequence[ComputationalDag],
-    config: ExperimentConfig,
-    verbose: bool = False,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    results_path: Optional[str] = None,
-    resume: bool = False,
-    kind: str = "instance",
-    engine=None,
-    **job_params,
-) -> List[InstanceResult]:
-    """Run one experiment ``kind`` over a dataset through the parallel engine.
-
-    ``kind`` selects the per-instance runner (``"instance"``,
-    ``"baselines"`` or ``"dac"``, see :mod:`repro.experiments.parallel`);
-    extra keyword arguments are forwarded to it.  With the default
-    ``workers=1`` and no cache the behaviour (and the results) are identical
-    to the historical serial loop.
-    """
-    from repro.experiments.parallel import ExperimentEngine, ExperimentJob
-
-    if engine is None:
-        engine = ExperimentEngine(
-            workers=workers, cache_dir=cache_dir, results_path=results_path, resume=resume
-        )
-    start = time.perf_counter()
-    jobs = [ExperimentJob.make(kind, dag, config, **job_params) for dag in dags]
-    results = engine.run(jobs)
-    if verbose:  # pragma: no cover - console convenience
-        for result in results:
-            print(
-                f"  {result.instance_name:<18s} base={result.baseline_cost:8.1f} "
-                f"ilp={result.ilp_cost:8.1f} ratio={result.ratio:.2f}"
-            )
-        print(
-            f"  [{len(results)} results in {time.perf_counter() - start:.1f}s; "
-            f"{engine.stats.describe()}]"
-        )
-    return results
-
-
-def run_instance_with_baselines(dag: ComputationalDag, config: ExperimentConfig) -> InstanceResult:
-    """The Table 3 comparison: all baselines plus ILPs started from each.
-
-    Collected extra costs: ``weak`` (Cilk + LRU), ``bsp_ilp`` (ILP-based BSP
-    scheduler + clairvoyant), ``bsp_ilp_plus_ilp`` (our ILP initialised with
-    the stronger baseline).
-    """
-    instance = config.instance_for(dag)
-    base = baseline_schedule(instance, synchronous=config.synchronous, seed=config.seed)
-    scheduler = MbspIlpScheduler(config.ilp_config())
-    main = scheduler.schedule(instance, baseline=base)
-
-    weak = run_two_stage(
-        instance, scheduler="cilk", policy="lru", synchronous=config.synchronous, seed=config.seed
-    )
-    from repro.bsp.ilp import BspIlpConfig
-
-    bsp_ilp_base = run_two_stage(
-        instance,
-        scheduler="bsp-ilp",
-        policy="clairvoyant",
-        synchronous=config.synchronous,
-        seed=config.seed,
-        bsp_ilp_config=BspIlpConfig(
-            solver_options=SolverOptions(time_limit=max(config.ilp_time_limit / 2, 2.0)),
-            backend=config.ilp_backend,
-        ),
-    )
-    stronger = scheduler.schedule(instance, baseline=bsp_ilp_base)
-
-    return InstanceResult(
-        instance_name=dag.name,
-        num_nodes=dag.num_nodes,
-        baseline_cost=base.cost,
-        ilp_cost=main.best_cost,
-        solver_status=main.solver_status,
-        solve_time=main.solve_time,
-        extra_costs={
-            "weak": weak.cost,
-            "bsp_ilp": bsp_ilp_base.cost,
-            "bsp_ilp_plus_ilp": stronger.best_cost,
-        },
-    )
-
-
-def run_divide_and_conquer(
-    dag: ComputationalDag,
-    config: ExperimentConfig,
-    max_part_size: int = 22,
-    partition_time_limit: float = 3.0,
-    instance: Optional[MbspInstance] = None,
-):
-    """Run the divide-and-conquer scheduler; returns its full result object.
-
-    Used by :func:`run_divide_and_conquer_instance` (which reduces it to an
-    :class:`InstanceResult`) and by the refined ``dac+refine`` portfolio
-    member, which needs the actual schedule to post-optimize.  A caller that
-    already materialized the ``instance`` (e.g. for a bound check) can pass
-    it to avoid rebuilding.
-    """
-    if instance is None:
-        instance = config.instance_for(dag)
-    base = baseline_schedule(instance, synchronous=config.synchronous, seed=config.seed)
-    scheduler = DivideAndConquerScheduler(
-        ilp_config=config.ilp_config(),
-        partition_config=PartitionConfig(
-            max_part_size=max_part_size,
-            solver_options=SolverOptions(time_limit=partition_time_limit),
-            backend=config.ilp_backend,
-        ),
-    )
-    return scheduler.schedule(instance, baseline=base)
-
-
-def run_divide_and_conquer_instance(
-    dag: ComputationalDag,
-    config: ExperimentConfig,
-    max_part_size: int = 22,
-    partition_time_limit: float = 3.0,
-) -> InstanceResult:
-    """The Table 2 comparison: two-stage baseline vs. divide-and-conquer ILP.
-
-    Unlike the warm-started full ILP, the divide-and-conquer schedule is
-    reported as-is (it can be worse than the baseline, as in the paper).
-    """
-    result = run_divide_and_conquer(
-        dag,
-        config,
-        max_part_size=max_part_size,
-        partition_time_limit=partition_time_limit,
-    )
-    dac_cost = result.dac_cost
-    extra: Dict[str, float] = {"parts": float(result.partition.num_parts)}
-    if config.refine.enabled:
-        # opt-in post-optimization (``--refine``): the refined cost replaces
-        # the as-is divide-and-conquer cost, never making it worse
-        refined = Refiner(config.refine).refine(
-            result.dac_schedule, synchronous=config.synchronous
-        )
-        extra.update(refined.telemetry(dac_cost))
-        dac_cost = min(dac_cost, refined.final_cost)
-    return InstanceResult(
-        instance_name=dag.name,
-        num_nodes=dag.num_nodes,
-        baseline_cost=result.baseline.cost,
-        ilp_cost=dac_cost,
-        solver_status="divide-and-conquer",
-        extra_costs=extra,
-    )
-
-
 def dataset_scale() -> str:
     """The dataset scale selected through ``REPRO_BENCH_SCALE``.
 
@@ -428,7 +229,7 @@ def dataset_limit() -> Optional[int]:
 
 
 def env_bench_workers(default: int = 1) -> int:
-    """Engine/session worker count from ``REPRO_BENCH_WORKERS``.
+    """Session worker count from ``REPRO_BENCH_WORKERS``.
 
     Malformed values (non-integers — already warned about by the shared
     parser — and non-positive counts) warn and fall back to ``default``,

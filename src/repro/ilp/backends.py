@@ -18,7 +18,7 @@ Backend selection threads through the whole stack: ``SolverOptions`` are
 shared by all backends (including ``warm_start_objective``, the incumbent
 bound used to warm-start a solve), scheduler configurations carry a
 ``backend`` field, :class:`~repro.experiments.runner.ExperimentConfig`
-carries ``ilp_backend`` (so parallel-engine job hashes cover the backend),
+carries ``ilp_backend`` (so session job hashes cover the backend),
 and the CLI exposes ``--backend``.  The process default is ``"scipy"``,
 overridable through the ``REPRO_ILP_BACKEND`` environment variable; an
 unknown name in the environment warns and falls back to the default
@@ -27,8 +27,8 @@ variables), while an unknown name passed explicitly raises ``ValueError``.
 
 The module also counts solver invocations (:func:`solver_call_stats`), which
 is how tests assert that bound-aware portfolio pruning really avoids solver
-calls.  Counts are per process: jobs fanned out by the parallel experiment
-engine count in their worker processes, not in the parent.
+calls.  Counts are per process: jobs a session fans out to worker
+processes count there, not in the parent.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class SolverCallStats:
         Keys: ``solver_calls`` / ``solver_time`` totals plus
         ``solver_calls[<backend>]`` / ``solver_time[<backend>]`` per backend
         actually dispatched in between.  This is the per-job record the
-        experiment engine attaches to results (JSONL rows included), so
+        session's ``execute_job`` attaches to results (JSONL rows included), so
         sweeps can report solve counts and times per job.
         """
         out: Dict[str, float] = {

@@ -28,7 +28,7 @@ Determinism caveat: a deadline that actually *binds* makes results depend
 on wall clock, exactly like ``SolverOptions.time_limit``.  Sweeps that must
 be reproducible should use node limits and budgets generous enough not to
 bind; the budget value itself is part of the canonical stage spec (and so
-of the engine job hash), so a cached budgeted outcome is replayed as-is.
+of the job hash), so a cached budgeted outcome is replayed as-is.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ class ProgressRenderer:
 
         def hook(event, stats) -> None:
             done = stats.executed + stats.cache_hits + stats.resumed
-            current = event.member or event.kind
+            current = event.member
             self.update(
                 done,
                 stats.total,

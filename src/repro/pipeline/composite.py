@@ -23,7 +23,7 @@ unlocked by the unified execution core (:mod:`repro.exec`):
   same cancellation hooks (the branch-and-bound backend stops at node
   granularity; HiGHS has its time limit clamped; refinement caps its
   ``max_time``).  The budget is part of the canonical spec — and therefore
-  of the engine job hash — so runs with different budgets never collide in
+  of the job hash — so runs with different budgets never collide in
   the result cache, and a cache hit replays the budgeted outcome as-is.
   A budget that actually *binds* makes the outcome wall-clock dependent,
   exactly like ``--time-limit``; use node limits plus generous budgets for

@@ -4,10 +4,9 @@
 on one instance: stages run in order, each stage's best schedule becomes the
 next stage's warm-start incumbent, and per-stage telemetry (wall time,
 solver calls, costs) is collected along the way.  The result reduces to the
-exact :class:`~repro.experiments.runner.InstanceResult` shape the experiment
-engine and the portfolio consume, so every portfolio member is now *one
-declarative spec executed by this runner* instead of a hand-written dispatch
-branch.
+exact :class:`~repro.experiments.runner.InstanceResult` shape the execution
+session and the portfolio consume, so every portfolio member and every
+paper experiment is *one declarative spec executed by this runner*.
 
 **Bound-aware pruning** is decided per stage: before a prunable stage
 (``ilp``, ``refine``) runs, the incumbent cost is compared against the
@@ -30,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -102,10 +102,11 @@ def stage_reuse_scope():
     """Activate shared-prefix reuse for all pipelines run inside the scope.
 
     Yields the :class:`StageReuseCache`, whose ``stats`` describe the saved
-    work when the scope closes.  Scopes are per process: jobs fanned out by
-    the parallel experiment engine run in worker processes and do not see
-    the parent's scope (results are identical either way; only the savings
-    differ).
+    work when the scope closes.  Scopes are per process: jobs a session fans
+    out to worker processes do not see the parent's scope — forked workers
+    drop the inherited one (see :func:`_drop_scope_in_child`), so reuse
+    never depends on which worker runs which job (results are identical
+    either way; only the savings differ).
     """
     global _ACTIVE_CACHE
     cache = StageReuseCache()
@@ -115,6 +116,22 @@ def stage_reuse_scope():
         yield cache
     finally:
         _ACTIVE_CACHE = previous
+
+
+def _drop_scope_in_child() -> None:
+    """Reset the reuse scope in a forked child process.
+
+    A fork-context worker pool opened inside a scope would otherwise start
+    every worker with a copy of the parent's cache, and whether
+    ``"m|refine"`` reuses ``"m"`` would depend on the job-to-worker
+    assignment, invisibly to the parent's :class:`StageReuseStats`.
+    """
+    global _ACTIVE_CACHE
+    _ACTIVE_CACHE = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; spawned children start empty
+    os.register_at_fork(after_in_child=_drop_scope_in_child)
 
 
 def _content_key(dag_data: dict, config) -> str:
@@ -172,7 +189,7 @@ class PipelineResult:
         return "; ".join(parts)
 
     def to_instance_result(self):
-        """Reduce to the engine's :class:`InstanceResult` shape.
+        """Reduce to the session's :class:`InstanceResult` shape.
 
         The mapping reproduces the historical portfolio-member results
         byte-for-byte for every legacy member spec (pinned by the golden

@@ -25,7 +25,7 @@ Three orthogonal spec features thread through every stage token:
   ``backend=`` option; canonicalized back to the ``@`` form);
 * ``budget=<seconds>s`` — the ``s`` suffix distinguishes a *wall-clock*
   stage budget (enforced through the solver cancellation hooks; part of
-  the canonical spec and hence of the engine job hash) from deterministic
+  the canonical spec and hence of the job hash) from deterministic
   counter budgets like ``refine(budget=500)``;
 * ``option={a,b,c}`` is **sweep syntax**: :func:`expand_spec` expands the
   cartesian product into one canonical spec per combination (e.g.
@@ -400,7 +400,7 @@ def with_default_budget(text: str, seconds: float) -> str:
     Backs the CLI's ``--budget`` flag: each stage without an explicit
     ``budget=<s>s`` option gains one (stages that already carry a wall
     budget keep theirs — per-stage spec overrides win).  Returns the
-    canonical spelling, so the budget is part of the engine job hash.
+    canonical spelling, so the budget is part of the job hash.
     """
     seconds = float(seconds)
     if seconds <= 0:

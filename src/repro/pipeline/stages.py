@@ -100,7 +100,7 @@ class TwoStageStage:
         bsp_ilp_config = None
         if self.name in ("bsp-ilp", "bsp_ilp"):
             # the first-stage ILP must honour the configured backend and
-            # budgets: the engine's job hash covers them, so solving with
+            # budgets: the job hash covers them, so solving with
             # anything else would poison backend sweeps through the cache
             from repro.bsp.ilp import BspIlpConfig
             from repro.ilp import SolverOptions
@@ -385,16 +385,26 @@ class DacStage:
     def run(
         self, instance: MbspInstance, incumbent: Optional[Incumbent], ctx: StageContext
     ) -> StageResult:
-        from repro.experiments.runner import run_divide_and_conquer
+        from repro.core.acyclic_partition import PartitionConfig
+        from repro.core.divide_conquer import DivideAndConquerScheduler
+        from repro.core.two_stage import baseline_schedule
+        from repro.ilp import SolverOptions
 
-        kwargs = {}
-        if self.max_part_size is not None:
-            kwargs["max_part_size"] = self.max_part_size
-        if self.partition_time_limit is not None:
-            kwargs["partition_time_limit"] = self.partition_time_limit
-        result = run_divide_and_conquer(
-            instance.dag, ctx.config, instance=instance, **kwargs
+        # the registry defaults: max_part_size=22, partition_time_limit=3
+        max_part_size = 22 if self.max_part_size is None else self.max_part_size
+        time_limit = (
+            3.0 if self.partition_time_limit is None else self.partition_time_limit
         )
+        base = baseline_schedule(instance, synchronous=ctx.synchronous, seed=ctx.seed)
+        scheduler = DivideAndConquerScheduler(
+            ilp_config=ctx.config.ilp_config(),
+            partition_config=PartitionConfig(
+                max_part_size=max_part_size,
+                solver_options=SolverOptions(time_limit=time_limit),
+                backend=ctx.config.ilp_backend,
+            ),
+        )
+        result = scheduler.schedule(instance, baseline=base)
         return StageResult(
             stage=self.spec_token(),
             schedule=result.dac_schedule,

@@ -3,8 +3,9 @@
 The ILP-based schedulers dominate on some instances and the cheap two-stage
 pipelines on others (and the ILP is orders of magnitude more expensive), so
 the natural production configuration is a *portfolio*: evaluate a set of
-member pipelines on every instance — fanned out over the parallel experiment
-engine — and report, per instance, the member achieving the lowest MBSP cost.
+member pipelines on every instance — fanned out over a
+:class:`~repro.exec.Session` — and report, per instance, the member achieving
+the lowest MBSP cost.
 
     >>> from repro.portfolio import Portfolio
     >>> portfolio = Portfolio()
@@ -14,10 +15,9 @@ engine — and report, per instance, the member achieving the lowest MBSP cost.
 
 Execution goes through the unified execution core (:mod:`repro.exec`):
 the member x instance fan-out is a run plan executed by a ``Session``
-(pass ``session=`` to share one, or the legacy ``engine=`` shim), so all
-session services apply: ``workers=N`` parallelises over processes,
-``cache_dir`` makes repeated sweeps free, and ``results_path``/``resume``
-stream and resume long sweeps.
+(pass ``session=`` to share one), so all session services apply:
+``workers=N`` parallelises over processes, ``cache_dir`` makes repeated
+sweeps free, and ``results_path``/``resume`` stream and resume long sweeps.
 
 Members are **pipeline specs** (:mod:`repro.pipeline`): legacy names like
 ``"ilp"`` or ``"bspg+clairvoyant+refine"`` and raw specs like
@@ -54,14 +54,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.dag.graph import ComputationalDag
 from repro.exceptions import ConfigurationError
-from repro.exec import RunPlan, Session
-from repro.experiments.parallel import ExperimentEngine, ExperimentJob
+from repro.exec import RunPlan, Session, pipeline_job, plan_pipelines
 from repro.experiments.runner import ExperimentConfig, InstanceResult
 from repro.pipeline import StageReuseStats, stage_reuse_scope
 from repro.portfolio.members import (
     DEFAULT_MEMBERS,
     PRUNED_STATUS_PREFIX,
-    is_prunable_member,
     resolve_member,
 )
 
@@ -157,7 +155,6 @@ class Portfolio:
         members: Optional[Sequence[str]] = None,
         dags: Sequence[ComputationalDag] = (),
         workers: Optional[int] = None,
-        engine: Optional[ExperimentEngine] = None,
         session: Optional[Session] = None,
     ) -> List[PortfolioResult]:
         """Run every member on every DAG; return one result per DAG (in order).
@@ -165,11 +162,10 @@ class Portfolio:
         Execution goes through the unified execution core: the member x
         instance fan-out becomes a :class:`~repro.exec.RunPlan` run by a
         :class:`~repro.exec.Session` (pass ``session=`` to share one across
-        runs, or the legacy ``engine=`` shim).  Jobs are submitted
-        instance-major, so with ``workers > 1`` all members of all
-        instances execute concurrently; the reduction to the per-instance
-        winner happens deterministically in submission order (ties broken
-        by the position in ``members``).
+        runs).  Jobs are submitted instance-major, so with ``workers > 1``
+        all members of all instances execute concurrently; the reduction to
+        the per-instance winner happens deterministically in submission
+        order (ties broken by the position in ``members``).
         """
         members = list(DEFAULT_MEMBERS) if members is None else list(members)
         if not members:
@@ -178,39 +174,19 @@ class Portfolio:
         # submitted (and hashed, and disk-cached) under the *canonical* spec,
         # so two spellings of the same pipeline share one cache entry
         canonical = {member: resolve_member(member) for member in members}
-        prunable = {member: is_prunable_member(member) for member in canonical}
         if session is None:
-            session = engine.session if engine is not None else Session(
+            session = Session(
                 workers=self.workers if workers is None else workers,
                 cache_dir=self.cache_dir,
                 results_path=self.results_path,
                 resume=self.resume,
             )
         dags = list(dags)
-
-        def make_job(dag, member):
-            # only members with prunable stages (ilp/refine) understand the
-            # prune_gap parameter; keeping it off the other jobs keeps
-            # their cache keys stable
-            return ExperimentJob.make(
-                "portfolio", dag, self.config, member=canonical[member], **(
-                    {"prune_gap": self.prune_gap}
-                    if self.prune_gap is not None and prunable[member]
-                    else {}
-                )
-            )
-
         selection = self._plan_selection(members, canonical, dags)
         self.last_selection = selection
         if selection is not None:
-            return self._run_adaptive(
-                selection, members, dags, session, make_job
-            )
-        plan = RunPlan.from_jobs([
-            make_job(dag, member)
-            for dag in dags
-            for member in members
-        ])
+            return self._run_adaptive(selection, members, dags, session)
+        plan = plan_pipelines(members, dags, self.config, self.prune_gap)
         # shared-prefix reuse: members with a common stage prefix (e.g. "m"
         # and "m|refine") evaluate it once per instance when jobs execute in
         # this process; the scope's stats feed the table footer
@@ -259,7 +235,7 @@ class Portfolio:
             seed=self.seed,
         )
 
-    def _run_adaptive(self, selection, members, dags, session, make_job):
+    def _run_adaptive(self, selection, members, dags, session):
         """Run only the chosen members per instance; reduce the ragged batch.
 
         The chosen subsets preserve the member order and the job parameters
@@ -275,7 +251,7 @@ class Portfolio:
         for i, dag in enumerate(dags):
             for member in selection.selections[i].chosen:
                 index[(i, member)] = len(jobs)
-                jobs.append(make_job(dag, member))
+                jobs.append(pipeline_job(dag, member, self.config, self.prune_gap))
         with stage_reuse_scope() as reuse:
             flat = session.run(RunPlan.from_jobs(jobs))
         self.last_reuse = reuse.stats

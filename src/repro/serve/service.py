@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.exceptions import ConfigurationError
-from repro.exec import RunPlan, Session
+from repro.exec import RunPlan, Session, pipeline_job
 from repro.experiments.runner import ExperimentConfig
 from repro.serve.arrivals import ArrivalConfig, generate_requests, request_pool
 from repro.serve.policy import AdaptivePolicy, PolicyConfig
@@ -285,8 +285,6 @@ class ScheduleService:
         directory — so disk hits accelerate phase 2 (no solving) without
         touching the telemetry.
         """
-        from repro.experiments.parallel import ExperimentJob
-
         cfg = self.config
         # feature-aware policies (duck-typed choose_for, e.g. LearnedPolicy)
         # see the instance features of the request's template; features are
@@ -319,9 +317,7 @@ class ScheduleService:
                 spec = self.policy.choose(depth, request.deadline)
             memo_key = (request.template, spec)
             if memo_key not in job_memo:
-                job = ExperimentJob.make(
-                    "portfolio", pool[request.template], cfg.experiment, member=spec
-                )
+                job = pipeline_job(pool[request.template], spec, cfg.experiment)
                 job_memo[memo_key] = (job, job.key())
             job, key = job_memo[memo_key]
             if key not in jobs:

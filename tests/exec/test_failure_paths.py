@@ -42,7 +42,7 @@ def _jobs(count=4):
         assign_random_memory_weights(dag, seed=seed)
         dag.name = f"spmv_{seed}"
         jobs.append(
-            ExperimentJob.make("portfolio", dag, CFG, member="bspg+clairvoyant")
+            ExperimentJob.make(dag, CFG, member="bspg+clairvoyant")
         )
     return jobs
 

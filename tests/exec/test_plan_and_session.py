@@ -2,8 +2,10 @@
 
 Fast two-stage jobs exercise the plan/session machinery end to end: plan
 validation, event streaming, cache/resume services, dependency edges, and
-equivalence with the legacy engine path.
+equivalence of the job-list and plan forms of a batch.
 """
+
+import inspect
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.exec import (
     plan_pipelines,
     slot_scope,
 )
-from repro.experiments.parallel import ExperimentEngine, ExperimentJob
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.reporting import read_jsonl
 from repro.experiments.runner import ExperimentConfig
 
@@ -40,7 +42,7 @@ CFG = ExperimentConfig(name="exec-test", num_processors=2, ilp_time_limit=1.0)
 
 def _fast_jobs(dags=None, member="bspg+clairvoyant"):
     return [
-        ExperimentJob.make("portfolio", dag, CFG, member=member)
+        ExperimentJob.make(dag, CFG, member=member)
         for dag in (dags or _dags())
     ]
 
@@ -89,11 +91,12 @@ class TestRunPlan:
 
 class TestSession:
     def test_run_matches_engine_bit_for_bit(self):
+        """A bare job list and its edge-free plan are the same batch."""
         jobs = _fast_jobs()
-        engine_results = ExperimentEngine(workers=1).run(jobs)
+        list_results = Session(workers=1).run(jobs)
         session_results = Session(workers=1).run(RunPlan.from_jobs(jobs))
         assert [r.fingerprint() for r in session_results] == [
-            r.fingerprint() for r in engine_results
+            r.fingerprint() for r in list_results
         ]
 
     def test_parallel_identical_to_serial(self):
@@ -169,8 +172,12 @@ class TestSession:
         assert serial == parallel
 
     def test_resume_without_results_path_warns(self):
-        with pytest.warns(UserWarning, match="resume"):
+        with pytest.warns(UserWarning, match="resume") as record:
+            line = inspect.currentframe().f_lineno + 1
             Session(workers=1, resume=True)
+        # the warning points at the caller's line, not into the library
+        assert record[0].filename == __file__
+        assert record[0].lineno == line
 
     def test_abandoned_threaded_stream_cancels_remaining_jobs(self):
         """Breaking out of session.stream under a running loop must stop
@@ -180,7 +187,7 @@ class TestSession:
 
         config = CFG.variant(ilp_time_limit=1.0)
         jobs = [
-            ExperimentJob.make("portfolio", dag, config, member="ilp")
+            ExperimentJob.make(dag, config, member="ilp")
             for dag in _dags(4)  # ~1s each: slow enough to observe the cancel
         ]
 
@@ -194,16 +201,16 @@ class TestSession:
         assert asyncio.run(abandon()) <= 2
 
     def test_sync_facades_work_inside_a_running_event_loop(self):
-        """Jupyter/async callers: engine.run / session.run / stream must not
-        crash on 'asyncio.run() cannot be called from a running event loop'
-        (the legacy engine was plain sync code and worked everywhere)."""
+        """Jupyter/async callers: session.run / stream must not crash on
+        'asyncio.run() cannot be called from a running event loop' (batch
+        execution used to be plain sync code and worked everywhere)."""
         import asyncio
 
         jobs = _fast_jobs(_dags(1))
         reference = Session(workers=1).run(jobs)[0].fingerprint()
 
         async def under_loop():
-            ran = ExperimentEngine(workers=1).run(jobs)[0]
+            ran = Session(workers=1).run(RunPlan.from_jobs(jobs))[0]
             streamed = list(Session(workers=1).stream(as_plan(jobs)))[0]
             native = (await Session(workers=1).arun(jobs))[0]
             return [r.fingerprint() for r in (ran, streamed.result, native)]

@@ -39,7 +39,7 @@ def _dags(count=3):
 
 def _fast_jobs(dags=None, member="bspg+clairvoyant"):
     return [
-        ExperimentJob.make("portfolio", dag, CFG, member=member)
+        ExperimentJob.make(dag, CFG, member=member)
         for dag in (dags or _dags())
     ]
 

@@ -4,8 +4,9 @@ The ``repro.pipeline`` redesign deleted the hand-written per-member dispatch
 (``_run_ilp_member`` / ``_two_stage_member`` / ``_run_refined_member``) and
 replaced every portfolio member with a declarative spec executed by one
 generic runner.  These tests pin that the replacement is *behaviour
-preserving*: the **old path** — the pre-redesign dispatch logic, preserved
-verbatim below as the reference implementation — and the **pipeline path**
+preserving*: the **old path** — the pre-redesign dispatch logic and the
+per-instance runners it called, preserved verbatim below as the reference
+implementation — and the **pipeline path**
 (:func:`repro.portfolio.run_member`) produce byte-identical
 ``InstanceResult`` fingerprints for every legacy member name.
 
@@ -16,24 +17,133 @@ stage's ``parts`` diagnostic in ``extra_costs`` (the old path dropped it).
 """
 
 import math
+from typing import Dict, Optional
 
 import pytest
 
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import (
-    ExperimentConfig,
-    InstanceResult,
-    run_divide_and_conquer,
-    run_divide_and_conquer_instance,
-    run_instance,
-)
+from repro.experiments.runner import ExperimentConfig, InstanceResult
+from repro.core.acyclic_partition import PartitionConfig
+from repro.core.divide_conquer import DivideAndConquerScheduler
 from repro.core.scheduler import MbspIlpScheduler
 from repro.core.two_stage import TwoStageResult, baseline_schedule, run_two_stage
+from repro.dag.graph import ComputationalDag
+from repro.ilp import SolverOptions
+from repro.model.instance import MbspInstance
 from repro.portfolio import available_members, run_member, schedule_digest
 from repro.refine import RefineConfig, Refiner
 from repro.theory.bounds import instance_lower_bound
+
+# ----------------------------------------------------------------------
+# the old per-instance runners (formerly repro.experiments.runner), frozen
+# verbatim: the legacy dispatch below is built on them
+# ----------------------------------------------------------------------
+def run_instance(
+    dag: ComputationalDag,
+    config: ExperimentConfig,
+    *,
+    instance: Optional[MbspInstance] = None,
+    baseline=None,
+) -> InstanceResult:
+    """Run the main comparison (two-stage baseline vs. full ILP) on one DAG.
+
+    ``instance`` and ``baseline`` let callers that already materialized them
+    (e.g. the portfolio's bound-pruning check) avoid recomputing; both must
+    stem from the same ``config`` when provided.
+    """
+    if instance is None:
+        instance = config.instance_for(dag)
+    base = baseline if baseline is not None else baseline_schedule(
+        instance, synchronous=config.synchronous, seed=config.seed
+    )
+    scheduler = MbspIlpScheduler(config.ilp_config())
+    result = scheduler.schedule(instance, baseline=base)
+    ilp_cost = result.best_cost
+    extra: Dict[str, float] = {}
+    if config.refine.enabled:
+        refined = Refiner(config.refine).refine(
+            result.best_schedule, synchronous=config.synchronous
+        )
+        extra = refined.telemetry(result.best_cost)
+        ilp_cost = min(ilp_cost, refined.final_cost)
+    return InstanceResult(
+        instance_name=dag.name,
+        num_nodes=dag.num_nodes,
+        baseline_cost=base.cost,
+        ilp_cost=ilp_cost,
+        solver_status=result.solver_status,
+        solve_time=result.solve_time,
+        extra_costs=extra,
+    )
+
+
+def run_divide_and_conquer(
+    dag: ComputationalDag,
+    config: ExperimentConfig,
+    max_part_size: int = 22,
+    partition_time_limit: float = 3.0,
+    instance: Optional[MbspInstance] = None,
+):
+    """Run the divide-and-conquer scheduler; returns its full result object.
+
+    Used by :func:`run_divide_and_conquer_instance` (which reduces it to an
+    :class:`InstanceResult`) and by the refined ``dac+refine`` portfolio
+    member, which needs the actual schedule to post-optimize.  A caller that
+    already materialized the ``instance`` (e.g. for a bound check) can pass
+    it to avoid rebuilding.
+    """
+    if instance is None:
+        instance = config.instance_for(dag)
+    base = baseline_schedule(instance, synchronous=config.synchronous, seed=config.seed)
+    scheduler = DivideAndConquerScheduler(
+        ilp_config=config.ilp_config(),
+        partition_config=PartitionConfig(
+            max_part_size=max_part_size,
+            solver_options=SolverOptions(time_limit=partition_time_limit),
+            backend=config.ilp_backend,
+        ),
+    )
+    return scheduler.schedule(instance, baseline=base)
+
+
+def run_divide_and_conquer_instance(
+    dag: ComputationalDag,
+    config: ExperimentConfig,
+    max_part_size: int = 22,
+    partition_time_limit: float = 3.0,
+) -> InstanceResult:
+    """The Table 2 comparison: two-stage baseline vs. divide-and-conquer ILP.
+
+    Unlike the warm-started full ILP, the divide-and-conquer schedule is
+    reported as-is (it can be worse than the baseline, as in the paper).
+    """
+    result = run_divide_and_conquer(
+        dag,
+        config,
+        max_part_size=max_part_size,
+        partition_time_limit=partition_time_limit,
+    )
+    dac_cost = result.dac_cost
+    extra: Dict[str, float] = {"parts": float(result.partition.num_parts)}
+    if config.refine.enabled:
+        # opt-in post-optimization (``--refine``): the refined cost replaces
+        # the as-is divide-and-conquer cost, never making it worse
+        refined = Refiner(config.refine).refine(
+            result.dac_schedule, synchronous=config.synchronous
+        )
+        extra.update(refined.telemetry(dac_cost))
+        dac_cost = min(dac_cost, refined.final_cost)
+    return InstanceResult(
+        instance_name=dag.name,
+        num_nodes=dag.num_nodes,
+        baseline_cost=result.baseline.cost,
+        ilp_cost=dac_cost,
+        solver_status="divide-and-conquer",
+        extra_costs=extra,
+    )
+
 
 # ----------------------------------------------------------------------
 # the old path: the pre-redesign run_member dispatch, frozen verbatim
@@ -216,7 +326,7 @@ def legacy_run_member(dag, config, member, prune_gap=None):
 def _roundtrip(dag):
     """Normalize a DAG through the job serialization round trip.
 
-    Engine/session jobs have always shipped DAGs in their plain-dict form
+    Session jobs have always shipped DAGs in their plain-dict form
     (``ExperimentJob.dag_data``); schedulers whose tie-breaking follows
     node iteration order (cilk work stealing) are only bit-comparable when
     both paths see the identically-ordered graph.
@@ -251,7 +361,7 @@ def session_run_member(dag, config, member, prune_gap=None):
 
     This is the production route since the ``repro.exec`` redesign: the
     member becomes a one-node run plan executed by a
-    :class:`~repro.exec.Session` (exactly what the engine shim, the
+    :class:`~repro.exec.Session` (exactly what the paper's tables, the
     portfolio and ``repro exec run`` submit), so the golden comparison
     below pins the *whole* Session path byte-identical to the historical
     dispatch — not merely the pipeline runner.

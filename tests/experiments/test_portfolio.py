@@ -7,7 +7,7 @@ import pytest
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import iterated_spmv, spmv
 from repro.exceptions import ConfigurationError
-from repro.experiments.parallel import ExperimentEngine
+from repro.exec import Session
 from repro.experiments.runner import ExperimentConfig
 from repro.portfolio import (
     DEFAULT_MEMBERS,
@@ -108,12 +108,12 @@ class TestPortfolio:
 
     def test_cached_rerun_executes_nothing(self, tmp_path):
         dags = _dags()
-        first_engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
-        first = Portfolio(config=CFG).run(FAST_MEMBERS, dags, engine=first_engine)
-        second_engine = ExperimentEngine(workers=2, cache_dir=tmp_path)
-        second = Portfolio(config=CFG).run(FAST_MEMBERS, dags, engine=second_engine)
-        assert second_engine.stats.executed == 0
-        assert second_engine.stats.cache_hits == len(dags) * len(FAST_MEMBERS)
+        first_session = Session(workers=1, cache_dir=tmp_path)
+        first = Portfolio(config=CFG).run(FAST_MEMBERS, dags, session=first_session)
+        second_session = Session(workers=2, cache_dir=tmp_path)
+        second = Portfolio(config=CFG).run(FAST_MEMBERS, dags, session=second_session)
+        assert second_session.stats.executed == 0
+        assert second_session.stats.cache_hits == len(dags) * len(FAST_MEMBERS)
         for left, right in zip(first, second):
             assert left.member_costs == right.member_costs
             assert left.best_member == right.best_member

@@ -101,16 +101,20 @@ class TestRefinedMemberExecution:
 
     def test_dac_runner_honours_config_refine_enabled(self):
         """`experiment --table 2 --refine` routes through here: the dac
-        per-instance runner must post-optimize when config.refine.enabled."""
-        from repro.experiments.runner import run_divide_and_conquer_instance
+        table pipeline must post-optimize when config.refine.enabled."""
+        from repro.exec import Session, plan_pipelines
+        from repro.experiments.tables import experiment_spec
 
         dag = _tiny_dag()
         # node-limited solves keep both runs deterministic under load, so the
         # cross-run cost comparison cannot flake on solver wall time
         cfg = CFG.variant(ilp_time_limit=30.0, ilp_node_limit=50)
-        plain = run_divide_and_conquer_instance(dag, cfg)
-        refined = run_divide_and_conquer_instance(
-            dag, cfg.variant(refine=RefineConfig(enabled=True))
+        refined_cfg = cfg.variant(refine=RefineConfig(enabled=True))
+        (plain,) = Session().run(
+            plan_pipelines([experiment_spec("dac", cfg)], [dag], cfg)
+        )
+        (refined,) = Session().run(
+            plan_pipelines([experiment_spec("dac", refined_cfg)], [dag], refined_cfg)
         )
         assert refined.ilp_cost <= refined.extra_costs["unrefined_cost"] + 1e-9
         assert refined.extra_costs["unrefined_cost"] == pytest.approx(plain.ilp_cost)

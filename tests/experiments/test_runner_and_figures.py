@@ -1,4 +1,4 @@
-"""Tests for the experiment runner, tables and figures.
+"""Tests for the experiment configuration, tables and figures.
 
 ILP-solving runs use very short time limits here: the point is to exercise
 the harness end to end (valid schedules, correct bookkeeping), not to obtain
@@ -16,11 +16,14 @@ from repro.experiments.runner import (
     dataset_scale,
     env_bench_workers,
     env_cache_dir,
-    run_divide_and_conquer_instance,
-    run_instance,
-    run_instance_with_baselines,
 )
-from repro.experiments.tables import geomean_summary, table4_configurations
+from repro.exec import Session, plan_pipelines
+from repro.experiments.tables import (
+    ILP_SPEC,
+    geomean_summary,
+    table3,
+    table4_configurations,
+)
 from repro.dag.generators import fork_join_dag, simple_pagerank
 from repro.dag.analysis import assign_random_memory_weights
 
@@ -157,15 +160,15 @@ class TestEnvParsingHelpers:
 
 class TestRunners:
     def test_run_instance_reports_consistent_costs(self, tiny_dag):
-        result = run_instance(tiny_dag, FAST)
+        (result,) = Session().run(plan_pipelines([ILP_SPEC], [tiny_dag], FAST))
         assert result.instance_name == "tiny_forkjoin"
         assert result.baseline_cost > 0
         assert result.ilp_cost <= result.baseline_cost + 1e-9
         assert 0 < result.ratio <= 1.0 + 1e-9
 
     @pytest.mark.slow
-    def test_run_instance_with_baselines_extra_columns(self, tiny_dag):
-        result = run_instance_with_baselines(tiny_dag, FAST)
+    def test_run_instance_with_baselines_extra_columns(self):
+        (result,) = table3(config=FAST.variant(ilp_node_limit=5), limit=1)
         for key in ("weak", "bsp_ilp", "bsp_ilp_plus_ilp"):
             assert key in result.extra_costs
             assert result.extra_costs[key] > 0
@@ -176,13 +179,13 @@ class TestRunners:
         assign_random_memory_weights(dag, seed=3)
         dag.name = "tiny_pagerank"
         config = ExperimentConfig(name="dac_test", num_processors=2, cache_factor=5.0, ilp_time_limit=1.0)
-        result = run_divide_and_conquer_instance(dag, config, max_part_size=10)
+        (result,) = Session().run(plan_pipelines(["dac(max_part_size=10)"], [dag], config))
         assert result.baseline_cost > 0
         assert result.ilp_cost > 0
         assert result.extra_costs["parts"] >= 1
 
     def test_geomean_summary(self, tiny_dag):
-        result = run_instance(tiny_dag, FAST)
+        (result,) = Session().run(plan_pipelines([ILP_SPEC], [tiny_dag], FAST))
         summary = geomean_summary({"base": [result]})
         assert summary["base"] == pytest.approx(result.ratio)
 

@@ -1,4 +1,4 @@
-"""Per-job solver telemetry attached by the experiment engine."""
+"""Per-job solver telemetry attached by ``execute_job`` on a Session."""
 
 import json
 
@@ -6,8 +6,10 @@ import pytest
 
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
-from repro.experiments.parallel import ExperimentEngine, ExperimentJob
+from repro.exec import RunPlan, Session, pipeline_job
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runner import ExperimentConfig, InstanceResult
+from repro.experiments.tables import ILP_SPEC
 from repro.ilp.backends import SolverCallStats
 
 
@@ -48,27 +50,27 @@ class TestSolverCallStatsDelta:
 
 class TestEngineAttachesSolverStats:
     def test_instance_job_records_one_solve(self):
-        result = ExperimentEngine().run(
-            [ExperimentJob.make("instance", _dag(), CFG)]
+        result = Session().run(
+            RunPlan.from_jobs([pipeline_job(_dag(), ILP_SPEC, CFG)])
         )[0]
         assert result.solver_stats["solver_calls"] == 1.0
         assert result.solver_stats[f"solver_calls[{CFG.ilp_backend}]"] == 1.0
         assert result.solver_stats["solver_time"] > 0
 
     def test_pruned_portfolio_job_records_zero_solves(self):
-        result = ExperimentEngine().run([
+        result = Session().run(RunPlan.from_jobs([
             ExperimentJob.make(
-                "portfolio", chain_dag(5),
+                chain_dag(5),
                 CFG.variant(num_processors=1),
                 member="ilp", prune_gap=0.0,
             )
-        ])[0]
+        ]))[0]
         assert result.solver_stats["solver_calls"] == 0.0
 
     def test_stats_reach_the_jsonl_results_file(self, tmp_path):
         results_path = tmp_path / "results.jsonl"
-        ExperimentEngine(results_path=results_path).run(
-            [ExperimentJob.make("instance", _dag(), CFG)]
+        Session(results_path=results_path).run(
+            RunPlan.from_jobs([pipeline_job(_dag(), ILP_SPEC, CFG)])
         )
         record = json.loads(results_path.read_text().splitlines()[0])
         assert record["result"]["solver_stats"]["solver_calls"] == 1.0
@@ -85,9 +87,9 @@ class TestEngineAttachesSolverStats:
 
     def test_parallel_and_serial_fingerprints_still_agree(self):
         dags = [_dag(seed=1), _dag(seed=2)]
-        jobs = [ExperimentJob.make("instance", dag, CFG) for dag in dags]
-        serial = ExperimentEngine(workers=1).run(jobs)
-        parallel = ExperimentEngine(workers=2).run(jobs)
+        jobs = [pipeline_job(dag, ILP_SPEC, CFG) for dag in dags]
+        serial = Session(workers=1).run(RunPlan.from_jobs(jobs))
+        parallel = Session(workers=2).run(RunPlan.from_jobs(jobs))
         assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
         # telemetry is attached in both execution modes
         assert all(r.solver_stats["solver_calls"] >= 1 for r in serial)

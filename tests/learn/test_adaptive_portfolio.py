@@ -15,7 +15,7 @@ import pytest
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
 from repro.exceptions import ConfigurationError
-from repro.experiments.parallel import ExperimentEngine
+from repro.exec import Session
 from repro.experiments.runner import ExperimentConfig
 from repro.learn import mine_history
 from repro.portfolio import Portfolio, format_portfolio_table
@@ -43,9 +43,9 @@ def dags():
 def ground_truth(dags, tmp_path_factory):
     """(exhaustive rows, mined history) shared by the whole module."""
     results = tmp_path_factory.mktemp("adaptive-golden") / "results.jsonl"
-    engine = ExperimentEngine(workers=1, results_path=results)
-    rows = Portfolio(config=CONFIG).run(MEMBERS, dags, engine=engine)
-    engine.session.log.close()
+    session = Session(workers=1, results_path=results)
+    rows = Portfolio(config=CONFIG).run(MEMBERS, dags, session=session)
+    session.log.close()
     history, stats = mine_history([results], dags, CONFIG)
     assert stats.observations == len(MEMBERS) * len(dags)
     return rows, history

@@ -136,9 +136,7 @@ class TestProgressRenderer:
             name="progress-test", num_processors=2, ilp_time_limit=1.0
         )
         jobs = [
-            ExperimentJob.make(
-                "portfolio", spmv(3, seed=s), config, member="bspg+clairvoyant"
-            )
+            ExperimentJob.make(spmv(3, seed=s), config, member="bspg+clairvoyant")
             for s in (1, 2)
         ]
         stream = io.StringIO()

@@ -69,9 +69,7 @@ class TestRacePipelineSpans:
     def test_session_run_records_job_lifecycle_spans(self):
         config = _config()
         jobs = [
-            ExperimentJob.make(
-                "portfolio", _dag(seed), config, member="bspg+clairvoyant"
-            )
+            ExperimentJob.make(_dag(seed), config, member="bspg+clairvoyant")
             for seed in (1, 2)
         ]
         with obs.trace_scope():
@@ -107,9 +105,7 @@ class TestNoObservableDifference:
         assert traced.fingerprint() == untraced.fingerprint()
 
     def test_job_keys_ignore_tracing_state(self):
-        job = ExperimentJob.make(
-            "portfolio", _dag(), _config(), member="bspg+clairvoyant"
-        )
+        job = ExperimentJob.make(_dag(), _config(), member="bspg+clairvoyant")
         key_untraced = job.key()
         with obs.trace_scope():
             key_traced = job.key()

@@ -155,12 +155,8 @@ class TestBudgets:
         assert canonicalize(token) == token
         # different budgets are different jobs (and cache keys)
         dag = _dag()
-        key_a = ExperimentJob.make(
-            "portfolio", dag, CFG, member=canonicalize("ilp(budget=2s)")
-        ).key()
-        key_b = ExperimentJob.make(
-            "portfolio", dag, CFG, member=canonicalize("ilp(budget=3s)")
-        ).key()
+        key_a = ExperimentJob.make(dag, CFG, member=canonicalize("ilp(budget=2s)")).key()
+        key_b = ExperimentJob.make(dag, CFG, member=canonicalize("ilp(budget=3s)")).key()
         assert key_a != key_b
 
     def test_non_positive_budget_rejected(self):

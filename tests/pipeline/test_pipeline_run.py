@@ -1,6 +1,8 @@
 """Behavioral tests for the generic pipeline runner (repro.pipeline.Pipeline)."""
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -25,6 +27,13 @@ def _dag(size=3, seed=1, name="spmv_t"):
 
 CFG = ExperimentConfig(name="pipeline-test", num_processors=2, ilp_time_limit=1.0,
                        refine=RefineConfig(budget=300))
+
+
+def _reuse_scope_active():
+    """Whether a shared-prefix reuse scope is active in this process."""
+    from repro.pipeline import pipeline
+
+    return pipeline._ACTIVE_CACHE is not None
 
 
 class TestBasicExecution:
@@ -147,6 +156,15 @@ class TestSharedPrefixReuse:
         result = run_pipeline("bspg+clairvoyant", dag, CFG)
         assert result.stages_reused == 0
         assert "pipeline_stages_reused" not in result.to_instance_result().solver_stats
+
+    def test_forked_workers_start_without_the_scope(self):
+        """A fork-context pool opened inside a scope must not hand its
+        workers a copy of the parent's cache: reuse would then depend on
+        which worker runs which job, unseen by the parent's statistics."""
+        context = multiprocessing.get_context("fork")
+        with stage_reuse_scope():
+            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+                assert pool.submit(_reuse_scope_active).result() is False
 
 
 class TestWarmStartSolutionChaining:

@@ -1,6 +1,6 @@
-"""Property-based tests (hypothesis) for the parallel experiment engine.
+"""Property-based tests (hypothesis) for parallel batch execution on a Session.
 
-For random seeded DAGs the engine must be a pure function of its job list:
+For random seeded DAGs a session must be a pure function of its job list:
 
 * ``workers > 1`` returns bit-identical costs *and schedules* (compared via
   schedule digests carried in the result fingerprints) to serial execution;
@@ -9,7 +9,7 @@ For random seeded DAGs the engine must be a pure function of its job list:
 * job keys are deterministic across job-object rebuilds.
 
 The members exercised here are the deterministic two-stage pipelines, so
-any fingerprint difference is an engine bug, never solver noise.
+any fingerprint difference is an execution bug, never solver noise.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.dag.generators import random_layered_dag
-from repro.experiments.parallel import ExperimentEngine, ExperimentJob
+from repro.exec import RunPlan, Session
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runner import ExperimentConfig
 
 MEMBERS = ("bspg+clairvoyant", "cilk+lru", "etf+clairvoyant")
@@ -43,7 +44,7 @@ def job_batches(draw):
             st.lists(st.sampled_from(MEMBERS), min_size=1, max_size=3, unique=True)
         )
         jobs.extend(
-            ExperimentJob.make("portfolio", dag, config, member=member)
+            ExperimentJob.make(dag, config, member=member)
             for member in members
         )
     return jobs
@@ -52,8 +53,8 @@ def job_batches(draw):
 @given(job_batches())
 @settings(max_examples=6, deadline=None)
 def test_parallel_engine_matches_serial_bit_for_bit(jobs):
-    serial = ExperimentEngine(workers=1).run(jobs)
-    parallel = ExperimentEngine(workers=2).run(jobs)
+    serial = Session(workers=1).run(RunPlan.from_jobs(jobs))
+    parallel = Session(workers=2).run(RunPlan.from_jobs(jobs))
     # fingerprints include the member cost and the schedule digest, so this
     # asserts bit-identical costs AND schedules, in identical order
     assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
@@ -62,11 +63,11 @@ def test_parallel_engine_matches_serial_bit_for_bit(jobs):
 @given(job_batches())
 @settings(max_examples=6, deadline=None)
 def test_cached_rerun_is_identical_and_free(tmp_path_factory, jobs):
-    cache_dir = tmp_path_factory.mktemp("engine-cache")
-    warm = ExperimentEngine(workers=1, cache_dir=cache_dir)
-    first = warm.run(jobs)
-    cached = ExperimentEngine(workers=1, cache_dir=cache_dir)
-    second = cached.run(jobs)
+    cache_dir = tmp_path_factory.mktemp("session-cache")
+    warm = Session(workers=1, cache_dir=cache_dir)
+    first = warm.run(RunPlan.from_jobs(jobs))
+    cached = Session(workers=1, cache_dir=cache_dir)
+    second = cached.run(RunPlan.from_jobs(jobs))
     assert cached.stats.executed == 0
     assert cached.stats.cache_hits == len(jobs)
     assert [r.fingerprint() for r in first] == [r.fingerprint() for r in second]
@@ -77,7 +78,7 @@ def test_cached_rerun_is_identical_and_free(tmp_path_factory, jobs):
 def test_job_keys_are_deterministic_and_unique_per_job(jobs):
     keys = [job.key() for job in jobs]
     rebuilt = [
-        ExperimentJob(kind=j.kind, dag_data=j.dag_data, config=j.config, params=j.params)
+        ExperimentJob(dag_data=j.dag_data, config=j.config, params=j.params)
         for j in jobs
     ]
     assert [job.key() for job in rebuilt] == keys

@@ -245,7 +245,7 @@ class TestBackendPlumbing:
 
         dag = spmv(3, seed=0)
         scipy_job = ExperimentJob.make(
-            "instance", dag, ExperimentConfig(ilp_backend="scipy"))
+            dag, ExperimentConfig(ilp_backend="scipy"), member="ilp")
         bnb_job = ExperimentJob.make(
-            "instance", dag, ExperimentConfig(ilp_backend="bnb"))
+            dag, ExperimentConfig(ilp_backend="bnb"), member="ilp")
         assert scipy_job.key() != bnb_job.key()
