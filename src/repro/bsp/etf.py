@@ -37,11 +37,10 @@ def etf_placement(
     """Compute an ETF placement of the non-source nodes of ``dag``."""
     if num_processors < 1:
         raise ValueError("num_processors must be at least 1")
-    computable = [v for v in dag.nodes if not dag.is_source(v)]
-    pending = {
-        v: sum(1 for u in dag.parents(v) if not dag.is_source(u)) for v in computable
-    }
-    ready = {v for v in computable if pending[v] == 0}
+    snap = dag.snapshot()
+    computable = [v for v in dag.nodes if v not in snap.sources]
+    inputs = {v: [u for u in snap.parents[v] if u not in snap.sources] for v in computable}
+    pending = {v: len(inputs[v]) for v in computable}
 
     proc_free = [0.0] * num_processors
     placement: Dict[NodeId, int] = {}
@@ -49,40 +48,39 @@ def etf_placement(
     finish_time: Dict[NodeId, float] = {}
     order: List[NodeId] = []
 
-    def earliest_start(v: NodeId, p: int) -> float:
-        start = proc_free[p]
-        for u in dag.parents(v):
-            if dag.is_source(u):
-                continue
-            ready_at = finish_time[u]
-            if placement[u] != p:
-                ready_at += g * dag.mu(u)   # value must be communicated
-            start = max(start, ready_at)
-        return start
+    def data_ready(v: NodeId) -> List[float]:
+        """When all inputs of ``v`` can be on each processor (fixed once ``v`` is ready)."""
+        row = [0.0] * num_processors
+        for u in inputs[v]:
+            local = finish_time[u]
+            remote = local + g * snap.mu[u]   # value must be communicated
+            q = placement[u]
+            row = [max(r, local if p == q else remote) for p, r in enumerate(row)]
+        return row
 
+    name = {v: str(v) for v in computable}
+    # ready node -> its data-ready row
+    ready = {v: data_ready(v) for v in computable if pending[v] == 0}
     while ready:
         # pick the (task, processor) pair with the globally earliest start;
-        # ties are broken deterministically by node id
-        best: Optional[Tuple[float, str, NodeId, int]] = None
-        for v in ready:
-            for p in range(num_processors):
-                start = earliest_start(v, p)
-                key = (start, str(v), v, p)
-                if best is None or key[:2] < best[:2]:
-                    best = key
+        # ties are broken deterministically by node id, then lowest processor
+        best: Optional[Tuple[Tuple[float, str], NodeId]] = None
+        for v, row in ready.items():
+            key = (min(map(max, proc_free, row)), name[v])
+            if best is None or key < best[0]:
+                best = (key, v)
         assert best is not None
-        start, _, v, p = best
+        (start, _), v = best
+        p = list(map(max, proc_free, ready.pop(v))).index(start)
         placement[v] = p
         start_time[v] = start
-        finish_time[v] = start + dag.omega(v)
+        finish_time[v] = start + snap.omega[v]
         proc_free[p] = finish_time[v]
         order.append(v)
-        ready.discard(v)
-        for child in dag.children(v):
-            if child in pending:
-                pending[child] -= 1
-                if pending[child] == 0:
-                    ready.add(child)
+        for child in snap.children[v]:
+            pending[child] -= 1
+            if pending[child] == 0:
+                ready[child] = data_ready(child)
 
     makespan = max(finish_time.values()) if finish_time else 0.0
     return EtfPlacement(

@@ -13,15 +13,26 @@ This module is a from-scratch reimplementation of that strategy:
   path to a sink), the classic critical-path priority;
 * candidate processors are scored by data locality (memory weight of inputs
   already present on the processor) minus a load-imbalance penalty;
-* a superstep ends when the ready set is empty, or when the current superstep
-  already holds a large amount of work and ending it would unlock many
-  currently blocked nodes (this mirrors BSPg's balance/locality trade-off).
+* a superstep ends when no node is ready, or as soon as every processor
+  holds at least ``superstep_work_factor * W / P`` work (``W`` the total
+  work) and one remaining node is blocked only by the superstep boundary:
+  all its inputs are computed, but those computed in the current superstep
+  lie on more than one processor (this mirrors BSPg's balance/locality
+  trade-off).
+
+Readiness is monotone within a superstep: once a node's inputs are all
+computed, with those of the current superstep on at most one processor, it
+stays placeable until the superstep ends.  The scheduler therefore keeps the
+ready nodes in a heap and places the top one at every step; nodes blocked
+only by the boundary wait in a list and join the heap when the superstep
+ends.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.dag.graph import ComputationalDag, NodeId
 from repro.bsp.schedule import BspSchedule
@@ -69,150 +80,70 @@ class GreedyBspScheduler:
         """Compute a valid BSP schedule of ``dag`` on ``num_processors`` processors."""
         params = self.parameters
         schedule = BspSchedule(dag, num_processors)
-        computable = [v for v in dag.nodes if not dag.is_source(v)]
+        snap = dag.snapshot()
+        parents, mu = snap.parents, snap.mu
+        computable = [v for v in dag.nodes if v not in snap.sources]
         if not computable:
             return schedule
 
         bottom = _bottom_levels(dag)
-        total_work = sum(dag.omega(v) for v in computable)
+        total_work = sum(snap.omega[v] for v in computable)
         target_work = params.superstep_work_factor * total_work / max(num_processors, 1)
 
-        # location of each produced value: processor -> set of nodes whose
-        # value it holds "locally" (computed there, or a source it has fetched)
-        produced_on: Dict[NodeId, int] = {}
-        done_before: Set[NodeId] = set()      # computed in earlier supersteps
-        remaining: Set[NodeId] = set(computable)
+        # heap entries: highest bottom level first, ties by node id (the index
+        # keeps distinct nodes with equal ``str`` from being compared)
+        entry = {v: (-bottom[v], str(v), i, v) for i, v in enumerate(computable)}
+        unfinished = {
+            v: sum(1 for u in parents[v] if u not in snap.sources) for v in computable
+        }
+        ready = [entry[v] for v in computable if unfinished[v] == 0]
+        heapq.heapify(ready)
+        produced_on: Dict[NodeId, int] = {}  # computed node -> its processor
         superstep = 0
 
-        while remaining:
-            done_this_step: Dict[NodeId, int] = {}  # node -> processor (current superstep)
+        while len(produced_on) < len(computable):
+            this_step: Dict[NodeId, int] = {}  # node -> processor (current superstep)
+            # input-complete nodes whose inputs of this superstep lie on more
+            # than one processor: blocked only by the superstep boundary
+            blocked: List[NodeId] = []
             load = [0.0] * num_processors
-            progress = True
-            while progress:
-                progress = False
-                ready = self._ready_nodes(dag, remaining, done_before, done_this_step)
-                if not ready:
-                    break
-                # stop extending the superstep once every processor carries a
-                # reasonable chunk of work and new nodes keep piling onto the
-                # same processors (communication-bound growth)
-                if min(load) >= target_work and self._blocked_exists(
-                    dag, remaining, done_before, done_this_step
-                ):
-                    break
-                # highest priority ready node first
-                ready.sort(key=lambda v: (-bottom[v], str(v)))
-                for v in ready:
-                    allowed = self._allowed_processors(
-                        dag, v, done_this_step, num_processors
+            # cut the superstep early once every processor carries its share
+            # of work and some node waits only for the boundary
+            while ready and not (min(load) >= target_work and blocked):
+                v = heapq.heappop(ready)[-1]
+                # inputs of this superstep, if any, pin v to their one processor
+                forced = {this_step[u] for u in parents[v] if u in this_step}
+                allowed = list(forced) if forced else range(num_processors)
+                # score processors by locality and balance; keep the best
+                min_load = min(load)
+                proc, best_score = allowed[0], float("-inf")
+                for p in allowed:
+                    locality = sum(mu[u] for u in parents[v] if produced_on.get(u) == p)
+                    score = (
+                        params.locality_weight * locality
+                        - params.balance_weight * (load[p] - min_load)
                     )
-                    if not allowed:
-                        continue
-                    proc = self._best_processor(
-                        dag, v, allowed, load, produced_on, params
-                    )
-                    schedule.assign(v, proc, superstep)
-                    load[proc] += dag.omega(v)
-                    done_this_step[v] = proc
-                    produced_on[v] = proc
-                    remaining.discard(v)
-                    progress = True
-                    break  # re-evaluate priorities after each placement
-            done_before.update(done_this_step.keys())
-            superstep += 1
-            if not done_this_step and remaining:
+                    if score > best_score + 1e-12:
+                        best_score = score
+                        proc = p
+                schedule.assign(v, proc, superstep)
+                load[proc] += snap.omega[v]
+                this_step[v] = produced_on[v] = proc
+                for c in snap.children[v]:
+                    unfinished[c] -= 1
+                    if unfinished[c] == 0:
+                        if len({this_step[u] for u in parents[c] if u in this_step}) > 1:
+                            blocked.append(c)
+                        else:
+                            heapq.heappush(ready, entry[c])
+            if not this_step:
                 # safety net: should not happen on a DAG, but avoid spinning
                 raise RuntimeError("greedy BSP scheduler made no progress")
+            for c in blocked:
+                heapq.heappush(ready, entry[c])
+            superstep += 1
         schedule.validate()
         return schedule
-
-    # ------------------------------------------------------------------
-    def _ready_nodes(
-        self,
-        dag: ComputationalDag,
-        remaining: Set[NodeId],
-        done_before: Set[NodeId],
-        done_this_step: Dict[NodeId, int],
-    ) -> List[NodeId]:
-        """Nodes whose parents are all available for *some* processor."""
-        ready = []
-        for v in remaining:
-            ok = True
-            same_step_procs: Set[int] = set()
-            for u in dag.parents(v):
-                if dag.is_source(u) or u in done_before:
-                    continue
-                if u in done_this_step:
-                    same_step_procs.add(done_this_step[u])
-                else:
-                    ok = False
-                    break
-            if ok and len(same_step_procs) <= 1:
-                ready.append(v)
-        return ready
-
-    def _blocked_exists(
-        self,
-        dag: ComputationalDag,
-        remaining: Set[NodeId],
-        done_before: Set[NodeId],
-        done_this_step: Dict[NodeId, int],
-    ) -> bool:
-        """Whether some remaining node is blocked only by the superstep boundary."""
-        for v in remaining:
-            parents = [
-                u for u in dag.parents(v) if not dag.is_source(u) and u not in done_before
-            ]
-            if parents and all(u in done_this_step for u in parents):
-                procs = {done_this_step[u] for u in parents}
-                if len(procs) > 1:
-                    return True
-        return False
-
-    def _allowed_processors(
-        self,
-        dag: ComputationalDag,
-        node: NodeId,
-        done_this_step: Dict[NodeId, int],
-        num_processors: int,
-    ) -> List[int]:
-        """Processors on which ``node`` may run in the current superstep."""
-        forced: Set[int] = set()
-        for u in dag.parents(node):
-            if u in done_this_step:
-                forced.add(done_this_step[u])
-        if len(forced) > 1:
-            return []
-        if len(forced) == 1:
-            return [next(iter(forced))]
-        return list(range(num_processors))
-
-    def _best_processor(
-        self,
-        dag: ComputationalDag,
-        node: NodeId,
-        allowed: List[int],
-        load: List[float],
-        produced_on: Dict[NodeId, int],
-        params: GreedyBspParameters,
-    ) -> int:
-        """Score candidate processors by locality and balance; return the best."""
-        min_load = min(load)
-        best_proc, best_score = allowed[0], float("-inf")
-        for p in allowed:
-            locality = sum(
-                dag.mu(u)
-                for u in dag.parents(node)
-                if produced_on.get(u) == p
-            )
-            score = (
-                params.locality_weight * locality
-                - params.balance_weight * (load[p] - min_load)
-            )
-            if score > best_score + 1e-12:
-                best_score = score
-                best_proc = p
-        return best_proc
 
 
 def greedy_bsp_schedule(

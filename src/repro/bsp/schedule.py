@@ -12,6 +12,7 @@ nodes share processor *and* superstep with ``u`` ordered before ``v``.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -37,13 +38,16 @@ class BspSchedule:
         self.dag = dag
         self.num_processors = num_processors
         self._assignment: Dict[NodeId, BspAssignment] = {}
+        # (processor, superstep) -> sorted (order, first-assignment rank, node)
+        self._cells: Dict[Tuple[int, int], List[Tuple[int, int, NodeId]]] = {}
 
     # ------------------------------------------------------------------
     def assign(self, node: NodeId, processor: int, superstep: int, order: Optional[int] = None) -> None:
-        """Assign ``node`` to ``(processor, superstep)``.
+        """Assign (or move) ``node`` to ``(processor, superstep)``.
 
-        The order inside the cell defaults to the current cell size, so
-        calling :meth:`assign` in execution order produces correct orders.
+        The order inside the cell defaults to one past the largest order in
+        the cell, so calling :meth:`assign` in execution order produces
+        correct orders.
         """
         if node not in self.dag:
             raise ScheduleError(f"unknown node {node!r}")
@@ -53,9 +57,17 @@ class BspSchedule:
             raise ScheduleError(f"processor {processor} out of range")
         if superstep < 0:
             raise ScheduleError(f"superstep {superstep} must be non-negative")
+        old = self._assignment.get(node)
+        if old is None:
+            rank = len(self._assignment)
+        else:
+            old_cell = self._cells[(old.processor, old.superstep)]
+            _, rank, _ = old_cell.pop([v for _, _, v in old_cell].index(node))
+        cell = self._cells.setdefault((processor, superstep), [])
         if order is None:
-            order = len(self.cell(processor, superstep))
+            order = cell[-1][0] + 1 if cell else 0
         self._assignment[node] = BspAssignment(processor, superstep, order)
+        bisect.insort(cell, (order, rank, node))
 
     def processor_of(self, node: NodeId) -> int:
         return self._assignment[node].processor
@@ -78,14 +90,11 @@ class BspSchedule:
 
     # ------------------------------------------------------------------
     def cell(self, processor: int, superstep: int) -> List[NodeId]:
-        """Nodes of one (processor, superstep) cell in execution order."""
-        nodes = [
-            v
-            for v, a in self._assignment.items()
-            if a.processor == processor and a.superstep == superstep
-        ]
-        nodes.sort(key=lambda v: self._assignment[v].order)
-        return nodes
+        """Nodes of one (processor, superstep) cell in execution order.
+
+        The execution order is by ``order``, ties by first assignment.
+        """
+        return [v for _, _, v in self._cells.get((processor, superstep), ())]
 
     def superstep_nodes(self, superstep: int) -> List[NodeId]:
         """All nodes of one superstep, grouped by processor order."""
@@ -111,12 +120,12 @@ class BspSchedule:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Raise :class:`ScheduleError` if the schedule is incomplete or invalid."""
-        computable = [v for v in self.dag.nodes if not self.dag.is_source(v)]
-        missing = [v for v in computable if v not in self._assignment]
+        sources = set(self.dag.sources())
+        missing = [v for v in self.dag.nodes if v not in sources and v not in self._assignment]
         if missing:
             raise ScheduleError(f"nodes not assigned in the BSP schedule: {missing!r}")
         for u, v in self.dag.edges():
-            if self.dag.is_source(u):
+            if u in sources:
                 continue
             au, av = self._assignment[u], self._assignment[v]
             if au.superstep < av.superstep:

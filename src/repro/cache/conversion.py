@@ -28,7 +28,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dag.graph import ComputationalDag, NodeId
+from repro.dag.graph import DagSnapshot, NodeId
 from repro.exceptions import InfeasibleInstanceError, ScheduleError
 from repro.bsp.schedule import BspSchedule
 from repro.cache.policies import CacheEntryInfo, ClairvoyantPolicy, EvictionPolicy
@@ -62,7 +62,7 @@ class _ProcessorConverter:
 
     def __init__(
         self,
-        dag: ComputationalDag,
+        snap: DagSnapshot,
         proc: int,
         sequence: List[Tuple[int, NodeId]],
         placement: Dict[NodeId, int],
@@ -70,7 +70,9 @@ class _ProcessorConverter:
         policy: EvictionPolicy,
         required_in_slow_memory: Optional[Set[NodeId]] = None,
     ) -> None:
-        self.dag = dag
+        self.parents = snap.parents
+        self.mu = snap.mu
+        self.sources = snap.sources
         self.proc = proc
         self.sequence = sequence
         self.placement = placement
@@ -88,19 +90,18 @@ class _ProcessorConverter:
         # positions in this processor's sequence where each value is consumed
         self.use_positions: Dict[NodeId, List[int]] = {}
         for idx, (_group, node) in enumerate(sequence):
-            for parent in dag.parents(node):
+            for parent in self.parents[node]:
                 self.use_positions.setdefault(parent, []).append(idx)
 
         # values that must be saved right after being computed: sinks, and
         # values consumed by another processor
         self.needs_creation_save: Dict[NodeId, bool] = {}
         for _group, node in sequence:
+            children = snap.children[node]
             needed = (
-                dag.is_sink(node)
+                not children
                 or node in self.required_in_slow_memory
-                or any(
-                    placement.get(child, proc) != proc for child in dag.children(node)
-                )
+                or any(placement.get(child, proc) != proc for child in children)
             )
             self.needs_creation_save[node] = needed
 
@@ -112,7 +113,7 @@ class _ProcessorConverter:
     # ------------------------------------------------------------------
     def _is_blue(self, node: NodeId) -> bool:
         """Whether ``node`` is in slow memory from this processor's viewpoint."""
-        if self.dag.is_source(node):
+        if node in self.sources:
             return True
         if node in self.blue_local:
             return True
@@ -128,18 +129,30 @@ class _ProcessorConverter:
         idx = bisect.bisect_left(uses, position)
         return uses[idx] if idx < len(uses) else _INF
 
-    def _entry_info(self, node: NodeId, position: int) -> CacheEntryInfo:
-        return CacheEntryInfo(
-            node=node,
-            mu=self.dag.mu(node),
-            next_use=self._next_use(node, position),
-            last_use=self.last_use.get(node, -1),
-            insertion=self.insertion.get(node, -1),
-        )
+    def _candidates(self, nodes: List[NodeId], position: int) -> List[CacheEntryInfo]:
+        """Eviction candidates for a make-room loop at ``position``."""
+        mu, last_use, insertion = self.mu, self.last_use, self.insertion
+        return [
+            CacheEntryInfo(
+                u, mu[u], self._next_use(u, position), last_use.get(u, -1), insertion.get(u, -1)
+            )
+            for u in nodes
+        ]
+
+    def _evict_one(self, candidates: List[CacheEntryInfo]) -> CacheEntryInfo:
+        """Let the policy pick a victim, drop it from ``candidates`` and the cache.
+
+        Nothing else changes inside a make-room loop, so the remaining
+        candidates stay valid for the next choice.
+        """
+        victim = self.policy.choose_victim(candidates)
+        entry = candidates.pop([c.node for c in candidates].index(victim))
+        self._remove(victim)
+        return entry
 
     def _insert(self, node: NodeId, position: int) -> None:
-        self.cache[node] = self.dag.mu(node)
-        self.used += self.dag.mu(node)
+        self.cache[node] = self.mu[node]
+        self.used += self.mu[node]
         self.insertion[node] = position
         self.last_use[node] = position
 
@@ -164,27 +177,25 @@ class _ProcessorConverter:
         """Build the save/delete/load block enabling the compute at ``position``."""
         group, node = self.sequence[position]
         prep = _Prep()
-        parents = self.dag.parents(node)
+        parents = self.parents[node]
         loads = [u for u in parents if u not in self.cache]
-        load_mu = sum(self.dag.mu(u) for u in loads)
+        load_mu = sum(self.mu[u] for u in loads)
         pinned = set(parents) | {node}
-        target = self.used + load_mu + self.dag.mu(node)
-        while target > self.cache_size + 1e-9:
-            candidates = [
-                self._entry_info(u, position) for u in self.cache if u not in pinned
-            ]
-            if not candidates:
-                raise InfeasibleInstanceError(
-                    f"processor {self.proc}: cannot make room for node {node!r}; "
-                    f"cache size {self.cache_size} is too small"
-                )
-            victim = self.policy.choose_victim(candidates)
-            if not self._is_blue(victim) and self._next_use(victim, position) < _INF:
-                prep.saves.append(victim)       # write-back before eviction
-                self.blue_local.add(victim)
-            prep.deletes.append(victim)
-            self._remove(victim)
-            target = self.used + load_mu + self.dag.mu(node)
+        target = self.used + load_mu + self.mu[node]
+        if target > self.cache_size + 1e-9:
+            candidates = self._candidates([u for u in self.cache if u not in pinned], position)
+            while target > self.cache_size + 1e-9:
+                if not candidates:
+                    raise InfeasibleInstanceError(
+                        f"processor {self.proc}: cannot make room for node {node!r}; "
+                        f"cache size {self.cache_size} is too small"
+                    )
+                victim = self._evict_one(candidates)
+                if not self._is_blue(victim.node) and victim.next_use < _INF:
+                    prep.saves.append(victim.node)  # write-back before eviction
+                    self.blue_local.add(victim.node)
+                prep.deletes.append(victim.node)
+                target = self.used + load_mu + self.mu[node]
         for u in loads:
             if not self._is_blue(u):
                 raise ScheduleError(
@@ -204,7 +215,7 @@ class _ProcessorConverter:
         n = len(self.sequence)
         while index < n and self.sequence[index][0] == group:
             node = self.sequence[index][1]
-            parents = self.dag.parents(node)
+            parents = self.parents[node]
             if any(u not in self.cache for u in parents):
                 break
             if not self._make_room_in_phase(node, index, segment):
@@ -229,22 +240,22 @@ class _ProcessorConverter:
         save, which is only possible in the save phase and therefore ends the
         segment.  Returns False when not enough clean space can be freed.
         """
-        need = self.dag.mu(node)
+        need = self.mu[node]
         if self.used + need <= self.cache_size + 1e-9:
             return True
-        parents = set(self.dag.parents(node))
+        parents = set(self.parents[node])
+        candidates = self._candidates(
+            [
+                u for u in self.cache
+                if u not in parents and u != node and u not in self.pending_save
+                and (self._is_blue(u) or self._next_use(u, position) == _INF)
+            ],
+            position,
+        )
         while self.used + need > self.cache_size + 1e-9:
-            candidates = []
-            for u in self.cache:
-                if u in parents or u == node or u in self.pending_save:
-                    continue
-                if self._is_blue(u) or self._next_use(u, position) == _INF:
-                    candidates.append(self._entry_info(u, position))
             if not candidates:
                 return False
-            victim = self.policy.choose_victim(candidates)
-            segment.compute_ops.append(delete_op(victim))
-            self._remove(victim)
+            segment.compute_ops.append(delete_op(self._evict_one(candidates).node))
         return True
 
 
@@ -296,9 +307,10 @@ class TwoStageConverter:
 
         all_segments: List[List[_Segment]] = []
         all_preps: List[List[_Prep]] = []
+        snap = dag.snapshot()
         for p in range(P):
             converter = _ProcessorConverter(
-                dag,
+                snap,
                 p,
                 sequences[p],
                 placement,

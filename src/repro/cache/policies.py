@@ -18,16 +18,12 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.dag.graph import NodeId
 
-_INFINITY = float("inf")
 
-
-@dataclass(frozen=True)
-class CacheEntryInfo:
+class CacheEntryInfo(NamedTuple):
     """Information about one cached value offered to an eviction policy.
 
     Attributes

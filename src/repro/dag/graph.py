@@ -14,7 +14,10 @@ from ``networkx.DiGraph`` are provided for interoperability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Set, Tuple,
+)
 
 from repro.exceptions import CycleError, GraphError
 
@@ -41,6 +44,22 @@ class NodeData:
             raise GraphError(f"compute weight must be non-negative, got {self.omega}")
         if self.mu < 0:
             raise GraphError(f"memory weight must be non-negative, got {self.mu}")
+
+
+class DagSnapshot(NamedTuple):
+    """Plain-dict copy of a DAG's adjacency and weights for inner loops.
+
+    The :class:`ComputationalDag` accessors validate their argument and copy
+    the adjacency list on every call; a scheduling kernel that reads the same
+    nodes thousands of times takes one snapshot instead.  A snapshot does not
+    follow later changes to the DAG.
+    """
+
+    parents: Dict[NodeId, Tuple[NodeId, ...]]
+    children: Dict[NodeId, Tuple[NodeId, ...]]
+    omega: Dict[NodeId, float]
+    mu: Dict[NodeId, float]
+    sources: FrozenSet[NodeId]
 
 
 class ComputationalDag:
@@ -166,6 +185,16 @@ class ComputationalDag:
     def set_mu(self, node: NodeId, mu: float) -> None:
         self._check_node(node)
         self._data[node] = NodeData(omega=self._data[node].omega, mu=float(mu))
+
+    def snapshot(self) -> DagSnapshot:
+        """The current adjacency and weights as one :class:`DagSnapshot`."""
+        return DagSnapshot(
+            parents={v: tuple(p) for v, p in self._pred.items()},
+            children={v: tuple(c) for v, c in self._succ.items()},
+            omega={v: d.omega for v, d in self._data.items()},
+            mu={v: d.mu for v, d in self._data.items()},
+            sources=frozenset(v for v, p in self._pred.items() if not p),
+        )
 
     def _check_node(self, node: NodeId) -> None:
         if node not in self._data:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bsp.cost import bsp_cost, bsp_cost_breakdown
 from repro.bsp.schedule import BspSchedule
+from repro.dag.graph import ComputationalDag
 from repro.exceptions import ScheduleError
 
 
@@ -76,6 +77,32 @@ class TestBspSchedule:
         work = diamond_bsp.work_per_processor()
         assert work[0] == diamond_dag.omega("b") + diamond_dag.omega("d")
         assert work[1] == diamond_dag.omega("c")
+
+    def test_default_order_after_a_node_leaves_the_cell(self):
+        # s -> a, s -> b, s -> c, c -> d: moving b out of cell (0, 0) left
+        # orders {a: 0, c: 2}; d must land after c, not share its order
+        dag = ComputationalDag("move")
+        for v in "sabcd":
+            dag.add_node(v)
+        for u, v in (("s", "a"), ("s", "b"), ("s", "c"), ("c", "d")):
+            dag.add_edge(u, v)
+        schedule = BspSchedule(dag, 2)
+        for v in "abc":
+            schedule.assign(v, 0, 0)
+        schedule.assign("b", 1, 0)
+        schedule.assign("d", 0, 0)
+        assert schedule.assignment["d"].order == 3
+        assert schedule.cell(0, 0) == ["a", "c", "d"]
+        assert schedule.cell(1, 0) == ["b"]
+        schedule.validate()
+
+    def test_cell_order_ties_follow_first_assignment(self, diamond_dag):
+        schedule = BspSchedule(diamond_dag, 1)
+        schedule.assign("c", 0, 0, order=1)
+        schedule.assign("b", 0, 0, order=1)
+        schedule.assign("d", 0, 0, order=0)
+        schedule.assign("c", 0, 0, order=1)   # a move keeps c's first position
+        assert schedule.cell(0, 0) == ["d", "c", "b"]
 
     def test_compact_supersteps(self, diamond_dag):
         schedule = BspSchedule(diamond_dag, 1)

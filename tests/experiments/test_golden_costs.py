@@ -46,6 +46,19 @@ GOLDEN = {
     (_fork_join_dag, "bspg", "clairvoyant", 2): (50.0, "e9097ca4dab0b161"),
     (_fork_join_dag, "cilk", "lru", 2): (94.0, "f575ea1b24cce9e4"),
     (_fork_join_dag, "dfs", "clairvoyant", 1): (35.0, "28321137ee681b74"),
+    # ETF first stage and the FIFO / largest-first policies
+    (_spmv_dag, "etf", "clairvoyant", 2): (140.0, "863db43754479a9e"),
+    (_spmv_dag, "etf", "lru", 2): (140.0, "ac1f7cee680cd5bc"),
+    (_spmv_dag, "bspg", "fifo", 2): (118.0, "a8ef4d4f69fe00ab"),
+    (_spmv_dag, "bspg", "largest_first", 2): (118.0, "a8ef4d4f69fe00ab"),
+    (_exp_dag, "etf", "clairvoyant", 2): (169.0, "53eeb9b480799f2e"),
+    (_exp_dag, "etf", "lru", 2): (187.0, "a0f5bd078587d5ed"),
+    (_exp_dag, "bspg", "fifo", 2): (214.0, "f8e9e6f6329966b1"),
+    (_exp_dag, "bspg", "largest_first", 2): (224.0, "dd9604ff11477cb8"),
+    (_fork_join_dag, "etf", "clairvoyant", 2): (74.0, "20f82d50b9c77fc9"),
+    (_fork_join_dag, "etf", "lru", 2): (74.0, "20f82d50b9c77fc9"),
+    (_fork_join_dag, "bspg", "fifo", 2): (50.0, "e9097ca4dab0b161"),
+    (_fork_join_dag, "bspg", "largest_first", 2): (50.0, "e9097ca4dab0b161"),
 }
 
 
