@@ -303,8 +303,8 @@ def _assign(
     M = builder.big_m
     values = np.zeros(num_variables, dtype=float)
 
-    def set_var(variable, value: float) -> None:
-        values[variable.index] = value
+    def set_var(column: int, value: float) -> None:
+        values[column] = value
 
     comp_cost = [[0.0] * P for _ in range(T)]
     comm_cost = [[0.0] * P for _ in range(T)]
@@ -357,8 +357,8 @@ def _assign(
     compuntil_prev = [0.0] * P
     communtil_prev = [0.0] * P
     for t in range(T):
-        comm_end = values[var.commends[t].index] > 0.5
-        comp_end = values[var.compends[t].index] > 0.5
+        comm_end = values[var.commends[t]] > 0.5
+        comp_end = values[var.compends[t]] > 0.5
         comp_until = [
             max(0.0, compuntil_prev[p] + comp_cost[t][p] - (M if comm_end else 0.0))
             for p in range(P)

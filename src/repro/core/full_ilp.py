@@ -19,19 +19,34 @@ The formulation follows the paper:
 Boundary conditions (initial red/blue pebbles, values required in slow memory
 at the end) are supported so the same builder serves both the full problem
 and the sub-problems of the divide-and-conquer scheduler (Section 6.3).
+
+The builder emits every constraint family as one block of rows over
+(step, processor, node) index arrays straight into the model's row store;
+no per-term expression objects are built.  **Row order, column order and
+every coefficient are a contract**: branch and bound branches on the LP
+vertex, and an equally optimal but different vertex (which a re-ordered
+but otherwise equal model can yield) walks a different tree.  Coefficients
+and folded bounds are therefore computed with the floating-point operations
+that ``LinExpr`` arithmetic and ``add_constraint``'s constant folding would
+perform (``tests/property/test_full_ilp_reference.py`` holds the builder to
+its expression-built reference), and two families keep iterating Python
+sets: (3) walks
+``set(computable_nodes())`` and (10) walks ``required_blue()``.  For
+integer node ids that order is fixed; for ``str`` ids (a DAG read from
+JSON) it follows ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.dag.graph import ComputationalDag, NodeId
+import numpy as np
+
+from repro.dag.graph import NodeId
 from repro.exceptions import ConfigurationError
-from repro.ilp import IlpModel, LinExpr, SolverOptions, Variable, lin_sum
+from repro.ilp import INF, IlpModel, LinExpr, SolverOptions
 from repro.model.instance import MbspInstance
-from repro.model.pebbling import OpType
-from repro.model.schedule import MbspSchedule
 
 
 @dataclass
@@ -120,66 +135,166 @@ class MbspIlpConfig:
 
 @dataclass
 class MbspIlpVariables:
-    """Handles to the decision variables.
+    """Column indices of the decision variables, keyed as in the paper.
 
     Used in both directions: the schedule *extraction* reads operation
     variables out of a solution, and the schedule→solution *encoder*
     (:mod:`repro.core.encoding`) writes a full variable assignment for a
     known schedule, which is why the auxiliary step/phase/cost variables are
-    recorded here as well.
+    recorded here as well.  Every value is a column of the compiled model.
     """
 
     num_steps: int
-    compute: Dict[Tuple[int, NodeId, int], Variable]
-    save: Dict[Tuple[int, NodeId, int], Variable]
-    load: Dict[Tuple[int, NodeId, int], Variable]
-    hasred: Dict[Tuple[int, NodeId, int], Variable]
-    hasblue: Dict[Tuple[NodeId, int], Variable]
-    compphase: List[Variable] = field(default_factory=list)
-    commphase: List[Variable] = field(default_factory=list)
-    compends: List[Variable] = field(default_factory=list)
-    commends: List[Variable] = field(default_factory=list)
+    compute: Dict[Tuple[int, NodeId, int], int]
+    save: Dict[Tuple[int, NodeId, int], int]
+    load: Dict[Tuple[int, NodeId, int], int]
+    hasred: Dict[Tuple[int, NodeId, int], int]
+    hasblue: Dict[Tuple[NodeId, int], int]
+    compphase: List[int] = field(default_factory=list)
+    commphase: List[int] = field(default_factory=list)
+    compends: List[int] = field(default_factory=list)
+    commends: List[int] = field(default_factory=list)
     # per-(processor, step) operation-kind indicators (step merging only)
-    compstep: Dict[Tuple[int, int], Variable] = field(default_factory=dict)
-    commstep: Dict[Tuple[int, int], Variable] = field(default_factory=dict)
+    compstep: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    commstep: Dict[Tuple[int, int], int] = field(default_factory=dict)
     # synchronous cost machinery (Appendix C.1.2)
-    compinduced: List[Variable] = field(default_factory=list)
-    comminduced: List[Variable] = field(default_factory=list)
-    compuntil: Dict[Tuple[int, int], Variable] = field(default_factory=dict)
-    communtil: Dict[Tuple[int, int], Variable] = field(default_factory=dict)
-    makespan: Optional[Variable] = None
+    compinduced: List[int] = field(default_factory=list)
+    comminduced: List[int] = field(default_factory=list)
+    compuntil: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    communtil: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    makespan: Optional[int] = None
     objective_expr: Optional[LinExpr] = None
 
     # ------------------------------------------------------------------
     # convenience accessors that treat fixed/omitted variables as constants
     # ------------------------------------------------------------------
     def compute_value(self, solution, p: int, v: NodeId, t: int) -> bool:
-        var = self.compute.get((p, v, t))
-        return bool(var is not None and solution.value(var) > 0.5)
+        return _is_set(solution, self.compute.get((p, v, t)), False)
 
     def save_value(self, solution, p: int, v: NodeId, t: int) -> bool:
-        var = self.save.get((p, v, t))
-        return bool(var is not None and solution.value(var) > 0.5)
+        return _is_set(solution, self.save.get((p, v, t)), False)
 
     def load_value(self, solution, p: int, v: NodeId, t: int) -> bool:
-        var = self.load.get((p, v, t))
-        return bool(var is not None and solution.value(var) > 0.5)
+        return _is_set(solution, self.load.get((p, v, t)), False)
 
     def hasred_value(self, solution, p: int, v: NodeId, t: int, initial: bool = False) -> bool:
-        var = self.hasred.get((p, v, t))
-        if var is None:
-            return initial
-        return bool(solution.value(var) > 0.5)
+        return _is_set(solution, self.hasred.get((p, v, t)), initial)
 
     def hasblue_value(self, solution, v: NodeId, t: int, initial: bool = False) -> bool:
-        var = self.hasblue.get((v, t))
-        if var is None:
-            return initial
-        return bool(solution.value(var) > 0.5)
+        return _is_set(solution, self.hasblue.get((v, t)), initial)
+
+
+def _is_set(solution, column: Optional[int], default: bool) -> bool:
+    """Whether binary ``column`` is 1 in ``solution`` (``default`` without one)."""
+    if column is None:
+        return default
+    if solution.values is None:
+        raise ValueError("solution has no variable values")
+    return bool(solution.values[column] > 0.5)
+
+
+class _Rows(NamedTuple):
+    """A block of model rows laid out over a grid of row indices.
+
+    ``cols``/``vals`` carry the row grid's shape plus a trailing term axis;
+    ``lower``/``upper``/``keep`` carry the row grid's shape.  Absent terms
+    are padded with column -1 and coefficient 0, which the model drops.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    keep: np.ndarray
+
+
+def _term(cols, vals=1.0):
+    """One column per row: ``(cols, vals)`` with a trailing term axis of 1."""
+    return np.asarray(cols)[..., None], np.asarray(vals, dtype=float)[..., None]
+
+
+def _rows(*terms, lower=-INF, upper=INF, keep=True) -> _Rows:
+    """Rows made of ``terms``, each ``(cols, vals)`` with a trailing term axis."""
+    shape = np.broadcast_shapes(
+        *(np.shape(cols)[:-1] for cols, _ in terms),
+        np.shape(lower), np.shape(upper), np.shape(keep),
+    )
+    cols = [np.broadcast_to(c, shape + np.shape(c)[-1:]) for c, _ in terms]
+    vals = [np.broadcast_to(v, col.shape) for col, (_, v) in zip(cols, terms)]
+    return _Rows(
+        np.concatenate(cols, axis=-1),
+        np.concatenate(vals, axis=-1),
+        np.broadcast_to(lower, shape),
+        np.broadcast_to(upper, shape),
+        np.broadcast_to(keep, shape),
+    )
+
+
+def _padded(blocks: Sequence[_Rows]) -> List[_Rows]:
+    """``blocks`` with their term axes zero-padded to one width."""
+    width = max(block.cols.shape[-1] for block in blocks)
+    return [
+        _rows(
+            (block.cols, block.vals),
+            (np.full(block.cols.shape[:-1] + (width - block.cols.shape[-1],), -1), 0.0),
+            lower=block.lower, upper=block.upper, keep=block.keep,
+        )
+        for block in blocks
+    ]
+
+
+def _stack(blocks: Sequence[_Rows], axis: int) -> _Rows:
+    """Interleave equally shaped row blocks along a new row axis ``axis``."""
+    return _Rows(*(np.stack(parts, axis=axis) for parts in zip(*_padded(blocks))))
+
+
+def _concat(blocks: Sequence[_Rows], axis: int) -> _Rows:
+    """Join row blocks along the existing row axis ``axis``."""
+    return _Rows(*(np.concatenate(parts, axis=axis) for parts in zip(*_padded(blocks))))
+
+
+def _merge_axes(block: _Rows, axis: int) -> _Rows:
+    """Merge row axes ``axis`` and ``axis + 1`` into one."""
+    def merged(a):
+        return a.reshape(a.shape[:axis] + (-1,) + a.shape[axis + 2:])
+    return _Rows(*(merged(a) for a in block))
+
+
+def _emit(model: IlpModel, block: _Rows) -> None:
+    """Add the kept rows of ``block`` to ``model`` in C order of its grid."""
+    keep = block.keep.reshape(-1)
+    width = block.cols.shape[-1]
+    model.add_rows(
+        block.cols.reshape(-1, width)[keep],
+        block.vals.reshape(-1, width)[keep],
+        block.lower.reshape(-1)[keep],
+        block.upper.reshape(-1)[keep],
+    )
+
+
+@dataclass
+class _Grid:
+    """Pebbling-variable columns as arrays over (step, processor, node).
+
+    ``compute``/``save``/``load`` have shape (T, P, N); ``hasred`` has shape
+    (T + 1, P, N) and ``hasblue`` (T + 1, N).  A fixed state (step 0, or a
+    value that is blue from the start) and a missing compute variable (a
+    source) hold column -1.
+    """
+
+    compute: np.ndarray
+    save: np.ndarray
+    load: np.ndarray
+    hasred: np.ndarray
+    hasblue: np.ndarray
 
 
 class MbspIlpBuilder:
-    """Builds the ILP model of an MBSP instance."""
+    """Builds the ILP model of an MBSP instance.
+
+    Each constraint family is emitted as one block of rows over index
+    arrays (see the module docstring for why the order is a contract).
+    """
 
     def __init__(
         self,
@@ -205,6 +320,11 @@ class MbspIlpBuilder:
             + self.L
             + 1.0
         )
+        nodes = self.dag.nodes
+        self._mu = np.array([self.dag.mu(v) for v in nodes], dtype=float)
+        self._omega = np.array([self.dag.omega(v) for v in nodes], dtype=float)
+        computable = set(self.computable_nodes())
+        self._computable = np.array([v in computable for v in nodes], dtype=bool)
 
     # ------------------------------------------------------------------
     def initial_red(self, p: int) -> Set[NodeId]:
@@ -225,339 +345,377 @@ class MbspIlpBuilder:
         if num_steps < 1:
             raise ConfigurationError("the ILP needs at least one time step")
         model = IlpModel(f"mbsp_ilp_{self.instance.name}")
-        variables = self._create_variables(model, num_steps)
-        self._add_fundamental_constraints(model, variables)
+        variables, grid = self._create_variables(model, num_steps)
+        self._add_fundamental_constraints(model, variables, grid)
         if not self.config.allow_recomputation:
-            self._add_no_recomputation_constraints(model, variables)
+            self._add_no_recomputation_constraints(model, grid)
         if self.config.synchronous:
-            objective = self._add_synchronous_cost(model, variables)
+            objective = self._add_synchronous_cost(model, variables, grid)
         else:
-            objective = self._add_asynchronous_cost(model, variables)
+            objective = self._add_asynchronous_cost(model, variables, grid)
         variables.objective_expr = objective
         if self.config.cutoff is not None:
-            model.add_constraint(objective <= float(self.config.cutoff) + 1e-6)
+            # objective <= cutoff, with the constant folded as add_constraint does
+            bound = float(self.config.cutoff) + 1e-6
+            model.add_rows(
+                [list(objective.coeffs)],
+                [list(objective.coeffs.values())],
+                upper=0.0 - (objective.constant + -1.0 * bound),
+            )
         model.minimize(objective)
         return model, variables
 
     # ------------------------------------------------------------------
     # variable creation
     # ------------------------------------------------------------------
-    def _create_variables(self, model: IlpModel, T: int) -> MbspIlpVariables:
-        dag = self.dag
-        compute: Dict[Tuple[int, NodeId, int], Variable] = {}
-        save: Dict[Tuple[int, NodeId, int], Variable] = {}
-        load: Dict[Tuple[int, NodeId, int], Variable] = {}
-        hasred: Dict[Tuple[int, NodeId, int], Variable] = {}
-        hasblue: Dict[Tuple[NodeId, int], Variable] = {}
+    def _create_variables(self, model: IlpModel, T: int) -> Tuple[MbspIlpVariables, _Grid]:
+        """The pebbling binaries, node by node.
 
-        computable = set(self.computable_nodes())
+        Per node ``v`` the columns are its operations for every (step,
+        processor) — compute (non-sources only), save, load — followed by
+        its pebble states for steps 1..T: P ``hasred`` columns, then
+        ``hasblue`` unless ``v`` is blue from the start (step 0 is the fixed
+        initial configuration and has no columns; the accessors treat
+        missing entries as constants).
+        """
+        nodes = self.dag.nodes
+        P = self.P
         init_blue = self.initial_blue()
+        c = self._computable.astype(np.int64)
+        b = np.array([v not in init_blue for v in nodes], dtype=np.int64)
+        ops = T * P * (2 + c)
+        sizes = ops + T * (P + b)
+        columns = model.add_variables("pebbling", int(sizes.sum()), 0.0, 1.0, True)
+        base = columns.start + np.cumsum(sizes) - sizes
 
-        for v in dag.nodes:
-            for t in range(T):
-                for p in range(self.P):
-                    if v in computable:
-                        compute[p, v, t] = model.add_binary(f"compute_{p}_{v}_{t}")
-                    save[p, v, t] = model.add_binary(f"save_{p}_{v}_{t}")
-                    load[p, v, t] = model.add_binary(f"load_{p}_{v}_{t}")
-            # pebble-state variables for t = 1 .. T (index 0 is the fixed
-            # initial configuration and therefore not represented by
-            # variables; the accessors treat missing entries as constants)
-            for t in range(1, T + 1):
-                for p in range(self.P):
-                    hasred[p, v, t] = model.add_binary(f"hasred_{p}_{v}_{t}")
-                if v in init_blue:
-                    # once a value is in slow memory it can stay there forever
-                    # at no cost, so its blue indicator is simply fixed to 1
-                    continue
-                hasblue[v, t] = model.add_binary(f"hasblue_{v}_{t}")
+        # (N, T, P) operation columns and (N, T, P) state columns for t = 1..T
+        slot = np.arange(T * P).reshape(T, P)
+        first = base[:, None, None] + slot * (2 + c)[:, None, None]
+        save = first + c[:, None, None]
+        states = (
+            (base + ops)[:, None, None]
+            + np.arange(T)[:, None] * (P + b)[:, None, None]
+            + np.arange(P)
+        )
+        grid = _Grid(
+            compute=np.where(c[:, None, None] == 1, first, -1).transpose(1, 2, 0),
+            save=save.transpose(1, 2, 0),
+            load=(save + 1).transpose(1, 2, 0),
+            hasred=np.concatenate(
+                [np.full((1, P, len(nodes)), -1), states.transpose(1, 2, 0)]
+            ),
+            hasblue=np.concatenate(
+                [
+                    np.full((1, len(nodes)), -1),
+                    np.where(b[:, None] == 1, states[:, :, 0] + P, -1).T,
+                ]
+            ),
+        )
         return MbspIlpVariables(
             num_steps=T,
-            compute=compute,
-            save=save,
-            load=load,
-            hasred=hasred,
-            hasblue=hasblue,
-        )
-
-    # expression helpers treating fixed states as constants ---------------
-    def _hasred_expr(self, var: MbspIlpVariables, p: int, v: NodeId, t: int):
-        if t == 0:
-            return 1.0 if v in self.initial_red(p) else 0.0
-        return var.hasred[p, v, t]
-
-    def _hasblue_expr(self, var: MbspIlpVariables, v: NodeId, t: int):
-        if v in self.initial_blue():
-            return 1.0
-        if t == 0:
-            return 0.0
-        return var.hasblue[v, t]
+            compute=_keyed(grid.compute, nodes, 0, keep=self._computable),
+            save=_keyed(grid.save, nodes, 0),
+            load=_keyed(grid.load, nodes, 0),
+            hasred=_keyed(grid.hasred[1:], nodes, 1),
+            hasblue={
+                (v, t): int(col)
+                for i, v in enumerate(nodes)
+                if b[i]
+                for t, col in enumerate(grid.hasblue[1:, i].tolist(), start=1)
+            },
+        ), grid
 
     # ------------------------------------------------------------------
     # fundamental constraints (Figure 3)
     # ------------------------------------------------------------------
-    def _add_fundamental_constraints(self, model: IlpModel, var: MbspIlpVariables) -> None:
+    def _add_fundamental_constraints(
+        self, model: IlpModel, var: MbspIlpVariables, grid: _Grid
+    ) -> None:
         dag = self.dag
+        nodes = dag.nodes
         T = var.num_steps
+        P = self.P
         n = dag.num_nodes
-        computable = set(self.computable_nodes())
         merging = self.config.use_step_merging
+        cmask = self._computable
+        after_start = (np.arange(T) >= 1)[:, None, None]
+        init_red = np.array(
+            [[v in red for v in nodes] for red in map(self.initial_red, range(P))],
+            dtype=bool,
+        ).reshape(P, len(nodes))
+        init_blue = self.initial_blue()
+        blue_from_start = np.array([v in init_blue for v in nodes])
 
-        for t in range(T):
-            for p in range(self.P):
-                for v in dag.nodes:
-                    # (1) a load requires a blue pebble
-                    blue = self._hasblue_expr(var, v, t)
-                    if isinstance(blue, float):
-                        if blue == 0.0:
-                            model.add_constraint(var.load[p, v, t] <= 0.0)
-                    else:
-                        model.add_constraint(var.load[p, v, t] <= blue)
-                    # (2) a save requires a red pebble of the same processor
-                    red = self._hasred_expr(var, p, v, t)
-                    if isinstance(red, float):
-                        if red == 0.0:
-                            model.add_constraint(var.save[p, v, t] <= 0.0)
-                    else:
-                        model.add_constraint(var.save[p, v, t] <= red)
-                # (3) computes require parents in cache (or computed in the
-                # same merged step)
-                for v in computable:
-                    for u in dag.parents(v):
-                        red_u = self._hasred_expr(var, p, u, t)
-                        rhs = LinExpr()
-                        if isinstance(red_u, float):
-                            rhs.add_constant(red_u)
-                        else:
-                            rhs.add_term(red_u, 1.0)
-                        if merging and (p, u, t) in var.compute:
-                            rhs.add_term(var.compute[p, u, t], 1.0)
-                        model.add_constraint(var.compute[p, v, t] <= rhs)
+        # per (t, p): for every node (1) a load requires a blue pebble and
+        # (2) a save requires a red pebble of the same processor — a fixed
+        # state of 1 needs no row, a fixed 0 forbids the operation — then
+        # (3) every compute requires its parents in cache (or computed in
+        # the same merged step), for computable nodes in `set` order
+        load_needs_blue = _rows(
+            _term(grid.load),
+            _term(grid.hasblue[:T, None, :], np.where(after_start, -1.0, 0.0)),
+            upper=0.0,
+            keep=~blue_from_start,
+        )
+        save_needs_red = _rows(
+            _term(grid.save),
+            _term(grid.hasred[:T], np.where(after_start, -1.0, 0.0)),
+            upper=0.0,
+            keep=after_start | ~init_red,
+        )
+        per_node = _merge_axes(_stack([load_needs_blue, save_needs_red], axis=3), 2)
+        pos = {v: i for i, v in enumerate(nodes)}
+        # the row order of (3) is the set's iteration order (module docstring)
+        computable = set(self.computable_nodes())
+        pairs = [
+            (pos[v], pos[u])
+            for v in computable  # repro: lint-ignore[REP-D05] — pinned row order
+            for u in dag.parents(v)
+        ]
+        child = np.array([v for v, _ in pairs], dtype=np.int64)
+        parent = np.array([u for _, u in pairs], dtype=np.int64)
+        merged_parent = merging & cmask[parent]
+        parents_in_cache = _rows(
+            _term(grid.compute[:, :, child]),
+            _term(grid.hasred[:T][:, :, parent], np.where(after_start, -1.0, 0.0)),
+            _term(grid.compute[:, :, parent], np.where(merged_parent, -1.0, 0.0)),
+            upper=np.where(~after_start & init_red[:, parent], 1.0, 0.0),
+        )
+        _emit(model, _concat([per_node, parents_in_cache], axis=2))
 
         # (4) red pebbles can only persist, be computed, or be loaded
-        for t in range(1, T + 1):
-            for p in range(self.P):
-                for v in dag.nodes:
-                    rhs = LinExpr()
-                    prev_red = self._hasred_expr(var, p, v, t - 1)
-                    if isinstance(prev_red, float):
-                        rhs.add_constant(prev_red)
-                    else:
-                        rhs.add_term(prev_red, 1.0)
-                    if (p, v, t - 1) in var.compute:
-                        rhs.add_term(var.compute[p, v, t - 1], 1.0)
-                    rhs.add_term(var.load[p, v, t - 1], 1.0)
-                    model.add_constraint(var.hasred[p, v, t] <= rhs)
+        prev_is_variable = (np.arange(1, T + 1) >= 2)[:, None, None]
+        _emit(model, _rows(
+            _term(grid.hasred[1:]),
+            _term(grid.hasred[:T], np.where(prev_is_variable, -1.0, 0.0)),
+            _term(grid.compute, np.where(cmask, -1.0, 0.0)),
+            _term(grid.load, -1.0),
+            upper=np.where(~prev_is_variable & init_red, 1.0, 0.0),
+        ))
 
         # (5) blue pebbles can only persist or be saved
-        for t in range(1, T + 1):
-            for v in dag.nodes:
-                if (v, t) not in var.hasblue:
-                    continue  # fixed to 1 (initially blue)
-                rhs = LinExpr()
-                prev_blue = self._hasblue_expr(var, v, t - 1)
-                if isinstance(prev_blue, float):
-                    rhs.add_constant(prev_blue)
-                else:
-                    rhs.add_term(prev_blue, 1.0)
-                for p in range(self.P):
-                    rhs.add_term(var.save[p, v, t - 1], 1.0)
-                model.add_constraint(var.hasblue[v, t] <= rhs)
+        _emit(model, _rows(
+            _term(grid.hasblue[1:]),
+            _term(grid.hasblue[:T], np.where(prev_is_variable[:, :, 0], -1.0, 0.0)),
+            (grid.save.transpose(0, 2, 1), -1.0),
+            upper=0.0,
+            keep=~blue_from_start,
+        ))
 
         # (6) one kind of operation per processor and step
+        computes = (grid.compute, np.where(cmask, 1.0, 0.0))
+        communications = (np.concatenate([grid.save, grid.load], axis=2), 1.0)
         if merging:
-            for t in range(T):
-                for p in range(self.P):
-                    compstep = model.add_binary(f"compstep_{p}_{t}")
-                    commstep = model.add_binary(f"commstep_{p}_{t}")
-                    var.compstep[p, t] = compstep
-                    var.commstep[p, t] = commstep
-                    model.add_constraint(
-                        lin_sum(var.compute[p, v, t] for v in computable)
-                        <= n * compstep
-                    )
-                    model.add_constraint(
-                        lin_sum(
-                            var.save[p, v, t] + var.load[p, v, t] for v in dag.nodes
-                        )
-                        <= 2 * n * commstep
-                    )
-                    model.add_constraint(compstep + commstep <= 1)
+            kinds = model.add_variables("stepkind", 2 * T * P, 0.0, 1.0, True)
+            compstep = np.asarray(kinds[0::2]).reshape(T, P)
+            commstep = compstep + 1
+            var.compstep = _keyed_steps(compstep)
+            var.commstep = _keyed_steps(commstep)
+            _emit(model, _stack([
+                _rows(computes, _term(compstep, -(1.0 * n)), upper=0.0),
+                _rows(communications, _term(commstep, -(1.0 * (2 * n))), upper=0.0),
+                _rows(_term(compstep), _term(commstep), upper=1.0),
+            ], axis=2))
         else:
-            for t in range(T):
-                for p in range(self.P):
-                    terms = [var.save[p, v, t] + var.load[p, v, t] for v in dag.nodes]
-                    terms.extend(var.compute[p, v, t] for v in computable)
-                    model.add_constraint(lin_sum(terms) <= 1)
+            _emit(model, _rows(communications, computes, upper=1.0))
 
         # (7) the memory bound; with merging, outputs produced in the step
-        # must fit together with the cached inputs (Section 6.2)
-        for p in range(self.P):
-            for t in range(1, T + 1):
-                model.add_constraint(
-                    lin_sum(
-                        self.dag.mu(v) * var.hasred[p, v, t] for v in dag.nodes
-                    )
-                    <= self.r
-                )
-            for t in range(T):
-                usage = LinExpr()
-                for v in dag.nodes:
-                    red = self._hasred_expr(var, p, v, t)
-                    if isinstance(red, float):
-                        usage.add_constant(self.dag.mu(v) * red)
-                    else:
-                        usage.add_term(red, self.dag.mu(v))
-                    if (p, v, t) in var.compute:
-                        usage.add_term(var.compute[p, v, t], self.dag.mu(v))
-                    usage.add_term(var.load[p, v, t], self.dag.mu(v))
-                model.add_constraint(usage <= self.r)
+        # must fit together with the cached inputs (Section 6.2).  Bounds
+        # fold the constants exactly as add_constraint would: the start
+        # state's cached weight accumulates node by node
+        mu = self._mu
+        r = float(self.r)
+        bound = 0.0 - (0.0 + -1.0 * r)
+        start_usage = []
+        for p in range(P):
+            constant = 0.0
+            for i, v in enumerate(nodes):
+                constant += self.dag.mu(v) * (1.0 if init_red[p, i] else 0.0)
+            start_usage.append(0.0 - (constant + -1.0 * r))
+        cached = _rows((grid.hasred[1:].transpose(1, 0, 2), mu), upper=bound)
+        in_step = _rows(
+            (grid.hasred[:T].transpose(1, 0, 2), np.where(after_start[:, 0], mu, 0.0)),
+            (grid.compute.transpose(1, 0, 2), np.where(cmask, mu, 0.0)),
+            (grid.load.transpose(1, 0, 2), mu),
+            upper=np.where(after_start[:, 0, 0], bound, np.array(start_usage)[:, None]),
+        )
+        _emit(model, _concat([cached, in_step], axis=1))
 
         # (8), (9): the initial configuration is already encoded as constants.
-        # (10): terminal configuration — required values in slow memory.
-        for v in self.required_blue():
-            if v in self.initial_blue():
-                continue
-            model.add_constraint(var.hasblue[v, T] >= 1.0)
+        # (10): terminal configuration — required values in slow memory, in
+        # `set` order
+        terminal = [var.hasblue[v, T] for v in self.required_blue() if v not in init_blue]
+        _emit(model, _rows(_term(np.array(terminal, dtype=np.int64)), lower=1.0))
 
     # ------------------------------------------------------------------
-    def _add_no_recomputation_constraints(self, model: IlpModel, var: MbspIlpVariables) -> None:
-        T = var.num_steps
-        for v in self.computable_nodes():
-            model.add_constraint(
-                lin_sum(var.compute[p, v, t] for p in range(self.P) for t in range(T))
-                <= 1
-            )
+    def _add_no_recomputation_constraints(self, model: IlpModel, grid: _Grid) -> None:
+        # sum_{p, t} compute[p, v, t] <= 1, per computable node in DAG order
+        T, P, _ = grid.compute.shape
+        per_node = grid.compute[:, :, self._computable].transpose(2, 1, 0).reshape(-1, P * T)
+        _emit(model, _rows((per_node, 1.0), upper=1.0))
 
     # ------------------------------------------------------------------
     # synchronous cost (Appendix C.1.2)
     # ------------------------------------------------------------------
-    def _add_synchronous_cost(self, model: IlpModel, var: MbspIlpVariables) -> LinExpr:
-        dag = self.dag
+    def _add_synchronous_cost(
+        self, model: IlpModel, var: MbspIlpVariables, grid: _Grid
+    ) -> LinExpr:
         T = var.num_steps
-        n = dag.num_nodes
-        computable = set(self.computable_nodes())
+        P = self.P
+        n = self.dag.num_nodes
         M = self.big_m
+        cmask = self._computable
 
-        compphase = [model.add_binary(f"compphase_{t}") for t in range(T)]
-        commphase = [model.add_binary(f"commphase_{t}") for t in range(T)]
-        compends = [model.add_binary(f"compends_{t}") for t in range(T)]
-        commends = [model.add_binary(f"commends_{t}") for t in range(T)]
-        var.compphase, var.commphase = compphase, commphase
-        var.compends, var.commends = compends, commends
-
-        for t in range(T):
-            model.add_constraint(
-                lin_sum(
-                    var.compute[p, v, t] for p in range(self.P) for v in computable
-                )
-                <= self.P * n * compphase[t]
-            )
-            model.add_constraint(
-                lin_sum(
-                    var.save[p, v, t] + var.load[p, v, t]
-                    for p in range(self.P)
-                    for v in dag.nodes
-                )
-                <= 2 * self.P * n * commphase[t]
-            )
-            model.add_constraint(compphase[t] + commphase[t] <= 1)
+        compphase, commphase, compends, commends = (
+            np.asarray(model.add_variables(name, T, 0.0, 1.0, True))
+            for name in ("compphase", "commphase", "compends", "commends")
+        )
+        var.compphase, var.commphase = compphase.tolist(), commphase.tolist()
+        var.compends, var.commends = compends.tolist(), commends.tolist()
+        has_next = np.arange(T) + 1 < T
+        comp_next = np.where(has_next, np.roll(compphase, -1), -1)
+        comm_next = np.where(has_next, np.roll(commphase, -1), -1)
+        next_coeff = np.where(has_next, 1.0, 0.0)
+        _emit(model, _stack([
+            _rows(
+                (grid.compute.reshape(T, -1), np.tile(np.where(cmask, 1.0, 0.0), P)),
+                _term(compphase, -(1.0 * (P * n))),
+                upper=0.0,
+            ),
+            _rows(
+                (np.concatenate([grid.save, grid.load], axis=2).reshape(T, -1), 1.0),
+                _term(commphase, -(1.0 * (2 * P * n))),
+                upper=0.0,
+            ),
+            _rows(_term(compphase), _term(commphase), upper=1.0),
             # phase-end indicators
-            model.add_constraint(compends[t] <= compphase[t])
-            model.add_constraint(commends[t] <= commphase[t])
-            if t + 1 < T:
-                model.add_constraint(compends[t] >= compphase[t] - compphase[t + 1])
-                model.add_constraint(commends[t] >= commphase[t] - commphase[t + 1])
-            else:
-                model.add_constraint(compends[t] >= compphase[t])
-                model.add_constraint(commends[t] >= commphase[t])
+            _rows(_term(compends), _term(compphase, -1.0), upper=0.0),
+            _rows(_term(commends), _term(commphase, -1.0), upper=0.0),
+            _rows(
+                _term(compends), _term(compphase, -1.0), _term(comp_next, next_coeff),
+                lower=0.0,
+            ),
+            _rows(
+                _term(commends), _term(commphase, -1.0), _term(comm_next, next_coeff),
+                lower=0.0,
+            ),
+        ], axis=1))
 
-        compinduced = [model.add_continuous(f"compinduced_{t}") for t in range(T)]
-        comminduced = [model.add_continuous(f"comminduced_{t}") for t in range(T)]
-        var.compinduced, var.comminduced = compinduced, comminduced
+        compinduced = np.asarray(model.add_variables("compinduced", T))
+        comminduced = np.asarray(model.add_variables("comminduced", T))
+        var.compinduced, var.comminduced = compinduced.tolist(), comminduced.tolist()
+        until = np.asarray(model.add_variables("until", 2 * P * T))
+        compuntil = until[0::2].reshape(P, T)
+        communtil = compuntil + 1
+        var.compuntil = _keyed_steps(compuntil.T)
+        var.communtil = _keyed_steps(communtil.T)
 
-        for p in range(self.P):
-            compuntil_prev: Optional[Variable] = None
-            communtil_prev: Optional[Variable] = None
-            for t in range(T):
-                compuntil = model.add_continuous(f"compuntil_{p}_{t}")
-                communtil = model.add_continuous(f"communtil_{p}_{t}")
-                var.compuntil[p, t] = compuntil
-                var.communtil[p, t] = communtil
-                comp_cost = lin_sum(
-                    dag.omega(v) * var.compute[p, v, t] for v in computable
-                )
-                comm_cost = lin_sum(
-                    self.g * dag.mu(v) * (var.save[p, v, t] + var.load[p, v, t])
-                    for v in dag.nodes
-                )
-                comp_rhs = comp_cost - M * commends[t]
-                comm_rhs = comm_cost - M * compends[t]
-                if compuntil_prev is not None:
-                    comp_rhs = comp_rhs + compuntil_prev
-                if communtil_prev is not None:
-                    comm_rhs = comm_rhs + communtil_prev
-                model.add_constraint(compuntil >= comp_rhs)
-                model.add_constraint(communtil >= comm_rhs)
-                # the accumulated phase cost is charged at the end of a phase
-                model.add_constraint(
-                    compinduced[t] >= compuntil - M * (1.0 - compends[t])
-                )
-                model.add_constraint(
-                    comminduced[t] >= communtil - M * (1.0 - commends[t])
-                )
-                compuntil_prev, communtil_prev = compuntil, communtil
+        # running phase costs: until[p, t] >= cost[p, t] + until[p, t-1] - M *
+        # (the other kind's phase ends at t); the accumulated cost is
+        # charged at the end of a phase
+        gm = self.g * self._mu
+        has_prev = np.arange(T) >= 1
+        prev_coeff = np.where(has_prev, -1.0, 0.0)
+        comp_prev = np.where(has_prev, np.roll(compuntil, 1, axis=1), -1)
+        comm_prev = np.where(has_prev, np.roll(communtil, 1, axis=1), -1)
+        _emit(model, _stack([
+            _rows(
+                _term(compuntil),
+                (grid.compute.transpose(1, 0, 2), np.where(cmask, -self._omega, 0.0)),
+                _term(commends, M),
+                _term(comp_prev, prev_coeff),
+                lower=0.0,
+            ),
+            _rows(
+                _term(communtil),
+                (grid.save.transpose(1, 0, 2), -gm),
+                (grid.load.transpose(1, 0, 2), -gm),
+                _term(compends, M),
+                _term(comm_prev, prev_coeff),
+                lower=0.0,
+            ),
+            _rows(
+                _term(compinduced), _term(compuntil, -1.0), _term(compends, -M),
+                lower=0.0 - M,
+            ),
+            _rows(
+                _term(comminduced), _term(communtil, -1.0), _term(commends, -M),
+                lower=0.0 - M,
+            ),
+        ], axis=2))
 
-        objective = lin_sum(compinduced) + lin_sum(comminduced) + self.L * lin_sum(commends)
-        return objective
+        objective = {col: 1.0 for col in var.compinduced}
+        objective.update((col, 1.0) for col in var.comminduced)
+        objective.update((col, 1.0 * self.L) for col in var.commends)
+        return LinExpr(objective, 0.0)
 
     # ------------------------------------------------------------------
     # asynchronous cost (Appendix C.1.2)
     # ------------------------------------------------------------------
-    def _add_asynchronous_cost(self, model: IlpModel, var: MbspIlpVariables) -> LinExpr:
-        dag = self.dag
+    def _add_asynchronous_cost(
+        self, model: IlpModel, var: MbspIlpVariables, grid: _Grid
+    ) -> LinExpr:
         T = var.num_steps
-        computable = set(self.computable_nodes())
+        P = self.P
+        n = self.dag.num_nodes
         M = self.big_m
 
-        finishtime = {
-            (p, t): model.add_continuous(f"finishtime_{p}_{t}")
-            for p in range(self.P)
-            for t in range(T)
-        }
-        getsblue = {v: model.add_continuous(f"getsblue_{v}") for v in dag.nodes}
-        makespan = model.add_continuous("makespan")
+        finishtime = np.asarray(model.add_variables("finishtime", P * T)).reshape(P, T)
+        getsblue = np.asarray(model.add_variables("getsblue", n))
+        makespan = model.add_variables("makespan", 1)[0]
         var.makespan = makespan
 
-        for p in range(self.P):
+        gm = self.g * self._mu
+        step_cost = np.concatenate([np.where(self._computable, -self._omega, 0.0), -gm, -gm])
+        # a load cannot finish before the value is available plus the
+        # duration of the whole (merged) load operation of this step
+        load_coeffs = np.broadcast_to(-gm, (n, n)).copy()
+        np.fill_diagonal(load_coeffs, -(gm + M))
+        for p in range(P):
             for t in range(T):
-                step_cost = LinExpr()
-                for v in dag.nodes:
-                    if (p, v, t) in var.compute:
-                        step_cost.add_term(var.compute[p, v, t], dag.omega(v))
-                    step_cost.add_term(var.save[p, v, t], self.g * dag.mu(v))
-                    step_cost.add_term(var.load[p, v, t], self.g * dag.mu(v))
-                if t == 0:
-                    model.add_constraint(finishtime[p, t] >= step_cost)
-                else:
-                    model.add_constraint(
-                        finishtime[p, t] >= finishtime[p, t - 1] + step_cost
-                    )
-                # a save defines when the value becomes available in slow memory
-                for v in dag.nodes:
-                    model.add_constraint(
-                        getsblue[v]
-                        >= finishtime[p, t] - M * (1.0 - var.save[p, v, t])
-                    )
-                # a load cannot finish before the value is available plus the
-                # duration of the whole (merged) load operation of this step
-                load_cost = lin_sum(
-                    self.g * dag.mu(u) * var.load[p, u, t] for u in dag.nodes
+                step_ops = np.concatenate(
+                    [grid.compute[t, p], grid.save[t, p], grid.load[t, p]]
                 )
-                for v in dag.nodes:
-                    model.add_constraint(
-                        finishtime[p, t]
-                        >= getsblue[v] + load_cost - M * (1.0 - var.load[p, v, t])
-                    )
-            model.add_constraint(makespan >= finishtime[p, T - 1])
-        return LinExpr({makespan.index: 1.0}, 0.0)
+                previous = finishtime[p, t - 1] if t else -1
+                _emit(model, _rows(
+                    _term([finishtime[p, t]]),
+                    _term([previous], -1.0 if t else 0.0),
+                    (step_ops[None], step_cost),
+                    lower=0.0,
+                ))
+                # a save defines when the value becomes available in slow memory
+                _emit(model, _rows(
+                    _term(getsblue),
+                    _term(finishtime[p, t], -1.0),
+                    _term(grid.save[t, p], -M),
+                    lower=0.0 - M,
+                ))
+                _emit(model, _rows(
+                    _term(finishtime[p, t]),
+                    _term(getsblue, -1.0),
+                    (np.broadcast_to(grid.load[t, p], (n, n)), load_coeffs),
+                    lower=0.0 - M,
+                ))
+            _emit(model, _rows(
+                _term([makespan]), _term([finishtime[p, T - 1]], -1.0), lower=0.0
+            ))
+        return LinExpr({makespan: 1.0}, 0.0)
+
+
+def _keyed(grid: np.ndarray, nodes: Sequence[NodeId], first_step: int, keep=None):
+    """``{(p, v, t): column}`` for a (step, processor, node) column grid."""
+    T, P, _ = grid.shape
+    chosen = [(i, v) for i, v in enumerate(nodes) if keep is None or keep[i]]
+    columns = grid[:, :, [i for i, _ in chosen]].transpose(2, 0, 1).ravel().tolist()
+    keys = (
+        (p, v, t)
+        for _, v in chosen
+        for t in range(first_step, first_step + T)
+        for p in range(P)
+    )
+    return dict(zip(keys, columns))
+
+
+def _keyed_steps(grid: np.ndarray) -> Dict[Tuple[int, int], int]:
+    """``{(p, t): column}`` for a (step, processor) column grid."""
+    return {(p, t): col for t, row in enumerate(grid.tolist()) for p, col in enumerate(row)}

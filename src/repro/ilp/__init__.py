@@ -1,7 +1,12 @@
 """Self-contained ILP modeling layer and pluggable solver backends.
 
 The :class:`IlpModel` / :class:`Variable` / :func:`lin_sum` API is a minimal
-PuLP-like modeling layer; models are solved through :func:`solve`, which
+PuLP-like modeling layer.  A model keeps its rows in one flat array store:
+:meth:`IlpModel.add_constraint` folds one expression-built
+:class:`Constraint` into it, and :meth:`IlpModel.add_rows` appends a block
+of rows given as column/coefficient arrays (the MBSP builder emits every
+constraint family that way); :meth:`IlpModel.compile` builds the CSR matrix
+from the store.  Models are solved through :func:`solve`, which
 dispatches into the backend registry of :mod:`repro.ilp.backends`:
 ``"scipy"`` (HiGHS via ``scipy.optimize.milp``, the default), ``"bnb"``
 (the pure-Python branch and bound) or ``"auto"`` (per-model choice by

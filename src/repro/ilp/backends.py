@@ -356,8 +356,8 @@ def solve_model(
             "ilp.solve",
             category="solver",
             backend=impl.name,
-            variables=len(model.variables),
-            constraints=len(model.constraints),
+            variables=model.num_variables,
+            constraints=model.num_constraints,
             node_limit=getattr(options, "node_limit", None),
             time_limit=getattr(options, "time_limit", None),
         )

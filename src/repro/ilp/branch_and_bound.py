@@ -2,9 +2,14 @@
 
 This backend exists for two reasons: it is a dependency-free fallback when
 the HiGHS MILP interface is unavailable, and it is useful in tests because
-its behaviour is fully transparent.  It solves LP relaxations with
-``scipy.optimize.linprog`` (HiGHS LP) and branches on the most fractional
-integer variable, using best-first search with incumbent pruning.
+its behaviour is fully transparent.  It solves LP relaxations with HiGHS
+and branches on the most fractional integer variable, using best-first
+search with incumbent pruning.  The relaxation is the exact LP that
+``scipy.optimize.linprog(method="highs")`` would build, prepared once per
+model through scipy's vendored HiGHS binding; each node only swaps in its
+column bounds and solves on a fresh HiGHS instance, so every vertex (and
+hence every tree) is the one the per-node ``linprog`` calls produce.  When
+the binding is unavailable, every node calls ``linprog`` itself.
 
 It is intended for *small* models only (up to a few hundred integer
 variables); the main experiments use the :mod:`repro.ilp.scipy_backend`.
@@ -17,12 +22,13 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy import optimize, sparse
 
 from repro.ilp.cancellation import current_cancel_token
+from repro.ilp.highs_cancel import _highs, highs_cancellation_available
 from repro.ilp.model import CompiledModel, IlpModel, Sense
 from repro.ilp.scipy_backend import SolverOptions
 from repro.ilp.solution import IlpSolution, SolutionStatus
@@ -68,37 +74,127 @@ def _split_constraints(compiled: CompiledModel):
     return A_ub, b_ub, A_eq, b_eq
 
 
-def _solve_lp(compiled: CompiledModel, lower: np.ndarray, upper: np.ndarray,
-              split=None):
-    """Solve the LP relaxation with the given variable bounds."""
-    if split is None:
-        split = _split_constraints(compiled)
+#: linprog's feasibility check of a returned vertex: ``_check_result``
+#: scales its default ``tol=1e-9`` to ``sqrt(tol) * 10``
+_VERTEX_TOL = math.sqrt(1e-9) * 10
+
+Relaxation = Callable[[np.ndarray, np.ndarray], Optional[Tuple[np.ndarray, float]]]
+
+
+def _relaxation(compiled: CompiledModel) -> Relaxation:
+    """The LP relaxation of ``compiled`` as ``solve(lower, upper)``.
+
+    ``solve`` returns the optimal vertex and objective under the given
+    column bounds, or ``None`` for an infeasible or failed LP (the node is
+    pruned).  With the vendored HiGHS binding the LP is prepared once per
+    model; otherwise every node calls ``optimize.linprog``.
+    """
+    if highs_cancellation_available():
+        return _PreparedLp(compiled).solve
+    split = _split_constraints(compiled)
     A_ub, b_ub, A_eq, b_eq = split
-    bounds = list(zip(lower, np.where(np.isfinite(upper), upper, None)))
-    bounds = [
-        (lo, None if up is None or up == float("inf") else up) for lo, up in bounds
-    ]
-    res = optimize.linprog(
-        c=compiled.c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    return res
+
+    def solve(lower: np.ndarray, upper: np.ndarray):
+        res = optimize.linprog(
+            c=compiled.c,
+            A_ub=A_ub,
+            b_ub=b_ub,
+            A_eq=A_eq,
+            b_eq=b_eq,
+            bounds=np.column_stack((lower, np.where(np.isfinite(upper), upper, np.inf))),
+            method="highs",
+        )
+        if res.status != 0 or res.x is None:
+            return None
+        return res.x, float(res.fun)
+
+    return solve
 
 
-def _most_fractional(values: np.ndarray, integrality: np.ndarray) -> Optional[int]:
-    """Index of the integer variable whose value is farthest from integral."""
-    best_idx, best_frac = None, _INT_TOL
-    for idx in np.nonzero(integrality)[0]:
-        frac = abs(values[idx] - round(values[idx]))
-        if frac > best_frac:
-            best_frac = frac
-            best_idx = int(idx)
-    return best_idx
+def _replace_inf(values: np.ndarray) -> np.ndarray:
+    """``values`` with every infinity replaced by HiGHS's own (as linprog does)."""
+    out = np.array(values, dtype=float)
+    infinite = np.isinf(out)
+    out[infinite] = np.sign(out[infinite]) * _highs.kHighsInf
+    return out
+
+
+class _PreparedLp:
+    """The ``HighsLp`` that ``linprog(method="highs")`` builds, built once.
+
+    Rows are the ``<=`` rows, then the negated ``>=`` rows, then the
+    equality rows, as one CSC matrix; each node passes only its column
+    bounds to a fresh HiGHS instance with linprog's option set, so every
+    vertex equals the one ``optimize.linprog`` returns for the same node.
+    """
+
+    def __init__(self, compiled: CompiledModel) -> None:
+        n = int(compiled.c.shape[0])
+        A_ub, b_ub, A_eq, b_eq = _split_constraints(compiled)
+        b_ub = np.zeros(0) if b_ub is None else b_ub
+        b_eq = np.zeros(0) if b_eq is None else b_eq
+        empty = sparse.coo_array((0, n))
+        blocks = [empty if a is None else sparse.coo_array(a, dtype=float) for a in (A_ub, A_eq)]
+        A = sparse.csc_array(sparse.vstack(blocks))
+        self.num_ub = len(b_ub)
+        self.rhs = _replace_inf(np.concatenate((b_ub, b_eq)))
+        lp = _highs.HighsLp()
+        lp.num_col_ = n
+        lp.num_row_ = A.shape[0]
+        lp.a_matrix_.num_col_ = n
+        lp.a_matrix_.num_row_ = A.shape[0]
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.col_cost_ = np.array(compiled.c, dtype=float)
+        lp.row_lower_ = _replace_inf(np.concatenate((np.full(len(b_ub), -np.inf), b_eq)))
+        lp.row_upper_ = self.rhs
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        self.lp = lp
+        self.options = _highs.HighsOptions()
+        self.options.presolve = "on"
+        self.options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+        self.options.log_to_console = False
+        self.options.output_flag = False
+        strategies = _highs.simplex_constants.SimplexStrategy
+        self.options.simplex_strategy = strategies.kSimplexStrategyDual
+
+    def solve(self, lower: np.ndarray, upper: np.ndarray):
+        upper = np.where(np.isfinite(upper), upper, np.inf)
+        self.lp.col_lower_ = _replace_inf(lower)
+        self.lp.col_upper_ = _replace_inf(upper)
+        highs = _highs._Highs()
+        if highs.passOptions(self.options) == _highs.HighsStatus.kError:
+            return None
+        if highs.passModel(self.lp) == _highs.HighsStatus.kError:
+            return None
+        if highs.run() == _highs.HighsStatus.kError:
+            return None
+        if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+            return None
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        fun = highs.getInfo().objective_function_value
+        slack = self.rhs - np.array(solution.row_value)
+        # linprog's _check_result: a vertex off its rows or bounds is status 4
+        tol = _VERTEX_TOL
+        if (
+            np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+            or np.any(x < lower - tol) or np.any(x > upper + tol)
+            or np.any(slack[: self.num_ub] < -tol)
+            or np.any(np.abs(slack[self.num_ub:]) > tol)
+        ):
+            return None
+        return x, float(fun)
+
+
+def _most_fractional(values: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
+    """Index of the integer variable farthest from integral (first on ties)."""
+    if int_idx.size == 0:
+        return None
+    frac = np.abs(values[int_idx] - np.round(values[int_idx]))
+    best = int(np.argmax(frac))
+    return int(int_idx[best]) if frac[best] > _INT_TOL else None
 
 
 def solve_with_branch_and_bound(
@@ -140,6 +236,7 @@ def solve_with_branch_and_bound(
     node_limit = math.inf if options.node_limit is None else max(0, int(options.node_limit))
 
     sign = 1.0 if compiled.sense is Sense.MINIMIZE else -1.0
+    int_idx = np.nonzero(compiled.integrality)[0]
 
     # the incumbent bound lives in compiled space (minimize c @ x, constant
     # excluded); a warm start is converted from the original objective space
@@ -162,7 +259,6 @@ def solve_with_branch_and_bound(
             )
         if compiled.is_feasible(candidate):
             warm_incumbent = candidate.copy()
-            int_idx = np.nonzero(compiled.integrality)[0]
             warm_incumbent[int_idx] = np.round(warm_incumbent[int_idx])
             warm_incumbent_obj = float(compiled.c @ warm_incumbent)
         else:
@@ -186,7 +282,7 @@ def solve_with_branch_and_bound(
     explored = 0
     exhausted = True
 
-    split = _split_constraints(compiled)
+    relaxation = _relaxation(compiled)
 
     root = _Node(
         bound=-math.inf,
@@ -209,25 +305,24 @@ def solve_with_branch_and_bound(
         node = heapq.heappop(heap)
         if node.bound >= cutoff_obj - prune_tolerance(cutoff_obj):
             continue
-        res = _solve_lp(compiled, node.lower, node.upper, split=split)
+        solved = relaxation(node.lower, node.upper)
         explored += 1
-        if res.status != 0 or res.x is None:
+        if solved is None:
             continue  # infeasible or failed subproblem: prune
-        lp_obj = float(res.fun)
+        x, lp_obj = solved
         if lp_obj >= cutoff_obj - prune_tolerance(cutoff_obj):
             continue
-        branch_var = _most_fractional(res.x, compiled.integrality)
+        branch_var = _most_fractional(x, int_idx)
         if branch_var is None:
             # integral solution: new incumbent
-            values = res.x.copy()
-            int_idx = np.nonzero(compiled.integrality)[0]
+            values = x.copy()
             values[int_idx] = np.round(values[int_idx])
             if lp_obj < cutoff_obj:
                 incumbent = values
                 incumbent_obj = lp_obj
                 cutoff_obj = lp_obj
             continue
-        value = res.x[branch_var]
+        value = x[branch_var]
         # branch down
         down = _Node(
             bound=lp_obj,

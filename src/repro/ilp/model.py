@@ -1,16 +1,24 @@
-"""The ILP model container and its compilation to sparse-matrix form."""
+"""The ILP model container and its compilation to sparse-matrix form.
+
+An :class:`IlpModel` keeps its columns and rows in one flat array store in
+insertion order.  Rows arrive either one :class:`~repro.ilp.expr.Constraint`
+at a time (:meth:`IlpModel.add_constraint`) or as index/coefficient blocks
+(:meth:`IlpModel.add_rows`); :meth:`IlpModel.compile` builds the CSR matrix
+straight from the store.
+"""
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from repro.exceptions import IlpError
-from repro.ilp.expr import INF, Constraint, LinExpr, Variable, lin_sum
+from repro.ilp.expr import INF, Constraint, LinExpr, Variable
 
 
 class Sense(enum.Enum):
@@ -76,6 +84,15 @@ class CompiledModel:
 class IlpModel:
     """A mixed-integer linear program under construction.
 
+    Columns and rows live in one flat array store, in insertion order.  A
+    column is a lower bound, an upper bound and an integrality flag; a row
+    is a run of (column, coefficient) pairs plus its lower and upper bound.
+    Both ways of adding rows feed the same store: :meth:`add_constraint`
+    folds one :class:`Constraint` into a row (zero coefficients dropped, the
+    expression constant moved into the bounds), and :meth:`add_rows` appends
+    a block of rows given as index/coefficient arrays.  :meth:`compile`
+    turns the store into CSR form without visiting any per-row object.
+
     Example
     -------
     >>> m = IlpModel("example")
@@ -87,8 +104,18 @@ class IlpModel:
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.variables: List[Variable] = []
+        #: the :class:`Constraint` objects passed to :meth:`add_constraint`
+        #: (rows added through :meth:`add_rows` have none)
         self.constraints: List[Constraint] = []
+        self._col_names: List[str] = []
+        self._col_lb = array("d")
+        self._col_ub = array("d")
+        self._col_integer = array("b")
+        self._row_cols = array("q")
+        self._row_vals = array("d")
+        self._row_len = array("q")
+        self._row_lb = array("d")
+        self._row_ub = array("d")
         self._objective: LinExpr = LinExpr()
         self._sense: Sense = Sense.MINIMIZE
         self._compiled: Optional[CompiledModel] = None
@@ -96,10 +123,24 @@ class IlpModel:
     # ------------------------------------------------------------------
     # variables
     # ------------------------------------------------------------------
-    def _add_variable(self, name: str, lower: float, upper: float, is_integer: bool) -> Variable:
-        var = Variable(len(self.variables), name, lower, upper, is_integer)
-        self.variables.append(var)
+    def add_variables(
+        self, name: str, count: int, lower: float = 0.0, upper: float = INF,
+        is_integer: bool = False,
+    ) -> range:
+        """Add ``count`` columns with equal bounds; returns their indices."""
+        if lower > upper:
+            raise IlpError(f"variables {name!r}: lower bound {lower} exceeds upper bound {upper}")
+        start = len(self._col_lb)
+        self._col_names.extend([name] * count)
+        self._col_lb.extend([float(lower)] * count)
+        self._col_ub.extend([float(upper)] * count)
+        self._col_integer.extend([int(bool(is_integer))] * count)
         self._compiled = None
+        return range(start, start + count)
+
+    def _add_variable(self, name: str, lower: float, upper: float, is_integer: bool) -> Variable:
+        var = Variable(len(self._col_lb), name, lower, upper, is_integer)
+        self.add_variables(name, 1, var.lower, var.upper, var.is_integer)
         return var
 
     def add_binary(self, name: str) -> Variable:
@@ -115,16 +156,27 @@ class IlpModel:
         return self._add_variable(name, lower, upper, False)
 
     @property
+    def variables(self) -> List[Variable]:
+        """A :class:`Variable` view of every column, built on access."""
+        return [
+            Variable(index, name, lower, upper, bool(integer))
+            for index, (name, lower, upper, integer) in enumerate(
+                zip(self._col_names, self._col_lb, self._col_ub, self._col_integer)
+            )
+        ]
+
+    @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self._col_lb)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._row_len)
 
     @property
     def num_binary_variables(self) -> int:
-        return sum(1 for v in self.variables if v.is_integer and v.upper <= 1.0)
+        integer = np.array(self._col_integer, dtype=bool)
+        return int(np.count_nonzero(integer & (np.array(self._col_ub) <= 1.0)))
 
     # ------------------------------------------------------------------
     # constraints and objective
@@ -139,12 +191,41 @@ class IlpModel:
         if name:
             constraint.name = name
         self.constraints.append(constraint)
+        expr = constraint.expr
+        terms = [(idx, coeff) for idx, coeff in expr.coeffs.items() if coeff]
+        self._row_cols.extend(idx for idx, _ in terms)
+        self._row_vals.extend(coeff for _, coeff in terms)
+        self._row_len.append(len(terms))
+        # fold the expression constant into the bounds
+        self._row_lb.append(constraint.lower - expr.constant if constraint.lower != -INF else -INF)
+        self._row_ub.append(constraint.upper - expr.constant if constraint.upper != INF else INF)
         self._compiled = None
         return constraint
 
-    def add_constraints(self, constraints: Iterable[Constraint]) -> None:
-        for con in constraints:
-            self.add_constraint(con)
+    def add_rows(self, cols, vals, lower=-INF, upper=INF) -> None:
+        """Append a block of rows ``lower <= sum_k vals[i, k] x[cols[i, k]] <= upper``.
+
+        ``cols`` is an integer array of shape (rows, terms) and ``vals``
+        broadcasts to it; ``lower``/``upper`` broadcast to (rows,).  Zero
+        coefficients are dropped, so a row shorter than the block pads with
+        zeros.  The non-zero columns of one row must be distinct.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        num_rows = cols.shape[0]
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), cols.shape)
+        keep = vals != 0.0
+        kept = cols[keep]
+        if kept.size and (kept.min() < 0 or kept.max() >= self.num_variables):
+            raise IlpError(
+                "add_rows: a non-zero coefficient names a column outside "
+                f"0..{self.num_variables - 1}"
+            )
+        self._row_cols.frombytes(kept.tobytes())
+        self._row_vals.frombytes(np.ascontiguousarray(vals[keep]).tobytes())
+        self._row_len.frombytes(keep.sum(axis=1, dtype=np.int64).tobytes())
+        for store, bound in ((self._row_lb, lower), (self._row_ub, upper)):
+            store.frombytes(np.broadcast_to(np.asarray(bound, dtype=float), (num_rows,)).tobytes())
+        self._compiled = None
 
     def minimize(self, expr) -> None:
         """Set a minimization objective."""
@@ -175,45 +256,32 @@ class IlpModel:
         The result is memoized (and invalidated by every mutation — adding
         variables or constraints, setting the objective), so the warm-start
         schedule encoder's feasibility vetting and the solver backend's own
-        compile of the same model share one pass over the constraint set.
+        compile of the same model share one build of the matrix.
         """
         if self._compiled is not None:
             return self._compiled
-        n = len(self.variables)
+        n = self.num_variables
         c = np.zeros(n)
         for idx, coeff in self._objective.coeffs.items():
             c[idx] = coeff
         if self._sense is Sense.MAXIMIZE:
             c = -c
 
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        con_lb = np.empty(len(self.constraints))
-        con_ub = np.empty(len(self.constraints))
-        for i, con in enumerate(self.constraints):
-            for idx, coeff in con.expr.coeffs.items():
-                if coeff:
-                    rows.append(i)
-                    cols.append(idx)
-                    vals.append(coeff)
-            # fold the expression constant into the bounds
-            con_lb[i] = con.lower - con.expr.constant if con.lower != -INF else -INF
-            con_ub[i] = con.upper - con.expr.constant if con.upper != INF else INF
+        indptr = np.zeros(self.num_constraints + 1, dtype=np.int64)
+        np.cumsum(np.array(self._row_len, dtype=np.int64), out=indptr[1:])
         A = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(self.constraints), n), dtype=float
+            (np.array(self._row_vals), np.array(self._row_cols, dtype=np.int64), indptr),
+            shape=(self.num_constraints, n),
         )
-        var_lb = np.array([v.lower for v in self.variables])
-        var_ub = np.array([v.upper for v in self.variables])
-        integrality = np.array([1 if v.is_integer else 0 for v in self.variables])
+        A.sort_indices()
         self._compiled = CompiledModel(
             c=c,
             A=A,
-            con_lb=con_lb,
-            con_ub=con_ub,
-            var_lb=var_lb,
-            var_ub=var_ub,
-            integrality=integrality,
+            con_lb=np.array(self._row_lb),
+            con_ub=np.array(self._row_ub),
+            var_lb=np.array(self._col_lb),
+            var_ub=np.array(self._col_ub),
+            integrality=np.array(self._col_integer, dtype=int),
             objective_constant=self._objective.constant,
             sense=self._sense,
         )
@@ -222,13 +290,14 @@ class IlpModel:
     # ------------------------------------------------------------------
     def statistics(self) -> Dict[str, int]:
         """Model size statistics (for logging and tests)."""
+        integers = int(np.count_nonzero(np.array(self._col_integer)))
         return {
             "variables": self.num_variables,
             "binaries": self.num_binary_variables,
-            "integers": sum(1 for v in self.variables if v.is_integer),
-            "continuous": sum(1 for v in self.variables if not v.is_integer),
+            "integers": integers,
+            "continuous": self.num_variables - integers,
             "constraints": self.num_constraints,
-            "nonzeros": sum(len(c.expr.coeffs) for c in self.constraints),
+            "nonzeros": len(self._row_cols),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -58,6 +58,46 @@ class TestModelConstruction:
         compiled = model.compile()
         assert compiled.con_ub[0] == pytest.approx(3.0)
 
+    def test_nonzeros_statistic_matches_the_compiled_matrix(self):
+        """Explicit zero coefficients are not stored, so they are not counted."""
+        model = IlpModel()
+        x = model.add_continuous("x", 0, 10)
+        y = model.add_continuous("y", 0, 10)
+        model.add_constraint(0 * x + y <= 1)
+        assert model.compile().A.nnz == 1
+        assert model.statistics()["nonzeros"] == 1
+
+    def test_add_rows_appends_a_block_after_single_rows(self):
+        model = IlpModel()
+        xs = model.add_variables("x", 3, 0.0, 1.0, True)
+        z = model.add_continuous("z", 0, 5)
+        model.add_constraint(z + 1 <= 4)
+        model.add_rows(
+            [[xs[0], xs[1], z.index], [xs[2], -1, xs[1]]],
+            [[1.0, 0.0, -2.0], [3.0, 0.0, 1.0]],
+            lower=[-np.inf, 1.0],
+            upper=[0.5, np.inf],
+        )
+        compiled = model.compile()
+        assert model.num_constraints == 3
+        assert model.statistics()["nonzeros"] == compiled.A.nnz == 5
+        assert compiled.A.toarray().tolist() == [
+            [0.0, 0.0, 0.0, 1.0],
+            [1.0, 0.0, 0.0, -2.0],
+            [0.0, 1.0, 3.0, 0.0],
+        ]
+        assert compiled.con_lb.tolist() == [-np.inf, -np.inf, 1.0]
+        assert compiled.con_ub.tolist() == [3.0, 0.5, np.inf]
+        assert compiled.integrality.tolist() == [1, 1, 1, 0]
+        assert [v.name for v in model.variables] == ["x", "x", "x", "z"]
+        assert len(model.constraints) == 1  # block rows carry no Constraint
+
+    def test_add_rows_rejects_unknown_columns(self):
+        model = IlpModel()
+        model.add_variables("x", 2)
+        with pytest.raises(Exception):
+            model.add_rows([[0, 2]], [[1.0, 1.0]], upper=1.0)
+
     def test_objective_constant_preserved(self):
         model = IlpModel()
         x = model.add_continuous("x", 0, 10)
