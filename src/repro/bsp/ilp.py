@@ -14,11 +14,14 @@ this scheduler only as the first stage of a *two-stage* baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.dag.graph import ComputationalDag, NodeId
-from repro.exceptions import ScheduleError, SolverError
-from repro.ilp import IlpModel, SolverOptions, lin_sum, solve
+import numpy as np
+
+from repro.dag.graph import ComputationalDag
+from repro.exceptions import ScheduleError
+from repro.ilp import IlpModel, SolverOptions, solve
+from repro.bsp.cost import bsp_cost
 from repro.bsp.greedy import greedy_bsp_schedule
 from repro.bsp.schedule import BspSchedule
 
@@ -71,12 +74,13 @@ class IlpBspScheduler:
         num_supersteps = self.config.max_supersteps or (greedy.num_supersteps + 1)
         num_supersteps = max(num_supersteps, 1)
 
-        model, x_vars = self._build_model(dag, num_processors, num_supersteps, g, L)
+        model, x = self._build_model(dag, num_processors, num_supersteps, g, L)
         solution = solve(model, self.config.solver_options, backend=self.config.backend)
         if not solution.has_solution:
             return greedy
-        ilp_schedule = self._extract(dag, num_processors, num_supersteps, x_vars, solution)
-        if ilp_schedule is None:
+        ilp_schedule = self._extract(dag, x, solution)
+        # a limit-stopped solve may return an incumbent costlier than greedy
+        if ilp_schedule is None or bsp_cost(ilp_schedule, g, L) > bsp_cost(greedy, g, L):
             return greedy
         return ilp_schedule
 
@@ -88,100 +92,105 @@ class IlpBspScheduler:
         S: int,
         g: float,
         L: float,
-    ) -> Tuple[IlpModel, Dict[Tuple[NodeId, int, int], object]]:
+    ) -> Tuple[IlpModel, np.ndarray]:
+        """The model and its ``x`` columns, shaped (computable node, P, S)."""
         model = IlpModel(f"bsp_ilp_{dag.name}")
         computable = [v for v in dag.nodes if not dag.is_source(v)]
-
-        # x[v, p, s] = 1 iff node v is computed on processor p in superstep s
-        x = {}
-        for v in computable:
-            for p in range(P):
-                for s in range(S):
-                    x[v, p, s] = model.add_binary(f"x_{v}_{p}_{s}")
-        # every node computed exactly once
-        for v in computable:
-            model.add_constraint(
-                lin_sum(x[v, p, s] for p in range(P) for s in range(S)) == 1
-            )
-        # precedence: v in (p, s) requires u earlier, or same (p, s)
-        for u, v in dag.edges():
-            if dag.is_source(u):
-                continue
-            for p in range(P):
-                for s in range(S):
-                    earlier = lin_sum(
-                        x[u, q, t] for q in range(P) for t in range(s)
-                    )
-                    model.add_constraint(x[v, p, s] <= earlier + x[u, p, s])
-        # work cost per superstep
-        work = [model.add_continuous(f"work_{s}") for s in range(S)]
-        for s in range(S):
-            for p in range(P):
-                model.add_constraint(
-                    work[s]
-                    >= lin_sum(dag.omega(v) * x[v, p, s] for v in computable)
-                )
-        # communicated values: value u needed on processor p that did not
-        # compute it (covers both non-source values and source loads)
-        comm_terms = []
-        for u in dag.nodes:
-            children = [v for v in dag.children(u) if not dag.is_source(v)]
-            if not children:
-                continue
-            for p in range(P):
-                need = model.add_binary(f"need_{u}_{p}")
-                for v in children:
-                    for s in range(S):
-                        if dag.is_source(u):
-                            model.add_constraint(need >= x[v, p, s])
-                        else:
-                            model.add_constraint(
-                                need
-                                >= x[v, p, s]
-                                - lin_sum(x[u, p, t] for t in range(S))
-                            )
-                comm_terms.append(dag.mu(u) * need)
-        # superstep usage (to charge L per used superstep and compact solutions)
-        used = [model.add_binary(f"used_{s}") for s in range(S)]
         n = len(computable)
-        for s in range(S):
-            model.add_constraint(
-                lin_sum(x[v, p, s] for v in computable for p in range(P))
-                <= n * used[s]
-            )
-        objective = lin_sum(work) + g * lin_sum(comm_terms) + L * lin_sum(used)
-        model.minimize(objective)
+        index = {v: i for i, v in enumerate(computable)}
+        # every node with a child sends its value (a child is never a source)
+        senders = [u for u in dag.nodes if dag.children(u)]
+
+        # x[i, p, s] = 1 iff node computable[i] runs on processor p in superstep s
+        x = np.asarray(model.add_variables("x", n * P * S, 0.0, 1.0, True)).reshape(n, P, S)
+        # work[s] bounds the work of every processor in superstep s
+        work = np.asarray(model.add_variables("work", S))
+        # need[k, p] = 1 iff processor p needs the value of senders[k] without
+        # having computed it (covers both non-source values and source loads)
+        need = np.asarray(model.add_variables("need", len(senders) * P, 0.0, 1.0, True))
+        need = need.reshape(len(senders), P)
+        # used[s] = 1 iff superstep s computes anything (charges L, compacts)
+        used = np.asarray(model.add_variables("used", S, 0.0, 1.0, True))
+
+        # every node computed exactly once
+        model.add_rows(x.reshape(n, P * S), 1.0, lower=1.0, upper=1.0)
+
+        # precedence, per edge u -> v and (p, s): v in (p, s) requires u in
+        # an earlier superstep on any processor, or in (p, s) itself
+        edges = np.array(
+            [(index[u], index[v]) for u, v in dag.edges() if not dag.is_source(u)],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        tails, heads = edges.T
+        p, s, q, t = np.ix_(range(P), range(S), range(P), range(S))
+        before = ((t < s) | ((q == p) & (t == s))).reshape(P, S, P * S)
+        cols = np.concatenate([
+            x[heads][..., None],
+            np.broadcast_to(x[tails].reshape(-1, 1, 1, P * S), (len(edges), P, S, P * S)),
+        ], axis=-1)
+        vals = np.concatenate([np.ones((P, S, 1)), np.where(before, -1.0, 0.0)], axis=-1)
+        model.add_rows(
+            cols.reshape(-1, 1 + P * S),
+            np.broadcast_to(vals, cols.shape).reshape(-1, 1 + P * S),
+            upper=0.0,
+        )
+
+        # work cost, per (s, p): work[s] >= sum of omega over the cell
+        omega = np.array([dag.omega(v) for v in computable], dtype=float)
+        cols = np.concatenate([
+            np.broadcast_to(work[:, None, None], (S, P, 1)), x.transpose(2, 1, 0),
+        ], axis=-1)
+        model.add_rows(
+            cols.reshape(S * P, 1 + n), np.concatenate([[1.0], -omega]), lower=0.0
+        )
+
+        # communicated values, per sender u, p, child v and s:
+        # need[u, p] >= x[v, p, s] - sum_t x[u, p, t] (no sum for a source u)
+        for k, u in enumerate(senders):
+            children = [index[v] for v in dag.children(u)]
+            shape = (P, len(children), S)
+            own = x[index[u]] if u in index else np.full((P, S), -1)
+            cols = np.concatenate([
+                np.broadcast_to(need[k][:, None, None, None], shape + (1,)),
+                x[children].transpose(1, 0, 2)[..., None],
+                np.broadcast_to(own[:, None, None, :], shape + (S,)),
+            ], axis=-1)
+            vals = np.concatenate([[1.0, -1.0], np.full(S, 1.0 if u in index else 0.0)])
+            model.add_rows(cols.reshape(-1, 2 + S), vals, lower=0.0)
+
+        # superstep usage, per s: sum of x[., ., s] <= n * used[s]
+        cols = np.concatenate([x.transpose(2, 0, 1).reshape(S, n * P), used[:, None]], axis=1)
+        model.add_rows(cols, np.concatenate([np.ones(n * P), [-float(n)]]), upper=0.0)
+
+        mu = np.array([dag.mu(u) for u in senders], dtype=float)
+        model.minimize(
+            np.concatenate([work, need.ravel(), used]),
+            np.concatenate([np.ones(S), np.repeat(mu * g, P), np.full(S, 1.0 * L)]),
+        )
         return model, x
 
     # ------------------------------------------------------------------
     def _extract(
         self,
         dag: ComputationalDag,
-        P: int,
-        S: int,
-        x_vars,
+        x: np.ndarray,
         solution,
     ) -> Optional[BspSchedule]:
+        n, P, S = x.shape
         schedule = BspSchedule(dag, P)
         topo_position = {v: i for i, v in enumerate(dag.topological_order())}
-        placements: List[Tuple[int, int, NodeId]] = []
-        for v in dag.nodes:
-            if dag.is_source(v):
-                continue
-            chosen = None
-            for p in range(P):
-                for s in range(S):
-                    if solution.value(x_vars[v, p, s]) > 0.5:
-                        chosen = (s, p)
-                        break
-                if chosen:
-                    break
-            if chosen is None:
-                return None
-            placements.append((chosen[0], chosen[1], v))
+        computable = [v for v in dag.nodes if not dag.is_source(v)]
+        # each node goes to the first chosen (p, s) in p-major order
+        chosen = (solution.values[x] > 0.5).reshape(n, P * S)
+        if not chosen.any(axis=1).all():
+            return None
+        procs, steps = np.divmod(chosen.argmax(axis=1), S)
         # assign in (superstep, topological) order so intra-cell orders respect
         # the precedence constraints
-        placements.sort(key=lambda item: (item[0], topo_position[item[2]]))
+        placements = sorted(
+            zip(steps.tolist(), procs.tolist(), computable),
+            key=lambda item: (item[0], topo_position[item[2]]),
+        )
         for s, p, v in placements:
             schedule.assign(v, p, s)
         try:

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.dag.graph import ComputationalDag, NodeId
 from repro.exceptions import ConfigurationError
-from repro.ilp import IlpModel, SolverOptions, lin_sum, solve
+from repro.ilp import INF, IlpModel, SolverOptions, solve
 
 
 @dataclass
@@ -102,23 +104,30 @@ def ilp_acyclic_bipartition(
         return fallback
 
     model = IlpModel(f"acyclic_bipartition_{dag.name}")
-    y = {v: model.add_binary(f"y_{v}") for v in dag.nodes}
-    cut = {}
-    for u, v in dag.edges():
-        # quotient acyclicity: edges may only go from part 0 to part 1
-        model.add_constraint(y[u] <= y[v])
-        z = model.add_binary(f"cut_{u}_{v}")
-        model.add_constraint(z >= y[v] - y[u])
-        cut[u, v] = z
-    size_part1 = lin_sum(y.values())
-    model.add_constraint(size_part1 >= lo)
-    model.add_constraint(size_part1 <= hi)
-    model.minimize(lin_sum(cut.values()))
+    index = {v: i for i, v in enumerate(dag.nodes)}
+    edges = np.array(
+        [(index[u], index[v]) for u, v in dag.edges()], dtype=np.int64
+    ).reshape(-1, 2)
+    y = np.asarray(model.add_variables("y", n, 0.0, 1.0, True))
+    cut = np.asarray(model.add_variables("cut", len(edges), 0.0, 1.0, True))
+    y_u, y_v = y[edges].T
+    # two rows per edge u -> v over (y_u, y_v, cut): quotient acyclicity
+    # (edges only go from part 0 to part 1), y_u - y_v <= 0, and the cut
+    # indicator, y_u - y_v + cut >= 0
+    model.add_rows(
+        np.repeat(np.stack([y_u, y_v, cut], axis=1), 2, axis=0),
+        np.tile([[1.0, -1.0, 0.0], [1.0, -1.0, 1.0]], (len(edges), 1)),
+        lower=np.tile([-INF, 0.0], len(edges)),
+        upper=np.tile([0.0, INF], len(edges)),
+    )
+    # balance: lo <= size of part 1 <= hi
+    model.add_rows([y, y], 1.0, lower=[float(lo), -INF], upper=[INF, float(hi)])
+    model.minimize(cut, 1.0)
 
     solution = solve(model, config.solver_options, backend=config.backend)
     if not solution.has_solution:
         return fallback
-    parts = {v: (1 if solution.value(y[v]) > 0.5 else 0) for v in dag.nodes}
+    parts = {v: (1 if solution.values[col] > 0.5 else 0) for v, col in zip(dag.nodes, y)}
     # sanity: both sides non-empty (numerical edge cases fall back)
     if len({p for p in parts.values()}) < 2:
         return fallback

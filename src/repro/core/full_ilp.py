@@ -27,10 +27,9 @@ every coefficient are a contract**: branch and bound branches on the LP
 vertex, and an equally optimal but different vertex (which a re-ordered
 but otherwise equal model can yield) walks a different tree.  Coefficients
 and folded bounds are therefore computed with the floating-point operations
-that ``LinExpr`` arithmetic and ``add_constraint``'s constant folding would
-perform (``tests/property/test_full_ilp_reference.py`` holds the builder to
-its expression-built reference), and two families keep iterating Python
-sets: (3) walks
+of the expression-built reference in
+``tests/property/test_full_ilp_reference.py``, which holds the builder to
+it, and two families keep iterating Python sets: (3) walks
 ``set(computable_nodes())`` and (10) walks ``required_blue()``.  For
 integer node ids that order is fixed; for ``str`` ids (a DAG read from
 JSON) it follows ``PYTHONHASHSEED``.
@@ -45,7 +44,7 @@ import numpy as np
 
 from repro.dag.graph import NodeId
 from repro.exceptions import ConfigurationError
-from repro.ilp import INF, IlpModel, LinExpr, SolverOptions
+from repro.ilp import INF, IlpModel, SolverOptions
 from repro.model.instance import MbspInstance
 
 
@@ -163,7 +162,6 @@ class MbspIlpVariables:
     compuntil: Dict[Tuple[int, int], int] = field(default_factory=dict)
     communtil: Dict[Tuple[int, int], int] = field(default_factory=dict)
     makespan: Optional[int] = None
-    objective_expr: Optional[LinExpr] = None
 
     # ------------------------------------------------------------------
     # convenience accessors that treat fixed/omitted variables as constants
@@ -349,20 +347,17 @@ class MbspIlpBuilder:
         self._add_fundamental_constraints(model, variables, grid)
         if not self.config.allow_recomputation:
             self._add_no_recomputation_constraints(model, grid)
+        # either cost encoding returns the objective as {column: coefficient}
         if self.config.synchronous:
             objective = self._add_synchronous_cost(model, variables, grid)
         else:
             objective = self._add_asynchronous_cost(model, variables, grid)
-        variables.objective_expr = objective
+        cols, vals = list(objective), list(objective.values())
         if self.config.cutoff is not None:
-            # objective <= cutoff, with the constant folded as add_constraint does
+            # objective <= cutoff, the bound folded as the reference folds it
             bound = float(self.config.cutoff) + 1e-6
-            model.add_rows(
-                [list(objective.coeffs)],
-                [list(objective.coeffs.values())],
-                upper=0.0 - (objective.constant + -1.0 * bound),
-            )
-        model.minimize(objective)
+            model.add_rows([cols], [vals], upper=0.0 - (0.0 + -1.0 * bound))
+        model.minimize(cols, vals)
         return model, variables
 
     # ------------------------------------------------------------------
@@ -521,7 +516,7 @@ class MbspIlpBuilder:
 
         # (7) the memory bound; with merging, outputs produced in the step
         # must fit together with the cached inputs (Section 6.2).  Bounds
-        # fold the constants exactly as add_constraint would: the start
+        # fold the constants exactly as the reference does: the start
         # state's cached weight accumulates node by node
         mu = self._mu
         r = float(self.r)
@@ -559,7 +554,7 @@ class MbspIlpBuilder:
     # ------------------------------------------------------------------
     def _add_synchronous_cost(
         self, model: IlpModel, var: MbspIlpVariables, grid: _Grid
-    ) -> LinExpr:
+    ) -> Dict[int, float]:
         T = var.num_steps
         P = self.P
         n = self.dag.num_nodes
@@ -647,14 +642,14 @@ class MbspIlpBuilder:
         objective = {col: 1.0 for col in var.compinduced}
         objective.update((col, 1.0) for col in var.comminduced)
         objective.update((col, 1.0 * self.L) for col in var.commends)
-        return LinExpr(objective, 0.0)
+        return objective
 
     # ------------------------------------------------------------------
     # asynchronous cost (Appendix C.1.2)
     # ------------------------------------------------------------------
     def _add_asynchronous_cost(
         self, model: IlpModel, var: MbspIlpVariables, grid: _Grid
-    ) -> LinExpr:
+    ) -> Dict[int, float]:
         T = var.num_steps
         P = self.P
         n = self.dag.num_nodes
@@ -699,7 +694,7 @@ class MbspIlpBuilder:
             _emit(model, _rows(
                 _term([makespan]), _term([finishtime[p, T - 1]], -1.0), lower=0.0
             ))
-        return LinExpr({makespan: 1.0}, 0.0)
+        return {makespan: 1.0}
 
 
 def _keyed(grid: np.ndarray, nodes: Sequence[NodeId], first_step: int, keep=None):

@@ -1,17 +1,17 @@
 """Self-contained ILP modeling layer and pluggable solver backends.
 
-The :class:`IlpModel` / :class:`Variable` / :func:`lin_sum` API is a minimal
-PuLP-like modeling layer.  A model keeps its rows in one flat array store:
-:meth:`IlpModel.add_constraint` folds one expression-built
-:class:`Constraint` into it, and :meth:`IlpModel.add_rows` appends a block
-of rows given as column/coefficient arrays (the MBSP builder emits every
-constraint family that way); :meth:`IlpModel.compile` builds the CSR matrix
-from the store.  Models are solved through :func:`solve`, which
-dispatches into the backend registry of :mod:`repro.ilp.backends`:
-``"scipy"`` (HiGHS via ``scipy.optimize.milp``, the default), ``"bnb"``
-(the pure-Python branch and bound) or ``"auto"`` (per-model choice by
-size/structure with error fallback).  ``backend=None`` selects the process
-default — ``REPRO_ILP_BACKEND`` or ``"scipy"``.
+An :class:`IlpModel` is built from arrays only: one column path
+(:meth:`IlpModel.add_variables`, a block of equally bounded columns), one
+row path (:meth:`IlpModel.add_rows`, a block of rows given as
+column/coefficient arrays) and an array objective
+(:meth:`IlpModel.minimize` / :meth:`IlpModel.maximize`).
+:meth:`IlpModel.compile` builds the CSR matrix from the model's row store.
+Models are solved through :func:`solve`, which dispatches into the backend
+registry of :mod:`repro.ilp.backends`: ``"scipy"`` (HiGHS via
+``scipy.optimize.milp``, the default), ``"bnb"`` (the pure-Python branch
+and bound) or ``"auto"`` (per-model choice by size/structure with error
+fallback).  ``backend=None`` selects the process default —
+``REPRO_ILP_BACKEND`` or ``"scipy"``.
 """
 
 from repro.ilp.cancellation import (
@@ -20,8 +20,7 @@ from repro.ilp.cancellation import (
     clamped_time_limit,
     current_cancel_token,
 )
-from repro.ilp.expr import INF, Constraint, LinExpr, Variable, lin_sum
-from repro.ilp.model import CompiledModel, IlpModel, Sense
+from repro.ilp.model import INF, CompiledModel, IlpModel, Sense
 from repro.ilp.solution import IlpSolution, SolutionStatus
 from repro.ilp.scipy_backend import SolverOptions, solve_with_scipy
 from repro.ilp.branch_and_bound import solve_with_branch_and_bound
@@ -58,10 +57,6 @@ __all__ = [
     "clamped_time_limit",
     "current_cancel_token",
     "INF",
-    "Constraint",
-    "LinExpr",
-    "Variable",
-    "lin_sum",
     "CompiledModel",
     "IlpModel",
     "Sense",

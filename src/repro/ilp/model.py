@@ -1,10 +1,11 @@
 """The ILP model container and its compilation to sparse-matrix form.
 
 An :class:`IlpModel` keeps its columns and rows in one flat array store in
-insertion order.  Rows arrive either one :class:`~repro.ilp.expr.Constraint`
-at a time (:meth:`IlpModel.add_constraint`) or as index/coefficient blocks
-(:meth:`IlpModel.add_rows`); :meth:`IlpModel.compile` builds the CSR matrix
-straight from the store.
+insertion order.  Columns arrive in equal-bound blocks
+(:meth:`IlpModel.add_variables`), rows as index/coefficient blocks
+(:meth:`IlpModel.add_rows`), and the objective as one column/coefficient
+array pair (:meth:`IlpModel.minimize` / :meth:`IlpModel.maximize`);
+:meth:`IlpModel.compile` builds the CSR matrix straight from the store.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from repro.exceptions import IlpError
-from repro.ilp.expr import INF, Constraint, LinExpr, Variable
+
+INF = float("inf")
 
 
 class Sense(enum.Enum):
@@ -87,27 +89,27 @@ class IlpModel:
     Columns and rows live in one flat array store, in insertion order.  A
     column is a lower bound, an upper bound and an integrality flag; a row
     is a run of (column, coefficient) pairs plus its lower and upper bound.
-    Both ways of adding rows feed the same store: :meth:`add_constraint`
-    folds one :class:`Constraint` into a row (zero coefficients dropped, the
-    expression constant moved into the bounds), and :meth:`add_rows` appends
-    a block of rows given as index/coefficient arrays.  :meth:`compile`
-    turns the store into CSR form without visiting any per-row object.
+    :meth:`add_variables` appends a block of equally bounded columns,
+    :meth:`add_rows` a block of rows given as index/coefficient arrays, and
+    :meth:`minimize`/:meth:`maximize` set the objective from a column array
+    and a coefficient array.  :meth:`compile` turns the store into CSR form.
 
     Example
     -------
     >>> m = IlpModel("example")
-    >>> x = m.add_binary("x")
-    >>> y = m.add_continuous("y", lower=0, upper=10)
-    >>> m.add_constraint(2 * x + y <= 5)
-    >>> m.minimize(y - 3 * x)
+    >>> x = m.add_variables("x", 1, lower=0, upper=1, is_integer=True)[0]
+    >>> y = m.add_variables("y", 1, lower=0, upper=10)[0]
+    >>> m.add_rows([[x, y]], [[2.0, 1.0]], upper=5.0)  # 2x + y <= 5
+    >>> m.minimize([y, x], [1.0, -3.0])  # y - 3x
+    >>> compiled = m.compile()
+    >>> compiled.A.toarray().tolist(), compiled.c.tolist()
+    ([[2.0, 1.0]], [-3.0, 1.0])
+    >>> m.statistics()["binaries"], m.statistics()["continuous"]
+    (1, 1)
     """
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        #: the :class:`Constraint` objects passed to :meth:`add_constraint`
-        #: (rows added through :meth:`add_rows` have none)
-        self.constraints: List[Constraint] = []
-        self._col_names: List[str] = []
         self._col_lb = array("d")
         self._col_ub = array("d")
         self._col_integer = array("b")
@@ -116,7 +118,9 @@ class IlpModel:
         self._row_len = array("q")
         self._row_lb = array("d")
         self._row_ub = array("d")
-        self._objective: LinExpr = LinExpr()
+        self._obj_cols = np.zeros(0, dtype=np.int64)
+        self._obj_vals = np.zeros(0)
+        self._obj_constant = 0.0
         self._sense: Sense = Sense.MINIMIZE
         self._compiled: Optional[CompiledModel] = None
 
@@ -131,39 +135,11 @@ class IlpModel:
         if lower > upper:
             raise IlpError(f"variables {name!r}: lower bound {lower} exceeds upper bound {upper}")
         start = len(self._col_lb)
-        self._col_names.extend([name] * count)
         self._col_lb.extend([float(lower)] * count)
         self._col_ub.extend([float(upper)] * count)
         self._col_integer.extend([int(bool(is_integer))] * count)
         self._compiled = None
         return range(start, start + count)
-
-    def _add_variable(self, name: str, lower: float, upper: float, is_integer: bool) -> Variable:
-        var = Variable(len(self._col_lb), name, lower, upper, is_integer)
-        self.add_variables(name, 1, var.lower, var.upper, var.is_integer)
-        return var
-
-    def add_binary(self, name: str) -> Variable:
-        """Add a binary (0/1) variable."""
-        return self._add_variable(name, 0.0, 1.0, True)
-
-    def add_integer(self, name: str, lower: float = 0.0, upper: float = INF) -> Variable:
-        """Add a general integer variable."""
-        return self._add_variable(name, lower, upper, True)
-
-    def add_continuous(self, name: str, lower: float = 0.0, upper: float = INF) -> Variable:
-        """Add a continuous variable."""
-        return self._add_variable(name, lower, upper, False)
-
-    @property
-    def variables(self) -> List[Variable]:
-        """A :class:`Variable` view of every column, built on access."""
-        return [
-            Variable(index, name, lower, upper, bool(integer))
-            for index, (name, lower, upper, integer) in enumerate(
-                zip(self._col_names, self._col_lb, self._col_ub, self._col_integer)
-            )
-        ]
 
     @property
     def num_variables(self) -> int:
@@ -181,34 +157,14 @@ class IlpModel:
     # ------------------------------------------------------------------
     # constraints and objective
     # ------------------------------------------------------------------
-    def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
-        """Add a constraint built with ``<=``, ``>=`` or ``==``."""
-        if not isinstance(constraint, Constraint):
-            raise IlpError(
-                "add_constraint expects a Constraint (built from a comparison of "
-                f"linear expressions), got {constraint!r}"
-            )
-        if name:
-            constraint.name = name
-        self.constraints.append(constraint)
-        expr = constraint.expr
-        terms = [(idx, coeff) for idx, coeff in expr.coeffs.items() if coeff]
-        self._row_cols.extend(idx for idx, _ in terms)
-        self._row_vals.extend(coeff for _, coeff in terms)
-        self._row_len.append(len(terms))
-        # fold the expression constant into the bounds
-        self._row_lb.append(constraint.lower - expr.constant if constraint.lower != -INF else -INF)
-        self._row_ub.append(constraint.upper - expr.constant if constraint.upper != INF else INF)
-        self._compiled = None
-        return constraint
-
     def add_rows(self, cols, vals, lower=-INF, upper=INF) -> None:
         """Append a block of rows ``lower <= sum_k vals[i, k] x[cols[i, k]] <= upper``.
 
         ``cols`` is an integer array of shape (rows, terms) and ``vals``
         broadcasts to it; ``lower``/``upper`` broadcast to (rows,).  Zero
         coefficients are dropped, so a row shorter than the block pads with
-        zeros.  The non-zero columns of one row must be distinct.
+        zeros.  The non-zero columns of one row must be distinct
+        (:meth:`compile` rejects a repeat).
         """
         cols = np.asarray(cols, dtype=np.int64)
         num_rows = cols.shape[0]
@@ -227,21 +183,32 @@ class IlpModel:
             store.frombytes(np.broadcast_to(np.asarray(bound, dtype=float), (num_rows,)).tobytes())
         self._compiled = None
 
-    def minimize(self, expr) -> None:
-        """Set a minimization objective."""
-        self._objective = LinExpr._coerce(expr).copy()
-        self._sense = Sense.MINIMIZE
-        self._compiled = None
+    def minimize(self, cols, vals, constant: float = 0.0) -> None:
+        """Minimize ``sum_k vals[k] x[cols[k]] + constant``."""
+        self._set_objective(Sense.MINIMIZE, cols, vals, constant)
 
-    def maximize(self, expr) -> None:
-        """Set a maximization objective."""
-        self._objective = LinExpr._coerce(expr).copy()
-        self._sense = Sense.MAXIMIZE
-        self._compiled = None
+    def maximize(self, cols, vals, constant: float = 0.0) -> None:
+        """Maximize ``sum_k vals[k] x[cols[k]] + constant``."""
+        self._set_objective(Sense.MAXIMIZE, cols, vals, constant)
 
-    @property
-    def objective(self) -> LinExpr:
-        return self._objective
+    def _set_objective(self, sense: Sense, cols, vals, constant: float) -> None:
+        """Set the objective; ``vals`` broadcasts to ``cols``, whose entries
+        must be distinct columns of the model."""
+        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), cols.shape)
+        if cols.size and (cols.min() < 0 or cols.max() >= self.num_variables):
+            raise IlpError(
+                f"objective: a column lies outside 0..{self.num_variables - 1}"
+            )
+        ordered = np.sort(cols)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise IlpError(f"objective: column {repeated[0]} is named twice")
+        self._obj_cols = cols.copy()
+        self._obj_vals = vals.copy()
+        self._obj_constant = float(constant)
+        self._sense = sense
+        self._compiled = None
 
     @property
     def sense(self) -> Sense:
@@ -254,7 +221,7 @@ class IlpModel:
         """Compile to the sparse arrays used by the solver backends.
 
         The result is memoized (and invalidated by every mutation — adding
-        variables or constraints, setting the objective), so the warm-start
+        variables or rows, setting the objective), so the warm-start
         schedule encoder's feasibility vetting and the solver backend's own
         compile of the same model share one build of the matrix.
         """
@@ -262,8 +229,7 @@ class IlpModel:
             return self._compiled
         n = self.num_variables
         c = np.zeros(n)
-        for idx, coeff in self._objective.coeffs.items():
-            c[idx] = coeff
+        c[self._obj_cols] = self._obj_vals
         if self._sense is Sense.MAXIMIZE:
             c = -c
 
@@ -274,6 +240,7 @@ class IlpModel:
             shape=(self.num_constraints, n),
         )
         A.sort_indices()
+        _reject_repeated_columns(A)
         self._compiled = CompiledModel(
             c=c,
             A=A,
@@ -282,7 +249,7 @@ class IlpModel:
             var_lb=np.array(self._col_lb),
             var_ub=np.array(self._col_ub),
             integrality=np.array(self._col_integer, dtype=int),
-            objective_constant=self._objective.constant,
+            objective_constant=self._obj_constant,
             sense=self._sense,
         )
         return self._compiled
@@ -305,4 +272,17 @@ class IlpModel:
         return (
             f"IlpModel({self.name!r}, vars={stats['variables']}, "
             f"cons={stats['constraints']})"
+        )
+
+
+def _reject_repeated_columns(A: sparse.csr_matrix) -> None:
+    """Raise :class:`IlpError` if a row of ``A`` (indices sorted) names a
+    column twice; a backend would read such a row as a model error."""
+    pairs = np.flatnonzero(A.indices[1:] == A.indices[:-1])
+    rows = np.searchsorted(A.indptr, pairs, side="right") - 1
+    within = pairs + 1 < A.indptr[rows + 1]
+    if within.any():
+        first = int(np.argmax(within))
+        raise IlpError(
+            f"row {rows[first]} names column {A.indices[pairs[first]]} more than once"
         )

@@ -15,7 +15,6 @@ import numpy as np
 from scipy import optimize, sparse
 
 from repro.exceptions import SolverError
-from repro.ilp.expr import INF
 from repro.ilp.model import IlpModel, Sense
 from repro.ilp.solution import IlpSolution, SolutionStatus
 

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
-
-from repro.ilp.expr import LinExpr, Variable
 
 
 class SolutionStatus(enum.Enum):
@@ -41,20 +39,6 @@ class IlpSolution:
     @property
     def has_solution(self) -> bool:
         return self.status.has_solution and self.values is not None
-
-    def value(self, item: Union[Variable, LinExpr]) -> float:
-        """Value of a variable or expression in this solution."""
-        if self.values is None:
-            raise ValueError("solution has no variable values")
-        if isinstance(item, Variable):
-            return float(self.values[item.index])
-        if isinstance(item, LinExpr):
-            return float(item.value(self.values))
-        raise TypeError(f"cannot evaluate {item!r}")
-
-    def binary_value(self, var: Variable, tolerance: float = 1e-4) -> bool:
-        """Rounded value of a binary variable."""
-        return self.value(var) > 0.5 + 0.0 * tolerance if self.values is not None else False
 
     def as_dict(self) -> Dict[str, object]:
         return {

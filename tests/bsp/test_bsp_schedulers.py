@@ -1,5 +1,6 @@
 """Unit and integration tests for the BSP schedulers (greedy, Cilk, DFS, ILP)."""
 
+import numpy as np
 import pytest
 
 from repro.bsp.cilk import cilk_bsp_schedule, simulate_work_stealing
@@ -8,6 +9,7 @@ from repro.bsp.greedy import GreedyBspParameters, greedy_bsp_schedule
 from repro.bsp.ilp import BspIlpConfig, ilp_bsp_schedule
 from repro.bsp.superstepify import placement_from_bsp, superstepify
 from repro.dag.generators import chain_dag, fork_join_dag, random_layered_dag, spmv
+from repro.dag.graph import ComputationalDag
 from repro.exceptions import ScheduleError
 from repro.ilp import SolverOptions
 
@@ -152,3 +154,32 @@ class TestIlpBspScheduler:
         config = BspIlpConfig(solver_options=SolverOptions(time_limit=0.01))
         schedule = ilp_bsp_schedule(small_spmv, 2, config=config)
         schedule.validate()
+
+    def test_never_costlier_than_greedy(self, monkeypatch):
+        """A solve stopped at a limit may return a poor incumbent; the
+        scheduler then keeps the greedy schedule."""
+        from repro.bsp import ilp as bsp_ilp
+        from repro.bsp.cost import bsp_cost
+        from repro.ilp import IlpSolution, SolutionStatus
+
+        dag = ComputationalDag("fan-out")
+        dag.add_node("src", omega=0, mu=1)
+        for v in range(4):
+            dag.add_node(v, omega=10, mu=1)
+            dag.add_edge("src", v)
+
+        def serial(model, options=None, backend=None):
+            # P = S = 2 columns: x (node-major over (p, s)) 0..15, work 16-17,
+            # need of the source 18-19, used 20-21; every node in (0, 0)
+            values = np.zeros(22)
+            values[[0, 4, 8, 12]] = 1.0
+            values[[16, 18, 20]] = [40.0, 1.0, 1.0]
+            assert model.compile().is_feasible(values)
+            return IlpSolution(status=SolutionStatus.FEASIBLE, objective=40.0, values=values)
+
+        monkeypatch.setattr(bsp_ilp, "solve", serial)
+        schedule = ilp_bsp_schedule(dag, 2, g=0, L=0, config=BspIlpConfig(max_supersteps=2))
+        schedule.validate()
+        greedy = greedy_bsp_schedule(dag, 2, g=0)
+        assert bsp_cost(greedy, 0, 0) == 20.0
+        assert bsp_cost(schedule, 0, 0) == 20.0

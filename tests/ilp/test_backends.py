@@ -25,18 +25,18 @@ from repro.ilp.backends import AUTO_BNB_MAX_INTEGERS, _ALIASES, _REGISTRY
 def knapsack_model():
     """max 10x0 + 6x1 + 4x2 s.t. 5x0 + 4x1 + 3x2 <= 8, binary -> optimum 14."""
     model = IlpModel("knapsack")
-    x = [model.add_binary(f"x{i}") for i in range(3)]
-    model.add_constraint(5 * x[0] + 4 * x[1] + 3 * x[2] <= 8)
-    model.maximize(10 * x[0] + 6 * x[1] + 4 * x[2])
+    x = model.add_variables("x", 3, 0, 1, is_integer=True)
+    model.add_rows([x], [[5, 4, 3]], upper=8)
+    model.maximize(x, [10, 6, 4])
     return model, x
 
 
 def big_model(num_binaries=AUTO_BNB_MAX_INTEGERS + 5):
     """A model too large for auto's pure-Python routing threshold."""
     model = IlpModel("big")
-    xs = [model.add_binary(f"x{i}") for i in range(num_binaries)]
-    model.add_constraint(sum(xs[1:], xs[0]) <= num_binaries // 2)
-    model.maximize(sum(xs[1:], xs[0]))
+    xs = model.add_variables("x", num_binaries, 0, 1, is_integer=True)
+    model.add_rows([xs], 1.0, upper=num_binaries // 2)
+    model.maximize(xs, 1.0)
     return model
 
 
@@ -234,10 +234,9 @@ class TestWarmStart:
 
     def test_warm_start_of_minimization_model(self):
         model = IlpModel("min")
-        x = model.add_integer("x", 0, 10)
-        y = model.add_integer("y", 0, 10)
-        model.add_constraint(x + y >= 7)
-        model.minimize(2 * x + y)  # optimum 7 at x=0, y=7
+        x, y = model.add_variables("xy", 2, 0, 10, is_integer=True)
+        model.add_rows([[x, y]], 1.0, lower=7)
+        model.minimize([x, y], [2, 1])  # optimum 7 at x=0, y=7
         for backend in BACKENDS:
             better = solve(
                 model,

@@ -25,9 +25,9 @@ needs_highs = pytest.mark.skipif(
 def knapsack_model():
     """max 10x0 + 6x1 + 4x2 s.t. 5x0 + 4x1 + 3x2 <= 8 -> optimum 14."""
     model = IlpModel("knapsack")
-    x = [model.add_binary(f"x{i}") for i in range(3)]
-    model.add_constraint(5 * x[0] + 4 * x[1] + 3 * x[2] <= 8)
-    model.maximize(10 * x[0] + 6 * x[1] + 4 * x[2])
+    x = model.add_variables("x", 3, 0, 1, is_integer=True)
+    model.add_rows([x], [[5, 4, 3]], upper=8)
+    model.maximize(x, [10, 6, 4])
     return model
 
 
@@ -39,13 +39,9 @@ def market_split_model(m=3, n=20, seed=7):
     weights = rng.randint(0, 100, (m, n))
     targets = weights.sum(axis=1) // 2
     model = IlpModel("market-split")
-    x = [model.add_binary(f"x{i}") for i in range(n)]
-    for row in range(m):
-        model.add_constraint(
-            sum(int(weights[row, i]) * x[i] for i in range(n))
-            == int(targets[row])
-        )
-    model.minimize(sum(x))
+    x = model.add_variables("x", n, 0, 1, is_integer=True)
+    model.add_rows(np.tile(x, (m, 1)), weights, lower=targets, upper=targets)
+    model.minimize(x, 1.0)
     return model
 
 

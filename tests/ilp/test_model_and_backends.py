@@ -1,14 +1,16 @@
 """Unit tests for the ILP model container and the solver backends."""
 
+import doctest
+
 import numpy as np
 import pytest
 
+import repro.ilp.model
+from repro.exceptions import IlpError
 from repro.ilp import (
     IlpModel,
-    Sense,
     SolutionStatus,
     SolverOptions,
-    lin_sum,
     solve,
     solve_with_branch_and_bound,
     solve_with_scipy,
@@ -20,27 +22,22 @@ BACKENDS = ["scipy", "bnb"]
 def knapsack_model():
     """max 10x0 + 6x1 + 4x2 s.t. 5x0 + 4x1 + 3x2 <= 8, binary -> optimum 14 (x0, x2)."""
     model = IlpModel("knapsack")
-    x = [model.add_binary(f"x{i}") for i in range(3)]
-    model.add_constraint(5 * x[0] + 4 * x[1] + 3 * x[2] <= 8)
-    model.maximize(10 * x[0] + 6 * x[1] + 4 * x[2])
+    x = model.add_variables("x", 3, 0, 1, is_integer=True)
+    model.add_rows([x], [[5, 4, 3]], upper=8)
+    model.maximize(x, [10, 6, 4])
     return model, x
 
 
 class TestModelConstruction:
     def test_variable_kinds_counted(self):
         model = IlpModel()
-        model.add_binary("b")
-        model.add_integer("i", 0, 10)
-        model.add_continuous("c", 0, 1)
+        model.add_variables("b", 1, 0, 1, is_integer=True)
+        model.add_variables("i", 1, 0, 10, is_integer=True)
+        model.add_variables("c", 1, 0, 1)
         stats = model.statistics()
         assert stats["variables"] == 3
         assert stats["integers"] == 2
         assert stats["continuous"] == 1
-
-    def test_add_constraint_type_checked(self):
-        model = IlpModel()
-        with pytest.raises(Exception):
-            model.add_constraint("not a constraint")
 
     def test_compile_shapes(self):
         model, x = knapsack_model()
@@ -51,29 +48,21 @@ class TestModelConstruction:
         # maximization compiles to negated costs
         assert compiled.c[0] == -10
 
-    def test_compile_folds_constants_into_bounds(self):
-        model = IlpModel()
-        x = model.add_continuous("x", 0, 10)
-        model.add_constraint(x + 5 <= 8)
-        compiled = model.compile()
-        assert compiled.con_ub[0] == pytest.approx(3.0)
-
     def test_nonzeros_statistic_matches_the_compiled_matrix(self):
         """Explicit zero coefficients are not stored, so they are not counted."""
         model = IlpModel()
-        x = model.add_continuous("x", 0, 10)
-        y = model.add_continuous("y", 0, 10)
-        model.add_constraint(0 * x + y <= 1)
+        x, y = model.add_variables("x", 2, 0, 10)
+        model.add_rows([[x, y]], [[0.0, 1.0]], upper=1)
         assert model.compile().A.nnz == 1
         assert model.statistics()["nonzeros"] == 1
 
     def test_add_rows_appends_a_block_after_single_rows(self):
         model = IlpModel()
         xs = model.add_variables("x", 3, 0.0, 1.0, True)
-        z = model.add_continuous("z", 0, 5)
-        model.add_constraint(z + 1 <= 4)
+        z = model.add_variables("z", 1, 0, 5)[0]
+        model.add_rows([[z]], 1.0, upper=3.0)
         model.add_rows(
-            [[xs[0], xs[1], z.index], [xs[2], -1, xs[1]]],
+            [[xs[0], xs[1], z], [xs[2], -1, xs[1]]],
             [[1.0, 0.0, -2.0], [3.0, 0.0, 1.0]],
             lower=[-np.inf, 1.0],
             upper=[0.5, np.inf],
@@ -89,8 +78,6 @@ class TestModelConstruction:
         assert compiled.con_lb.tolist() == [-np.inf, -np.inf, 1.0]
         assert compiled.con_ub.tolist() == [3.0, 0.5, np.inf]
         assert compiled.integrality.tolist() == [1, 1, 1, 0]
-        assert [v.name for v in model.variables] == ["x", "x", "x", "z"]
-        assert len(model.constraints) == 1  # block rows carry no Constraint
 
     def test_add_rows_rejects_unknown_columns(self):
         model = IlpModel()
@@ -98,13 +85,39 @@ class TestModelConstruction:
         with pytest.raises(Exception):
             model.add_rows([[0, 2]], [[1.0, 1.0]], upper=1.0)
 
+    def test_compile_rejects_a_column_named_twice_in_one_row(self):
+        """A repeated column would make HiGHS report a model error, which the
+        scipy backend reads as an infeasible model."""
+        model = IlpModel()
+        model.add_variables("x", 1, 0, 10, is_integer=True)
+        model.add_rows([[0], [0]], 1.0, upper=3.0)  # adjacent rows may share it
+        model.maximize([0], [1.0])
+        assert model.compile().A.nnz == 2
+        model.add_rows([[0, 0]], [[1.0, 1.0]], upper=3.0)
+        with pytest.raises(IlpError, match="row 2 names column 0"):
+            model.compile()
+
+    @pytest.mark.parametrize("sense", ["minimize", "maximize"])
+    def test_objective_rejects_unknown_and_repeated_columns(self, sense):
+        model = IlpModel()
+        model.add_variables("x", 2)
+        set_objective = getattr(model, sense)
+        for cols in ([-1], [2], [0, 1, 0]):
+            with pytest.raises(IlpError):
+                set_objective(cols, 1.0)
+
     def test_objective_constant_preserved(self):
         model = IlpModel()
-        x = model.add_continuous("x", 0, 10)
-        model.add_constraint(x >= 2)
-        model.minimize(x + 7)
+        x = model.add_variables("x", 1, 0, 10)[0]
+        model.add_rows([[x]], 1.0, lower=2)
+        model.minimize([x], [1.0], constant=7)
         solution = solve_with_scipy(model)
         assert solution.objective == pytest.approx(9.0)
+
+    def test_docstring_example_runs(self):
+        results = doctest.testmod(repro.ilp.model)
+        assert results.attempted > 0
+        assert results.failed == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -114,43 +127,33 @@ class TestBackends:
         solution = solve(model, SolverOptions(time_limit=10), backend=backend)
         assert solution.status is SolutionStatus.OPTIMAL
         assert solution.objective == pytest.approx(14.0)
-        assert solution.value(x[0]) == pytest.approx(1.0)
-        assert solution.value(x[2]) == pytest.approx(1.0)
+        assert solution.values[x[0]] == pytest.approx(1.0)
+        assert solution.values[x[2]] == pytest.approx(1.0)
 
     def test_infeasible_detected(self, backend):
         model = IlpModel()
-        x = model.add_binary("x")
-        model.add_constraint(x >= 1)
-        model.add_constraint(x <= 0)
+        x = model.add_variables("x", 1, 0, 1, is_integer=True)[0]
+        model.add_rows([[x], [x]], 1.0, lower=[1, -np.inf], upper=[np.inf, 0])
         solution = solve(model, SolverOptions(time_limit=5), backend=backend)
         assert solution.status in (SolutionStatus.INFEASIBLE, SolutionStatus.NO_SOLUTION)
         assert not solution.has_solution
 
     def test_equality_constraints(self, backend):
         model = IlpModel()
-        x = model.add_integer("x", 0, 10)
-        y = model.add_integer("y", 0, 10)
-        model.add_constraint(x + y == 7)
-        model.add_constraint(x - y == 1)
-        model.minimize(x)
+        x, y = model.add_variables("xy", 2, 0, 10, is_integer=True)
+        model.add_rows([[x, y], [x, y]], [[1, 1], [1, -1]], lower=[7, 1], upper=[7, 1])
+        model.minimize([x], [1.0])
         solution = solve(model, SolverOptions(time_limit=5), backend=backend)
-        assert solution.value(x) == pytest.approx(4)
-        assert solution.value(y) == pytest.approx(3)
-
-    def test_expression_value_accessor(self, backend):
-        model, x = knapsack_model()
-        solution = solve(model, SolverOptions(time_limit=5), backend=backend)
-        total_weight = solution.value(lin_sum([5 * x[0], 4 * x[1], 3 * x[2]]))
-        assert total_weight <= 8 + 1e-6
+        assert solution.values[x] == pytest.approx(4)
+        assert solution.values[y] == pytest.approx(3)
 
 
 class TestBranchAndBoundSpecifics:
     def test_pure_lp_is_solved_without_branching(self):
         model = IlpModel()
-        x = model.add_continuous("x", 0, 4)
-        y = model.add_continuous("y", 0, 4)
-        model.add_constraint(x + y >= 3)
-        model.minimize(2 * x + y)
+        x, y = model.add_variables("xy", 2, 0, 4)
+        model.add_rows([[x, y]], 1.0, lower=3)
+        model.minimize([x, y], [2, 1])
         solution = solve_with_branch_and_bound(model)
         assert solution.status is SolutionStatus.OPTIMAL
         assert solution.objective == pytest.approx(3.0)
@@ -163,11 +166,6 @@ class TestBranchAndBoundSpecifics:
         )
         # one node is not enough to prove optimality of a fractional knapsack
         assert solution.node_count <= 1
-
-    def test_binary_value_helper(self):
-        model, x = knapsack_model()
-        solution = solve_with_scipy(model)
-        assert solution.binary_value(x[0]) is True
 
     def test_solution_as_dict(self):
         model, _ = knapsack_model()

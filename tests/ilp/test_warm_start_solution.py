@@ -15,10 +15,9 @@ from repro.ilp import (
 def _model():
     """min x + y  s.t.  x + y >= 3,  x, y integer in [0, 5]; optimum 3."""
     model = IlpModel("warm-start")
-    x = model.add_integer("x", lower=0, upper=5)
-    y = model.add_integer("y", lower=0, upper=5)
-    model.add_constraint(x + y >= 3)
-    model.minimize(x + y)
+    xy = model.add_variables("xy", 2, lower=0, upper=5, is_integer=True)
+    model.add_rows([xy], 1.0, lower=3)
+    model.minimize(xy, 1.0)
     return model
 
 

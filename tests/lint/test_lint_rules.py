@@ -33,8 +33,8 @@ class TestHashOfId:  # REP-D01
         assert len(findings) == 1
 
     def test_identity_hash_without_builtin_hash_ok(self, tmp_path):
-        # LinExpr.__hash__ returns id(self) directly (a documented
-        # identity hash for a mutable object) — not D01 material
+        # a mutable object's __hash__ returning id(self) directly (a
+        # documented identity hash) is not D01 material
         findings = run_rule(
             tmp_path, "REP-D01",
             """\

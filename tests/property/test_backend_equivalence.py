@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dag.generators import chain_dag, fork_join_dag, random_layered_dag
 from repro.ilp import (
-    INF,
     IlpModel,
     SolutionStatus,
     SolverOptions,
     available_backends,
-    lin_sum,
     solve,
 )
 
@@ -40,19 +39,17 @@ EXACT = SolverOptions(time_limit=60.0, mip_rel_gap=0.0)
 
 
 def assert_solution_is_feasible(model: IlpModel, solution, tolerance: float = 1e-5):
-    """Replay all constraints, bounds and integrality against ``solution``."""
-    for constraint in model.constraints:
-        value = solution.value(constraint.expr)
-        if constraint.lower != -INF:
-            assert value >= constraint.lower - tolerance
-        if constraint.upper != INF:
-            assert value <= constraint.upper + tolerance
-    for variable in model.variables:
-        value = solution.value(variable)
-        assert value >= variable.lower - tolerance
-        assert value <= variable.upper + tolerance
-        if variable.is_integer:
-            assert abs(value - round(value)) <= tolerance
+    """Replay all rows, bounds and integrality of the compiled model
+    against ``solution``."""
+    compiled = model.compile()
+    x = np.asarray(solution.values, dtype=float)
+    rows = compiled.A @ x
+    assert np.all(rows >= compiled.con_lb - tolerance)
+    assert np.all(rows <= compiled.con_ub + tolerance)
+    assert np.all(x >= compiled.var_lb - tolerance)
+    assert np.all(x <= compiled.var_ub + tolerance)
+    integers = x[compiled.integrality == 1]
+    assert np.all(np.abs(integers - np.round(integers)) <= tolerance)
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +60,7 @@ def small_milp_models(draw):
     """A random small MILP over binaries: knapsack-like rows, random senses."""
     n = draw(st.integers(min_value=2, max_value=6))
     model = IlpModel("prop_milp")
-    xs = [model.add_binary(f"x{i}") for i in range(n)]
+    xs = model.add_variables("x", n, 0, 1, is_integer=True)
 
     num_rows = draw(st.integers(min_value=1, max_value=3))
     for _ in range(num_rows):
@@ -71,16 +68,15 @@ def small_milp_models(draw):
             st.lists(st.integers(min_value=-4, max_value=6), min_size=n, max_size=n)
         )
         rhs = draw(st.integers(min_value=-3, max_value=12))
-        model.add_constraint(lin_sum(c * x for c, x in zip(xs, coeffs)) <= rhs)
+        model.add_rows([xs], [coeffs], upper=rhs)
 
     objective_coeffs = draw(
         st.lists(st.integers(min_value=-8, max_value=8), min_size=n, max_size=n)
     )
-    objective = lin_sum(c * x for c, x in zip(xs, objective_coeffs))
     if draw(st.booleans()):
-        model.maximize(objective)
+        model.maximize(xs, objective_coeffs)
     else:
-        model.minimize(objective)
+        model.minimize(xs, objective_coeffs)
     return model
 
 
@@ -90,8 +86,11 @@ def small_mixed_models(draw):
     model = IlpModel("prop_mixed")
     num_int = draw(st.integers(min_value=1, max_value=3))
     num_cont = draw(st.integers(min_value=1, max_value=2))
-    ints = [model.add_integer(f"i{k}", 0, draw(st.integers(2, 6))) for k in range(num_int)]
-    conts = [model.add_continuous(f"c{k}", 0, 10) for k in range(num_cont)]
+    ints = [
+        model.add_variables(f"i{k}", 1, 0, draw(st.integers(2, 6)), is_integer=True)[0]
+        for k in range(num_int)
+    ]
+    conts = list(model.add_variables("c", num_cont, 0, 10))
     xs = ints + conts
 
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -99,13 +98,13 @@ def small_mixed_models(draw):
             st.lists(st.integers(min_value=-3, max_value=5), min_size=len(xs), max_size=len(xs))
         )
         rhs = draw(st.integers(min_value=0, max_value=20))
-        model.add_constraint(lin_sum(c * x for c, x in zip(xs, coeffs)) <= rhs)
+        model.add_rows([xs], [coeffs], upper=rhs)
 
     coeffs = draw(
         st.lists(st.integers(min_value=-5, max_value=5), min_size=len(xs), max_size=len(xs))
     )
     constant = draw(st.integers(min_value=-5, max_value=5))
-    model.maximize(lin_sum(c * x for c, x in zip(xs, coeffs)) + constant)
+    model.maximize(xs, coeffs, constant=constant)
     return model
 
 
@@ -146,10 +145,9 @@ class TestModelLevelEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_infeasible_models_rejected_by_all_backends(self, lower, width):
         model = IlpModel("prop_infeasible")
-        xs = [model.add_binary(f"x{i}") for i in range(width)]
-        total = lin_sum(xs)
-        model.add_constraint(total >= width + lower)  # impossible for binaries
-        model.minimize(total)
+        xs = model.add_variables("x", width, 0, 1, is_integer=True)
+        model.add_rows([xs], 1.0, lower=width + lower)  # impossible for binaries
+        model.minimize(xs, 1.0)
         for backend in ALL_BACKENDS:
             solution = solve(model, EXACT, backend=backend)
             assert not solution.has_solution

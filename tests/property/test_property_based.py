@@ -1,14 +1,13 @@
 """Property-based tests (hypothesis) for the core data structures and invariants.
 
-These tests generate random DAGs, instances and expressions and check the
-library's fundamental invariants:
+These tests generate random DAGs and instances and check the library's
+fundamental invariants:
 
 * topological orders respect every edge and contain every node,
 * the two-stage converter always produces schedules that pass the strict
   validator, for every eviction policy and cache factor >= 1,
 * the asynchronous cost never exceeds the synchronous cost when ``L = 0``,
-* schedule costs scale monotonically with the communication parameter ``g``,
-* the ILP expression algebra matches a reference evaluation with floats.
+* schedule costs scale monotonically with the communication parameter ``g``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.cache.policies import ClairvoyantPolicy, FifoPolicy, LruPolicy
 from repro.dag.analysis import critical_path_length, minimum_cache_size, node_levels
 from repro.dag.generators import random_layered_dag
 from repro.dag.graph import ComputationalDag
-from repro.ilp.expr import LinExpr, Variable, lin_sum
 from repro.model.cost import asynchronous_cost, synchronous_cost, synchronous_cost_breakdown
 from repro.model.instance import make_instance
 from repro.model.validation import validate_schedule
@@ -142,44 +140,3 @@ class TestConversionProperties:
         assignment = schedule.compute_assignment()
         assert set(assignment) == computable
         assert all(len(events) == 1 for events in assignment.values())
-
-
-# ----------------------------------------------------------------------
-# ILP expression algebra
-# ----------------------------------------------------------------------
-class TestExpressionProperties:
-    @given(
-        st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=6),
-        st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=6),
-        st.floats(min_value=-5, max_value=5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_linear_combination_evaluates_correctly(self, coeffs, values, constant):
-        n = min(len(coeffs), len(values))
-        coeffs, values = coeffs[:n], values[:n]
-        variables = [Variable(i, f"x{i}") for i in range(n)]
-        expr = LinExpr({}, constant)
-        for var, coeff in zip(variables, coeffs):
-            expr = expr + coeff * var
-        expected = constant + sum(c * v for c, v in zip(coeffs, values))
-        assert expr.value(values) == pytest.approx(expected, abs=1e-6)
-
-    @given(st.lists(st.floats(min_value=-3, max_value=3), min_size=2, max_size=5))
-    @settings(max_examples=40, deadline=None)
-    def test_sum_matches_pairwise_addition(self, coeffs):
-        variables = [Variable(i, f"x{i}") for i in range(len(coeffs))]
-        summed = lin_sum(c * v for c, v in zip(coeffs, variables))
-        manual = LinExpr()
-        for c, v in zip(coeffs, variables):
-            manual = manual + c * v
-        values = [1.0] * len(coeffs)
-        assert summed.value(values) == pytest.approx(manual.value(values))
-
-    @given(st.floats(min_value=-4, max_value=4), st.floats(min_value=-4, max_value=4))
-    @settings(max_examples=40, deadline=None)
-    def test_scaling_distributes(self, a, b):
-        x, y = Variable(0, "x"), Variable(1, "y")
-        left = a * (x + y) + b
-        right = a * x + a * y + b
-        for values in ([0.0, 1.0], [2.0, -1.5], [0.5, 0.5]):
-            assert left.value(values) == pytest.approx(right.value(values), abs=1e-9)
