@@ -12,6 +12,11 @@ registry of :mod:`repro.ilp.backends`: ``"scipy"`` (HiGHS via
 and bound) or ``"auto"`` (per-model choice by size/structure with error
 fallback).  ``backend=None`` selects the process default —
 ``REPRO_ILP_BACKEND`` or ``"scipy"``.
+
+scipy is imported on the first compile or solve, not with this package:
+``scipy.sparse`` by :meth:`IlpModel.compile`, ``scipy.optimize`` and its
+vendored HiGHS binding by the backends.  A process that never builds an
+ILP (heuristic pipelines, the serve loop) never loads them.
 """
 
 from repro.ilp.cancellation import (

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.ilp.cancellation import current_cancel_token
-from repro.ilp.highs_cancel import _highs, highs_cancellation_available
+from repro.ilp.highs_cancel import highs_binding, highs_cancellation_available
 from repro.ilp.model import CompiledModel, IlpModel, Sense
 from repro.ilp.scipy_backend import SolverOptions
 from repro.ilp.solution import IlpSolution, SolutionStatus
@@ -50,6 +49,8 @@ def _split_constraints(compiled: CompiledModel):
     """Convert two-sided row bounds into the A_ub / A_eq form of ``linprog``."""
     if compiled.A.shape[0] == 0:
         return None, None, None, None
+    from scipy import sparse
+
     lb, ub = compiled.con_lb, compiled.con_ub
     eq_mask = np.isfinite(lb) & np.isfinite(ub) & (np.abs(ub - lb) < 1e-12)
     ub_mask = np.isfinite(ub) & ~eq_mask
@@ -91,6 +92,8 @@ def _relaxation(compiled: CompiledModel) -> Relaxation:
     """
     if highs_cancellation_available():
         return _PreparedLp(compiled).solve
+    from scipy import optimize
+
     split = _split_constraints(compiled)
     A_ub, b_ub, A_eq, b_eq = split
 
@@ -115,7 +118,7 @@ def _replace_inf(values: np.ndarray) -> np.ndarray:
     """``values`` with every infinity replaced by HiGHS's own (as linprog does)."""
     out = np.array(values, dtype=float)
     infinite = np.isinf(out)
-    out[infinite] = np.sign(out[infinite]) * _highs.kHighsInf
+    out[infinite] = np.sign(out[infinite]) * highs_binding().kHighsInf
     return out
 
 
@@ -129,6 +132,9 @@ class _PreparedLp:
     """
 
     def __init__(self, compiled: CompiledModel) -> None:
+        from scipy import sparse
+
+        _highs = highs_binding()
         n = int(compiled.c.shape[0])
         A_ub, b_ub, A_eq, b_eq = _split_constraints(compiled)
         b_ub = np.zeros(0) if b_ub is None else b_ub
@@ -160,6 +166,7 @@ class _PreparedLp:
         self.options.simplex_strategy = strategies.kSimplexStrategyDual
 
     def solve(self, lower: np.ndarray, upper: np.ndarray):
+        _highs = highs_binding()
         upper = np.where(np.isfinite(upper), upper, np.inf)
         self.lp.col_lower_ = _replace_inf(lower)
         self.lp.col_upper_ = _replace_inf(upper)

@@ -17,7 +17,8 @@ threaded branches, so the callback path behaves identically across
 worker counts.
 
 The binding is a private scipy API, so everything is gated twice: the
-import is optional (:func:`highs_cancellation_available`), and
+import is optional and happens on first use (:func:`highs_binding`,
+:func:`highs_cancellation_available`), and
 :func:`solve_with_highs_callback` returns ``None`` on any failure inside
 the binding — the caller falls back to the plain ``optimize.milp`` path,
 which remains byte-identical for uncancelled solves (same formulation,
@@ -29,25 +30,31 @@ shared between both paths.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ilp.cancellation import CancelToken
     from repro.ilp.model import CompiledModel
 
-try:  # pragma: no cover - exercised indirectly via availability gates
-    from scipy.optimize._highspy import _core as _highs
-except Exception:  # repro: lint-ignore[REP-C02] — any private-API breakage
-    _highs = None
+
+@functools.cache
+def highs_binding():
+    """The scipy-vendored HiGHS binding, imported on the first call (which
+    loads ``scipy.optimize``); ``None`` when it does not import."""
+    try:  # pragma: no cover - exercised indirectly via availability gates
+        from scipy.optimize._highspy import _core
+    except Exception:  # repro: lint-ignore[REP-C02] — any private-API breakage
+        return None
+    return _core
 
 
 def highs_cancellation_available() -> bool:
-    """Whether the scipy-vendored HiGHS binding imported successfully."""
-    return _highs is not None
+    """Whether the scipy-vendored HiGHS binding imports."""
+    return highs_binding() is not None
 
 
 @dataclass
@@ -71,7 +78,7 @@ class HighsCallbackResult:
 
 def _status_code(model_status, value_valid: bool) -> int:
     """Map a ``HighsModelStatus`` to the ``optimize.milp`` code space."""
-    s = _highs.HighsModelStatus
+    s = highs_binding().HighsModelStatus
     if model_status == s.kOptimal:
         return 0
     if model_status == s.kInfeasible:
@@ -112,8 +119,11 @@ def solve_with_highs_callback(
     ``optimize.milp`` (cancellation stays coarse but correctness is
     unaffected).
     """
+    _highs = highs_binding()
     if _highs is None:
         return None
+    from scipy import sparse
+
     try:
         lp = _highs.HighsLp()
         num_vars = int(compiled.c.shape[0])

@@ -13,12 +13,14 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.exceptions import IlpError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
 INF = float("inf")
 
@@ -227,6 +229,8 @@ class IlpModel:
         """
         if self._compiled is not None:
             return self._compiled
+        from scipy import sparse
+
         n = self.num_variables
         c = np.zeros(n)
         c[self._obj_cols] = self._obj_vals

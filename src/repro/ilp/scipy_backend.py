@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.exceptions import SolverError
 from repro.ilp.model import IlpModel, Sense
@@ -79,6 +78,8 @@ class SolverOptions:
 
 def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -> IlpSolution:
     """Solve ``model`` with ``scipy.optimize.milp`` and return an :class:`IlpSolution`."""
+    from scipy import optimize, sparse
+
     from repro.ilp.cancellation import clamped_time_limit, current_cancel_token
 
     options = options or SolverOptions()

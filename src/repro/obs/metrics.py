@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.tracer import tracing_enabled
 
@@ -31,9 +31,9 @@ HISTOGRAM_VALUE_CAP = 4096
 accurate but stop storing samples (``dropped`` counts them)."""
 
 
-def nearest_rank_percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (deterministic)."""
-    if not sorted_values:
+def nearest_rank_percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending sequence (deterministic)."""
+    if not len(sorted_values):
         return 0.0
     rank = int(q * len(sorted_values) + 99) // 100  # ceil(q * n / 100)
     rank = min(len(sorted_values), max(1, rank))

@@ -14,11 +14,18 @@ across session worker counts — because the timeline is virtual and the
 real execution is the session's plan-order-deterministic batch.
 """
 
-from repro.serve.arrivals import ArrivalConfig, ServeRequest, generate_requests, request_pool
+from repro.serve.arrivals import (
+    ArrivalConfig,
+    RequestTrace,
+    ServeRequest,
+    generate_requests,
+    request_pool,
+)
 from repro.serve.bench import run_serve_bench
 from repro.serve.policy import AdaptivePolicy, LearnedPolicy, PolicyConfig
 from repro.serve.service import (
     RequestRecord,
+    RequestRecords,
     ScheduleService,
     ServiceConfig,
     ServiceReport,
@@ -31,6 +38,8 @@ __all__ = [
     "LearnedPolicy",
     "PolicyConfig",
     "RequestRecord",
+    "RequestRecords",
+    "RequestTrace",
     "ScheduleService",
     "ServeRequest",
     "ServiceConfig",

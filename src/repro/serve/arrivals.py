@@ -14,13 +14,23 @@ diffs two runs byte-for-byte.  Times are *virtual* (model time units, not
 wall clock) — the service simulator (:mod:`repro.serve.service`) keeps the
 whole timeline virtual precisely so replays are bit-identical across
 machines and worker counts.
+
+A trace is stored as columns: :func:`generate_requests` draws arrival
+times, deadlines and template indices into three stdlib ``array`` columns
+of a :class:`RequestTrace`, and a :class:`ServeRequest` is built only when
+a caller indexes or iterates the trace.  A 2*10^5-request trace thus
+holds three flat buffers instead of 2*10^5 objects.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from itertools import count
+from typing import TYPE_CHECKING, Iterable, Iterator, List
 
 from repro.exceptions import ConfigurationError
 
@@ -44,6 +54,56 @@ class ServeRequest:
     template: int
 
 
+class RequestTrace(Sequence):
+    """A request trace as three columns, read as a sequence of
+    :class:`ServeRequest` views.
+
+    ``arrival`` and ``deadline`` are ``array("d")`` columns and
+    ``template`` an ``array("q")`` column, one entry per request; a
+    request's ``index`` is its position.  Indexing and iteration build the
+    :class:`ServeRequest` of a position on demand (a slice is a list of
+    them).  A trace equals another trace with equal columns and a list of
+    the same requests.
+    """
+
+    __slots__ = ("arrival", "deadline", "template")
+
+    def __init__(
+        self,
+        arrival: Iterable[float] = (),
+        deadline: Iterable[float] = (),
+        template: Iterable[int] = (),
+    ) -> None:
+        self.arrival = array("d", arrival)
+        self.deadline = array("d", deadline)
+        self.template = array("q", template)
+        if not len(self.arrival) == len(self.deadline) == len(self.template):
+            raise ValueError("trace columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = range(len(self))[index]
+        return ServeRequest(
+            index, self.arrival[index], self.deadline[index], self.template[index]
+        )
+
+    def __iter__(self) -> Iterator[ServeRequest]:
+        return map(ServeRequest, count(), self.arrival, self.deadline, self.template)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RequestTrace):
+            return (self.arrival, self.deadline, self.template) == (
+                other.arrival, other.deadline, other.template
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class ArrivalConfig:
     """Parameters of one seeded arrival trace.
@@ -65,6 +125,9 @@ class ArrivalConfig:
     limit: int = 6
 
     def validate(self) -> None:
+        for name in ("rate", "deadline_min", "deadline_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.requests < 1:
             raise ConfigurationError("arrival trace needs at least 1 request")
         if self.rate <= 0:
@@ -90,26 +153,26 @@ def request_pool(config: ArrivalConfig) -> List["ComputationalDag"]:
     return build(scale=config.scale, limit=config.limit)
 
 
-def generate_requests(config: ArrivalConfig, pool_size: int) -> List[ServeRequest]:
+def generate_requests(config: ArrivalConfig, pool_size: int) -> RequestTrace:
     """The seeded arrival trace: ``config.requests`` requests in time order.
 
     One ``random.Random(seed)`` drives inter-arrival gaps, deadlines and
-    template choices in a fixed draw order, so the trace is reproducible
-    down to the last bit for a given ``(config, pool_size)``.
+    template choices in a fixed draw order (per request: gap, deadline,
+    template), so the trace is reproducible down to the last bit for a
+    given ``(config, pool_size)``.
     """
     config.validate()
     if pool_size < 1:
         raise ConfigurationError("request pool is empty")
     rng = random.Random(config.seed)
-    requests: List[ServeRequest] = []
+    trace = RequestTrace()
+    arrival, deadline, template = (
+        trace.arrival.append, trace.deadline.append, trace.template.append
+    )
     clock = 0.0
-    for index in range(config.requests):
+    for _ in range(config.requests):
         clock += rng.expovariate(config.rate)
-        deadline = rng.uniform(config.deadline_min, config.deadline_max)
-        template = rng.randrange(pool_size)
-        requests.append(
-            ServeRequest(
-                index=index, arrival=clock, deadline=deadline, template=template
-            )
-        )
-    return requests
+        arrival(clock)
+        deadline(rng.uniform(config.deadline_min, config.deadline_max))
+        template(rng.randrange(pool_size))
+    return trace

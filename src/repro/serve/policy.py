@@ -23,6 +23,7 @@ same instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
@@ -53,6 +54,8 @@ class PolicyConfig:
     idle_depth: int = 0
 
     def validate(self) -> None:
+        if not math.isfinite(self.tight_slack):
+            raise ConfigurationError("tight_slack must be finite")
         if self.pressure_depth <= self.idle_depth:
             raise ConfigurationError(
                 "policy thresholds must satisfy idle_depth < pressure_depth "

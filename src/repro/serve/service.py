@@ -27,6 +27,15 @@ Because phase 1 never consults the session and phase 2 is the session's
 plan-order-deterministic batch execution, a ``workers=4`` service run is
 bit-identical to ``workers=1``: same spec choices, same winners, same SLO
 summary (the acceptance gate of the serve bench).
+
+Per-request telemetry is stored as columns (:class:`RequestRecords`): the
+trace's arrival, deadline and template columns plus stdlib ``array``
+columns of start, finish, queue depth, cache-hit flag and job slot, where
+a job slot holds the instance, spec, key and cost shared by every request
+of one ``(template, spec)`` pair.  The join writes one cost per slot, and
+the SLO summary and the trace digest read the columns; the digest streams
+its JSON into ``hashlib`` in chunks.  A :class:`RequestRecord` is built
+only when a caller indexes or iterates ``ServiceReport.records``.
 """
 
 from __future__ import annotations
@@ -34,13 +43,27 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
+import operator
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import islice, repeat
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.exec import RunPlan, Session, pipeline_job
 from repro.experiments.runner import ExperimentConfig
-from repro.serve.arrivals import ArrivalConfig, generate_requests, request_pool
+from repro.obs.metrics import nearest_rank_percentile
+from repro.serve.arrivals import (
+    ArrivalConfig,
+    RequestTrace,
+    generate_requests,
+    request_pool,
+)
 from repro.serve.policy import AdaptivePolicy, PolicyConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,6 +112,9 @@ class ServiceConfig:
     def validate(self) -> None:
         self.arrivals.validate()
         self.policy.validate()
+        for name in ("cache_hit_time", "service_time_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.servers < 1:
             raise ConfigurationError("service needs at least 1 virtual server")
         if self.cache_hit_time <= 0 or self.service_time_scale <= 0:
@@ -99,7 +125,11 @@ class ServiceConfig:
 
 @dataclass
 class RequestRecord:
-    """Per-request telemetry: one line of the service's request log."""
+    """Per-request telemetry: one line of the service's request log.
+
+    ``ServiceReport.records`` builds these on access from its columns, so
+    changing one changes nothing in the report.
+    """
 
     index: int
     instance: str
@@ -141,13 +171,75 @@ class RequestRecord:
         }
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (deterministic)."""
-    if not sorted_values:
-        return 0.0
-    rank = int(q * len(sorted_values) + 99) // 100  # ceil(q * n / 100)
-    rank = min(len(sorted_values), max(1, rank))
-    return sorted_values[rank - 1]
+class RequestRecords(Sequence):
+    """Per-request telemetry as columns, read as a sequence of
+    :class:`RequestRecord` views.
+
+    ``trace`` supplies the arrival, deadline and template columns.  One
+    entry per request lives in ``start``/``finish`` (``array("d")``),
+    ``queue_depth``/``job`` (``array("q")``) and ``cache_hit``
+    (``array("b")``); ``job`` is the request's job slot, an index into the
+    per-slot lists ``instances``, ``specs``, ``keys`` and ``costs`` (a
+    slot's cost is NaN until the service joins the results).  Indexing and
+    iteration build records on demand; a slice is a list of them.
+    """
+
+    def __init__(self, trace: RequestTrace) -> None:
+        self.trace = trace
+        self.start = array("d")
+        self.finish = array("d")
+        self.queue_depth = array("q")
+        self.cache_hit = array("b")
+        self.job = array("q")
+        self.instances: List[str] = []
+        self.specs: List[str] = []
+        self.keys: List[str] = []
+        self.costs: List[float] = []
+
+    def __len__(self) -> int:
+        return len(self.job)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = range(len(self))[index]
+        trace, job = self.trace, self.job[index]
+        return RequestRecord(
+            index,
+            self.instances[job],
+            trace.template[index],
+            self.specs[job],
+            self.keys[job],
+            trace.arrival[index],
+            trace.deadline[index],
+            self.queue_depth[index],
+            bool(self.cache_hit[index]),
+            self.start[index],
+            self.finish[index],
+            self.costs[job],
+        )
+
+    def __iter__(self) -> Iterator[RequestRecord]:
+        trace, job = self.trace, self.job
+        return map(
+            RequestRecord,
+            range(len(job)),
+            map(self.instances.__getitem__, job),
+            trace.template,
+            map(self.specs.__getitem__, job),
+            map(self.keys.__getitem__, job),
+            trace.arrival,
+            trace.deadline,
+            self.queue_depth,
+            map(bool, self.cache_hit),
+            self.start,
+            self.finish,
+            map(self.costs.__getitem__, job),
+        )
+
+
+#: rows of the trace digest encoded per ``json.dumps`` call
+DIGEST_CHUNK = 4096
 
 
 @dataclass
@@ -155,7 +247,7 @@ class ServiceReport:
     """Everything one service run produced: telemetry + real results."""
 
     config: ServiceConfig
-    records: List[RequestRecord]
+    records: RequestRecords
     results: Dict[str, "InstanceResult"]
     jobs: Dict[str, "ExperimentJob"]
 
@@ -166,47 +258,62 @@ class ServiceReport:
         enough to diff byte-for-byte (the CI determinism gate).
         """
         records = self.records
+        trace = records.trace
         n = len(records)
-        latencies = sorted(r.latency for r in records)
-        makespan = max((r.finish for r in records), default=0.0)
+        arrival = np.array(trace.arrival)
+        finish = np.array(records.finish)
+        latencies = np.sort(finish - arrival)
+        makespan = float(finish.max()) if n else 0.0
+        misses = int(np.count_nonzero(finish > arrival + np.array(trace.deadline)))
         specs: Dict[str, int] = {}
-        for r in records:
-            specs[r.spec] = specs.get(r.spec, 0) + 1
+        for job, requests in Counter(records.job).items():
+            spec = records.specs[job]
+            specs[spec] = specs.get(spec, 0) + requests
         return {
             "requests": n,
             "distinct_jobs": len(self.results),
             "virtual_makespan": round(makespan, 9),
             "throughput_rps": round(n / makespan, 9) if makespan else 0.0,
-            "latency_p50": round(_percentile(latencies, 50), 9),
-            "latency_p99": round(_percentile(latencies, 99), 9),
-            "deadline_miss_rate": round(
-                sum(1 for r in records if r.deadline_miss) / n, 9
-            ) if n else 0.0,
-            "cache_hit_rate": round(
-                sum(1 for r in records if r.cache_hit) / n, 9
-            ) if n else 0.0,
+            "latency_p50": round(float(nearest_rank_percentile(latencies, 50)), 9),
+            "latency_p99": round(float(nearest_rank_percentile(latencies, 99)), 9),
+            "deadline_miss_rate": round(misses / n, 9) if n else 0.0,
+            "cache_hit_rate": round(records.cache_hit.count(1) / n, 9) if n else 0.0,
             "spec_requests": {spec: specs[spec] for spec in sorted(specs)},
         }
 
     def trace_digest(self) -> str:
         """sha256 over the per-request virtual trace (spec choices, times,
-        hit/miss flags): two replays are bit-identical iff digests match."""
-        payload = [
-            [
-                r.index,
-                r.template,
-                r.spec,
-                round(r.arrival, 9),
-                round(r.start, 9),
-                round(r.finish, 9),
-                r.queue_depth,
-                r.cache_hit,
-                r.deadline_miss,
-            ]
-            for r in self.records
-        ]
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        hit/miss flags): two replays are bit-identical iff digests match.
+
+        The hashed bytes are ``json.dumps(rows, sort_keys=True)`` of one
+        row ``[index, template, spec, arrival, start, finish, queue_depth,
+        cache_hit, deadline_miss]`` per request (times rounded to 9
+        decimals); they are encoded ``DIGEST_CHUNK`` rows at a time.
+        """
+        records = self.records
+        trace = records.trace
+        rows = zip(
+            range(len(records)),
+            trace.template,
+            map(records.specs.__getitem__, records.job),
+            map(round, trace.arrival, repeat(9)),
+            map(round, records.start, repeat(9)),
+            map(round, records.finish, repeat(9)),
+            records.queue_depth,
+            map(bool, records.cache_hit),
+            map(operator.gt, records.finish, map(operator.add, trace.arrival, trace.deadline)),
+        )
+        digest = hashlib.sha256(b"[")
+        separator = b""
+        while True:
+            chunk = list(islice(rows, DIGEST_CHUNK))
+            if not chunk:
+                break
+            digest.update(separator)
+            digest.update(json.dumps(chunk, sort_keys=True)[1:-1].encode("utf-8"))
+            separator = b", "
+        digest.update(b"]")
+        return digest.hexdigest()
 
     def write_requests_jsonl(self, path) -> None:
         """Write the per-request telemetry as JSONL (one record per line)."""
@@ -261,11 +368,10 @@ class ScheduleService:
             ):
                 results = self._execute(jobs)
             with obs.trace_span("serve.join", category="serve"):
-                for record in records:
-                    result = results[record.key]
-                    record.cost = result.extra_costs.get(
-                        "member_cost", result.ilp_cost
-                    )
+                records.costs[:] = [
+                    result.extra_costs.get("member_cost", result.ilp_cost)
+                    for result in map(results.__getitem__, records.keys)
+                ]
             run_span.set(distinct_jobs=len(jobs))
             return ServiceReport(
                 config=self.config, records=records, results=results, jobs=jobs
@@ -283,7 +389,8 @@ class ScheduleService:
         *disk* cache: the timeline must be a pure function of the config —
         byte-identical across repeats even when runs share a cache
         directory — so disk hits accelerate phase 2 (no solving) without
-        touching the telemetry.
+        touching the telemetry.  Returns the :class:`RequestRecords` (costs
+        still NaN) and the distinct jobs by key, in first-request order.
         """
         cfg = self.config
         # feature-aware policies (duck-typed choose_for, e.g. LearnedPolicy)
@@ -294,61 +401,62 @@ class ScheduleService:
         feature_memo: Dict[int, object] = {}
         if chooser is not None:
             from repro.learn.features import instance_features
+        heappop, heappush = heapq.heappop, heapq.heappush
         free = [0.0] * cfg.servers
         heapq.heapify(free)
         in_system: List[float] = []
-        job_memo: Dict[tuple, tuple] = {}
+        # one job slot per distinct (template, spec) pair, in first-request
+        # order; miss_time is a slot's virtual service time on a cache miss
+        slots: Dict[tuple, int] = {}
+        miss_time: List[float] = []
         jobs: Dict[str, "ExperimentJob"] = {}
         hot: set = set()
-        records: List[RequestRecord] = []
-        for request in requests:
-            while in_system and in_system[0] <= request.arrival:
-                heapq.heappop(in_system)
+        records = RequestRecords(requests)
+        start_column, finish_column = records.start.append, records.finish.append
+        depth_column, hit_column = records.queue_depth.append, records.cache_hit.append
+        job_column = records.job.append
+        for arrival, deadline, template in zip(
+            requests.arrival, requests.deadline, requests.template
+        ):
+            while in_system and in_system[0] <= arrival:
+                heappop(in_system)
             depth = len(in_system)
             if chooser is not None:
-                if request.template not in feature_memo:
-                    feature_memo[request.template] = instance_features(
-                        pool[request.template], cfg.experiment
+                if template not in feature_memo:
+                    feature_memo[template] = instance_features(
+                        pool[template], cfg.experiment
                     )
-                spec = chooser(
-                    feature_memo[request.template], depth, request.deadline
-                )
+                spec = chooser(feature_memo[template], depth, deadline)
             else:
-                spec = self.policy.choose(depth, request.deadline)
-            memo_key = (request.template, spec)
-            if memo_key not in job_memo:
-                job = pipeline_job(pool[request.template], spec, cfg.experiment)
-                job_memo[memo_key] = (job, job.key())
-            job, key = job_memo[memo_key]
-            if key not in jobs:
-                jobs[key] = job
+                spec = self.policy.choose(depth, deadline)
+            slot = slots.get((template, spec))
+            if slot is None:
+                job = pipeline_job(pool[template], spec, cfg.experiment)
+                key = job.key()
+                jobs.setdefault(key, job)
+                slot = slots[(template, spec)] = len(records.keys)
+                records.instances.append(job.instance_name)
+                records.specs.append(spec)
+                records.keys.append(key)
+                records.costs.append(float("nan"))
+                nodes = len(job.dag_data.get("nodes", ()))
+                miss_time.append(cfg.service_time_scale * nodes * spec_weight(spec))
+            key = records.keys[slot]
             cache_hit = key in hot
             if cache_hit:
                 service_time = cfg.cache_hit_time
             else:
-                nodes = len(job.dag_data.get("nodes", ()))
-                service_time = cfg.service_time_scale * nodes * spec_weight(spec)
+                service_time = miss_time[slot]
                 hot.add(key)
-            earliest = heapq.heappop(free)
-            start = max(request.arrival, earliest)
+            start = max(arrival, heappop(free))
             finish = start + service_time
-            heapq.heappush(free, finish)
-            heapq.heappush(in_system, finish)
-            records.append(
-                RequestRecord(
-                    index=request.index,
-                    instance=job.instance_name,
-                    template=request.template,
-                    spec=spec,
-                    key=key,
-                    arrival=request.arrival,
-                    deadline=request.deadline,
-                    queue_depth=depth,
-                    cache_hit=cache_hit,
-                    start=start,
-                    finish=finish,
-                )
-            )
+            heappush(free, finish)
+            heappush(in_system, finish)
+            start_column(start)
+            finish_column(finish)
+            depth_column(depth)
+            hit_column(cache_hit)
+            job_column(slot)
         return records, jobs
 
     def _execute(self, jobs: Dict[str, "ExperimentJob"]):

@@ -46,6 +46,11 @@ class TestGenerateRequests:
             {"deadline_min": 3.0, "deadline_max": 2.0},
             {"dataset": "huge"},
             {"limit": 0},
+            {"rate": float("nan")},
+            {"rate": float("inf")},
+            {"deadline_min": float("nan")},
+            {"deadline_max": float("nan")},
+            {"deadline_max": float("inf")},
         ],
     )
     def test_invalid_configs_are_rejected(self, kwargs):

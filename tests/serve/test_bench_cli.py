@@ -1,6 +1,9 @@
 """Bench + CLI tests: the JSON SLO summary is byte-identical per seed."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +53,19 @@ class TestServeBenchCli:
         out = capsys.readouterr().out
         assert "trace digest:" in out
         assert "requests per pipeline spec:" in out
+
+    def test_non_finite_rate_fails_without_writing_output(self, tmp_path):
+        out = tmp_path / "s.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "bench", "--seed", "3",
+             "--requests", "200", "--limit", "2", "--rate", "nan",
+             "--output", str(out)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode != 0
+        assert "rate must be finite" in proc.stderr
+        assert not out.exists()
 
     def test_json_mode_prints_the_summary(self, tmp_path, capsys):
         self._run(tmp_path, "one.json", "--json")

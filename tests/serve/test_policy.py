@@ -54,3 +54,7 @@ class TestAdaptivePolicy:
     def test_negative_slack_threshold_is_rejected(self):
         with pytest.raises(ConfigurationError, match="tight_slack"):
             AdaptivePolicy(PolicyConfig(tight_slack=-0.5))
+
+    def test_non_finite_slack_threshold_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="tight_slack must be finite"):
+            AdaptivePolicy(PolicyConfig(tight_slack=float("nan")))

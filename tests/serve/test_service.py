@@ -185,6 +185,8 @@ class TestValidation:
             {"servers": 0},
             {"cache_hit_time": 0.0},
             {"service_time_scale": -1.0},
+            {"cache_hit_time": float("nan")},
+            {"service_time_scale": float("inf")},
         ],
     )
     def test_invalid_service_configs_are_rejected(self, kwargs):
