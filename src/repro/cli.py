@@ -354,24 +354,31 @@ def _serve_bench_body(args: argparse.Namespace) -> int:
     import json as _json
     from contextlib import nullcontext
 
+    from repro.exceptions import ConfigurationError
     from repro.experiments.reporting import format_slo_table
     from repro.serve import run_serve_bench
 
     progress = _make_progress(args)
     with progress if progress is not None else nullcontext():
-        summary = run_serve_bench(
-            seed=args.seed,
-            requests=args.requests,
-            rate=args.rate,
-            servers=args.servers,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            results_path=args.results,
-            dataset=args.which,
-            scale=args.scale,
-            limit=args.limit,
-            progress=progress,
-        )
+        try:
+            summary = run_serve_bench(
+                seed=args.seed,
+                requests=args.requests,
+                rate=args.rate,
+                servers=args.servers,
+                workers=args.workers,
+                cache_dir=args.cache_dir,
+                results_path=args.results,
+                dataset=args.which,
+                scale=args.scale,
+                limit=args.limit,
+                progress=progress,
+            )
+        except ConfigurationError as exc:
+            # a bad flag value: one line and the usage exit code, as
+            # argparse and `repro lint` report one
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     text = _json.dumps(summary, sort_keys=True, indent=2)
     if args.json:
         print(text)

@@ -33,9 +33,18 @@ trace's arrival, deadline and template columns plus stdlib ``array``
 columns of start, finish, queue depth, cache-hit flag and job slot, where
 a job slot holds the instance, spec, key and cost shared by every request
 of one ``(template, spec)`` pair.  The join writes one cost per slot, and
-the SLO summary and the trace digest read the columns; the digest streams
-its JSON into ``hashlib`` in chunks.  A :class:`RequestRecord` is built
-only when a caller indexes or iterates ``ServiceReport.records``.
+the SLO summary and the trace digest read the columns.  A
+:class:`RequestRecord` is built only when a caller indexes or iterates
+``ServiceReport.records``.
+
+The trace digest hashes the bytes ``json.dumps`` gives for one row per
+request, but renders them with numpy, a block of rows at a time, without
+a row object, a ``round`` call or the JSON encoder: ``_nanos`` rounds a
+time to nine decimals exactly with Dekker's error-free product, and where
+the rounded time's ``repr`` is a plain decimal of at most 15 significant
+digits (``_plain``) its digits are written straight into a byte matrix.
+A block holding any other time (such as ``3e-05`` or ``1234567.891``) is
+encoded by ``json.dumps`` as before.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 import numpy as np
@@ -238,8 +247,200 @@ class RequestRecords(Sequence):
         )
 
 
-#: rows of the trace digest encoded per ``json.dumps`` call
+#: rows of the trace digest rendered per block: one byte matrix per block,
+#: or one ``json.dumps`` call for a block outside the byte kernel's domain
 DIGEST_CHUNK = 4096
+
+#: 10**0 ... 10**18, every power of ten an int64 holds
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+#: Veltkamp's splitting constant for float64, 2**27 + 1
+_SPLIT = 134217729.0
+
+
+def _nanos(x: np.ndarray) -> np.ndarray:
+    """``n = round(x * 10**9)``, half to even, of each float64, exactly.
+
+    ``p = x * 1e9`` is rounded; Dekker's error-free product (Dekker 1971,
+    "A floating-point technique for extending the available precision")
+    gives the exact remainder ``e = x * 10**9 - p``.  Below ``2**52``,
+    where every half-integer is a double, ``np.rint(p)`` (half to even) is
+    the rounding of the exact product unless ``p`` itself is a
+    half-integer; there the sign of ``e`` says which neighbour the exact
+    product is nearer: +1 when ``p - n`` is 0.5 and ``e > 0``, -1 when it
+    is -0.5 and ``e < 0``.  IEEE division then gives ``n / 1e9 ==
+    round(x, 9)``: both are the double nearest to ``n * 10**-9``.
+    """
+    # an infinite or huge x yields inf or nan, which _plain rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = x * 1e9
+        scaled = _SPLIT * x
+        high = scaled - (scaled - x)
+        low = x - high
+        # 1e9 splits into (1e9, 0.0), which zeroes Dekker's two 1e9-low terms
+        error = low * 1e9 - (p - high * 1e9)
+        n = np.rint(p)
+        half = p - n
+    n += (half == 0.5) & (error > 0)
+    n -= (half == -0.5) & (error < 0)
+    return n
+
+
+def _plain(x: np.ndarray, n: np.ndarray) -> bool:
+    """Whether ``repr(round(x, 9))`` is the plain decimal of ``n * 10**-9``
+    for every element.
+
+    For ``10**5 <= n < 10**15`` the decimal has at most 15 significant
+    digits, so it is the shortest string that reads back as the double
+    (``DBL_DIG`` is 15), and it lies in ``[1e-4, 1e6)``, where ``repr``
+    writes no exponent.  ``n == 0`` is plain only from a non-negative
+    ``x``: a negative one rounds to ``-0.0``.
+    """
+    plain = ((n >= 1e5) & (n < 1e15)) | ((n == 0) & ~np.signbit(x))
+    return bool(plain.all())
+
+
+def _byte_table(texts: List[bytes]):
+    """``texts`` as the columns of a NUL-padded ``uint8`` matrix, and the
+    mask of their bytes."""
+    table = np.array(texts, dtype=bytes)
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    width = table.itemsize
+    return (
+        table.view(np.uint8).reshape(len(texts), width).T,
+        np.arange(width)[:, None] < lengths,
+    )
+
+
+#: ``false`` and ``true``, indexed by a flag
+_FLAGS = _byte_table([b"false", b"true"])
+
+
+def _lookup(table, index: np.ndarray):
+    """The columns ``index`` of a :func:`_byte_table`."""
+    data, keep = table
+    return np.take(data, index, axis=1), np.take(keep, index, axis=1)
+
+
+def _text(text: bytes):
+    """The same bytes in every column."""
+    data = np.frombuffer(text, np.uint8)[:, None]
+    return data, np.ones(data.shape, bool)
+
+
+def _digit_bytes(quotients: np.ndarray) -> np.ndarray:
+    """ASCII digits from ``quotients[k] = v // 10**(width - 1 - k)``:
+    digit ``k`` is ``quotients[k] - 10 * quotients[k - 1]``, a value in
+    0..9 that ``uint8`` arithmetic modulo 256 computes exactly."""
+    digits = quotients.astype(np.uint8)
+    digits[1:] -= 10 * digits[:-1]
+    digits += ord("0")
+    return digits
+
+
+def _digits(values: np.ndarray):
+    """The decimal digits of non-negative integers, leading zeros masked
+    out (the last digit is always kept)."""
+    width = len(str(int(values.max())))
+    quotients = values // _POW10[width - 1::-1, None]
+    keep = quotients > 0
+    keep[-1] = True
+    return _digit_bytes(quotients), keep
+
+
+def _decimal(n: np.ndarray):
+    """``repr(n / 1e9)`` of the integer-valued floats ``n`` of the plain
+    domain (see :func:`_plain`): six integer digits, a point and nine
+    decimals, with the integer part's leading zeros and the decimals'
+    trailing zeros masked out (the units digit and the first decimal are
+    always kept)."""
+    n = n.astype(np.int64)
+    quotients = n // _POW10[14::-1, None]
+    digits = _digit_bytes(quotients)
+    data = np.empty((16, len(n)), np.uint8)
+    data[:6] = digits[:6]
+    data[6] = ord(".")
+    data[7:] = digits[6:]
+    keep = np.ones(data.shape, bool)
+    keep[:5] = quotients[:5] > 0
+    # decimal j > 0 is kept while n % 10**(9 - j), its tail, is nonzero
+    keep[8:] = n != quotients[6:14] * _POW10[8:0:-1, None]
+    return data, keep
+
+
+def _block_bytes(records: RequestRecords, block: slice, specs):
+    """The digest rows ``block`` of ``records`` as ``json.dumps`` writes
+    them, joined by ``", "``, or None when one of their times or integers
+    lies outside the kernel's domain (a negative integer, or a time whose
+    rounded ``repr`` is not plain, see :func:`_plain`).
+
+    Each field is a ``(bytes, keep)`` pair of ``(width, rows)`` matrices,
+    one column per row (``(width, 1)`` for text every row shares); the
+    fields are stacked and the kept bytes read out row by row.
+    """
+    trace = records.trace
+    times = [
+        np.asarray(column)[block]
+        for column in (trace.arrival, records.start, records.finish)
+    ]
+    nanos = [_nanos(x) for x in times]
+    template = np.asarray(trace.template)[block]
+    depth = np.asarray(records.queue_depth)[block]
+    if not all(map(_plain, times, nanos)) or template.min() < 0 or depth.min() < 0:
+        return None
+    rows = len(template)
+    arrival, _, finish = times
+    miss = finish > arrival + np.asarray(trace.deadline)[block]
+    hit = np.asarray(records.cache_hit)[block] != 0
+    comma = _text(b", ")
+    fields = [
+        _text(b", ["),
+        _digits(np.arange(block.start, block.start + rows)),
+        comma,
+        _digits(template),
+        comma,
+        _lookup(specs, np.asarray(records.job)[block]),
+        comma,
+        _decimal(nanos[0]),
+        comma,
+        _decimal(nanos[1]),
+        comma,
+        _decimal(nanos[2]),
+        comma,
+        _digits(depth),
+        comma,
+        _lookup(_FLAGS, hit.view(np.uint8)),
+        comma,
+        _lookup(_FLAGS, miss.view(np.uint8)),
+        _text(b"]"),
+    ]
+    width = sum(len(data) for data, _ in fields)
+    matrix = np.empty((width, rows), np.uint8)
+    keep = np.empty((width, rows), bool)
+    top = 0
+    for data, mask in fields:
+        matrix[top:top + len(data)] = data
+        keep[top:top + len(data)] = mask
+        top += len(data)
+    keep[:2, 0] = False  # no separator before the block's first row
+    return matrix.T[keep.T]
+
+
+def _block_json(records: RequestRecords, block: slice) -> bytes:
+    """The digest rows ``block`` of ``records`` through ``json.dumps``."""
+    trace = records.trace
+    arrival, finish = trace.arrival[block], records.finish[block]
+    rows = zip(
+        range(*block.indices(len(records))),
+        trace.template[block],
+        map(records.specs.__getitem__, records.job[block]),
+        map(round, arrival, repeat(9)),
+        map(round, records.start[block], repeat(9)),
+        map(round, finish, repeat(9)),
+        records.queue_depth[block],
+        map(bool, records.cache_hit[block]),
+        map(operator.gt, finish, map(operator.add, arrival, trace.deadline[block])),
+    )
+    return json.dumps(list(rows), sort_keys=True)[1:-1].encode("utf-8")
 
 
 @dataclass
@@ -288,29 +489,24 @@ class ServiceReport:
         The hashed bytes are ``json.dumps(rows, sort_keys=True)`` of one
         row ``[index, template, spec, arrival, start, finish, queue_depth,
         cache_hit, deadline_miss]`` per request (times rounded to 9
-        decimals); they are encoded ``DIGEST_CHUNK`` rows at a time.
+        decimals), rendered ``DIGEST_CHUNK`` rows at a time.  A block is
+        written as bytes by ``_block_bytes`` when every time in it rounds
+        to ``n * 10**-9`` with ``10**5 <= n < 10**15``, or to ``+0.0``, and
+        no integer in it is negative: such a time prints as the plain
+        decimal of ``n`` (``_plain``).  Any other block goes through
+        ``json.dumps`` (``_block_json``).
         """
         records = self.records
-        trace = records.trace
-        rows = zip(
-            range(len(records)),
-            trace.template,
-            map(records.specs.__getitem__, records.job),
-            map(round, trace.arrival, repeat(9)),
-            map(round, records.start, repeat(9)),
-            map(round, records.finish, repeat(9)),
-            records.queue_depth,
-            map(bool, records.cache_hit),
-            map(operator.gt, records.finish, map(operator.add, trace.arrival, trace.deadline)),
-        )
+        specs = _byte_table([json.dumps(spec).encode() for spec in records.specs])
         digest = hashlib.sha256(b"[")
         separator = b""
-        while True:
-            chunk = list(islice(rows, DIGEST_CHUNK))
-            if not chunk:
-                break
+        for start in range(0, len(records), DIGEST_CHUNK):
+            block = slice(start, start + DIGEST_CHUNK)
+            body = _block_bytes(records, block, specs)
+            if body is None:
+                body = _block_json(records, block)
             digest.update(separator)
-            digest.update(json.dumps(chunk, sort_keys=True)[1:-1].encode("utf-8"))
+            digest.update(body)
             separator = b", "
         digest.update(b"]")
         return digest.hexdigest()

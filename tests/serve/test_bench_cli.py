@@ -54,17 +54,27 @@ class TestServeBenchCli:
         assert "trace digest:" in out
         assert "requests per pipeline spec:" in out
 
-    def test_non_finite_rate_fails_without_writing_output(self, tmp_path):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rate", "nan", "rate must be finite"),
+        ("--requests", "0", "arrival trace needs at least 1 request"),
+        ("--servers", "0", "service needs at least 1 virtual server"),
+    ], ids=["rate-nan", "requests-0", "servers-0"])
+    def test_non_finite_rate_fails_without_writing_output(
+        self, tmp_path, flag, value, message
+    ):
+        """A bad flag value prints one ``error:`` line on stderr and exits
+        2, the ``repro lint`` usage convention, with no traceback."""
         out = tmp_path / "s.json"
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "serve", "bench", "--seed", "3",
-             "--requests", "200", "--limit", "2", "--rate", "nan",
+             "--requests", "200", "--limit", "2", flag, value,
              "--output", str(out)],
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
             capture_output=True, text=True, timeout=300,
         )
-        assert proc.returncode != 0
-        assert "rate must be finite" in proc.stderr
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert "Traceback" not in proc.stdout + proc.stderr
         assert not out.exists()
 
     def test_json_mode_prints_the_summary(self, tmp_path, capsys):
