@@ -273,6 +273,14 @@ def _cmd_pipeline_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _node_limit(text: str) -> int:
+    """The ``--node-limit`` value: an integer >= 0, else a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _with_trace(args: argparse.Namespace, body) -> int:
     """Run ``body()``; with ``--trace FILE`` the run is traced end to end
     (temporary spill directory, so pool/shard worker processes join in)
@@ -344,7 +352,15 @@ def _pipeline_run_body(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    return _with_trace(args, lambda: _serve_bench_body(args))
+    from repro.exceptions import ConfigurationError
+
+    try:
+        return _with_trace(args, lambda: _serve_bench_body(args))
+    except ConfigurationError as exc:
+        # a bad flag value: one line and the usage exit code, as argparse
+        # and `repro lint` report one; the trace is abandoned unwritten
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _serve_bench_body(args: argparse.Namespace) -> int:
@@ -354,31 +370,24 @@ def _serve_bench_body(args: argparse.Namespace) -> int:
     import json as _json
     from contextlib import nullcontext
 
-    from repro.exceptions import ConfigurationError
     from repro.experiments.reporting import format_slo_table
     from repro.serve import run_serve_bench
 
     progress = _make_progress(args)
     with progress if progress is not None else nullcontext():
-        try:
-            summary = run_serve_bench(
-                seed=args.seed,
-                requests=args.requests,
-                rate=args.rate,
-                servers=args.servers,
-                workers=args.workers,
-                cache_dir=args.cache_dir,
-                results_path=args.results,
-                dataset=args.which,
-                scale=args.scale,
-                limit=args.limit,
-                progress=progress,
-            )
-        except ConfigurationError as exc:
-            # a bad flag value: one line and the usage exit code, as
-            # argparse and `repro lint` report one
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        summary = run_serve_bench(
+            seed=args.seed,
+            requests=args.requests,
+            rate=args.rate,
+            servers=args.servers,
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            results_path=args.results,
+            dataset=args.which,
+            scale=args.scale,
+            limit=args.limit,
+            progress=progress,
+        )
     text = _json.dumps(summary, sort_keys=True, indent=2)
     if args.json:
         print(text)
@@ -1302,7 +1311,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stream results to this JSONL file as they complete")
         p.add_argument("--resume", action="store_true",
                        help="skip jobs already recorded in the --results file")
-        p.add_argument("--node-limit", type=int, default=None,
+        p.add_argument("--node-limit", type=_node_limit, default=None,
                        help="bound ILP solves by branch-and-bound nodes: results "
                             "become exactly reproducible even under CPU contention "
                             "(parallel workers, loaded hosts), provided --time-limit "

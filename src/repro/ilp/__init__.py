@@ -7,11 +7,14 @@ column/coefficient arrays) and an array objective
 (:meth:`IlpModel.minimize` / :meth:`IlpModel.maximize`).
 :meth:`IlpModel.compile` builds the CSR matrix from the model's row store.
 Models are solved through :func:`solve`, which dispatches into the backend
-registry of :mod:`repro.ilp.backends`: ``"scipy"`` (HiGHS via
-``scipy.optimize.milp``, the default), ``"bnb"`` (the pure-Python branch
-and bound) or ``"auto"`` (per-model choice by size/structure with error
-fallback).  ``backend=None`` selects the process default —
-``REPRO_ILP_BACKEND`` or ``"scipy"``.
+registry of :mod:`repro.ilp.backends`: ``"scipy"`` (HiGHS branch and cut,
+the default), ``"bnb"`` (the pure-Python branch and bound) or ``"auto"``
+(per-model choice by size/structure with error fallback).
+``backend=None`` selects the process default — ``REPRO_ILP_BACKEND`` or
+``"scipy"``.  Both backends reach HiGHS through one binding, the one
+vendored with scipy (``scipy.optimize._highspy``): the ``scipy`` backend
+drives its MILP solver (:mod:`repro.ilp.scipy_backend`, the library's one
+MILP path), branch and bound its LP solver.
 
 scipy is imported on the first compile or solve, not with this package:
 ``scipy.sparse`` by :meth:`IlpModel.compile`, ``scipy.optimize`` and its

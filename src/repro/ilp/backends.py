@@ -85,11 +85,10 @@ class AutoBackend:
     """Structure-aware dispatch: small models to ``bnb``, large ones to HiGHS.
 
     The pure-Python branch and bound is competitive only on tiny models, but
-    there it is fully transparent and dependency-free; everything bigger goes
-    to HiGHS.  If the chosen backend raises :class:`SolverError` (e.g. the
-    MILP interface is unavailable in a stripped-down scipy), the other
-    backend is tried before giving up — ``auto`` is therefore also the
-    resilient production choice.
+    there it is fully transparent; everything bigger goes to HiGHS.  If the
+    chosen backend raises :class:`SolverError` (e.g. HiGHS rejected the
+    model or an option), the other backend is tried before giving up —
+    ``auto`` is therefore also the resilient production choice.
     """
 
     name = "auto"
@@ -380,7 +379,9 @@ def solve_model(
 
 
 register_backend(
-    FunctionBackend("scipy", solve_with_scipy, "HiGHS branch and cut (scipy.optimize.milp)"),
+    FunctionBackend(
+        "scipy", solve_with_scipy, "HiGHS branch and cut (scipy's vendored HiGHS binding)"
+    ),
     aliases=("highs",),
 )
 register_backend(

@@ -1,15 +1,17 @@
 """A pure-Python branch-and-bound MILP solver.
 
-This backend exists for two reasons: it is a dependency-free fallback when
-the HiGHS MILP interface is unavailable, and it is useful in tests because
-its behaviour is fully transparent.  It solves LP relaxations with HiGHS
-and branches on the most fractional integer variable, using best-first
-search with incumbent pruning.  The relaxation is the exact LP that
-``scipy.optimize.linprog(method="highs")`` would build, prepared once per
-model through scipy's vendored HiGHS binding; each node only swaps in its
-column bounds and solves on a fresh HiGHS instance, so every vertex (and
-hence every tree) is the one the per-node ``linprog`` calls produce.  When
-the binding is unavailable, every node calls ``linprog`` itself.
+This backend exists because its behaviour is fully transparent: tests and
+the node-limited benchmark runs can follow every node.  It solves LP
+relaxations with HiGHS and branches on the most fractional integer
+variable, using best-first search with incumbent pruning.  The relaxation
+is the exact LP that ``scipy.optimize.linprog(method="highs")`` would
+build, prepared once per model through scipy's vendored HiGHS binding
+(:func:`repro.ilp.scipy_backend.highs_binding`); each node only swaps in
+its column bounds and solves on a fresh HiGHS instance, so every vertex
+(and hence every tree) is the one per-node ``linprog`` calls would produce.
+Limits mean what they mean for the scipy backend: ``node_limit=0``
+explores no node, and a negative limit is rejected by
+:class:`~repro.ilp.scipy_backend.SolverOptions`.
 
 It is intended for *small* models only (up to a few hundred integer
 variables); the main experiments use the :mod:`repro.ilp.scipy_backend`.
@@ -27,9 +29,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.ilp.cancellation import current_cancel_token
-from repro.ilp.highs_cancel import highs_binding, highs_cancellation_available
 from repro.ilp.model import CompiledModel, IlpModel, Sense
-from repro.ilp.scipy_backend import SolverOptions
+from repro.ilp.scipy_backend import SolverOptions, highs_binding
 from repro.ilp.solution import IlpSolution, SolutionStatus
 
 _INT_TOL = 1e-6
@@ -87,31 +88,9 @@ def _relaxation(compiled: CompiledModel) -> Relaxation:
 
     ``solve`` returns the optimal vertex and objective under the given
     column bounds, or ``None`` for an infeasible or failed LP (the node is
-    pruned).  With the vendored HiGHS binding the LP is prepared once per
-    model; otherwise every node calls ``optimize.linprog``.
+    pruned).  The LP is prepared once per model.
     """
-    if highs_cancellation_available():
-        return _PreparedLp(compiled).solve
-    from scipy import optimize
-
-    split = _split_constraints(compiled)
-    A_ub, b_ub, A_eq, b_eq = split
-
-    def solve(lower: np.ndarray, upper: np.ndarray):
-        res = optimize.linprog(
-            c=compiled.c,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=np.column_stack((lower, np.where(np.isfinite(upper), upper, np.inf))),
-            method="highs",
-        )
-        if res.status != 0 or res.x is None:
-            return None
-        return res.x, float(res.fun)
-
-    return solve
+    return _PreparedLp(compiled).solve
 
 
 def _replace_inf(values: np.ndarray) -> np.ndarray:
@@ -240,7 +219,7 @@ def solve_with_branch_and_bound(
         if token_remaining is not None:
             token_deadline = start + max(token_remaining, 0.0)
             deadline = token_deadline if deadline is None else min(deadline, token_deadline)
-    node_limit = math.inf if options.node_limit is None else max(0, int(options.node_limit))
+    node_limit = math.inf if options.node_limit is None else int(options.node_limit)
 
     sign = 1.0 if compiled.sense is Sense.MINIMIZE else -1.0
     int_idx = np.nonzero(compiled.integrality)[0]

@@ -14,10 +14,12 @@ with :func:`cancel_scope`; long-running code polls
 * the pure-Python branch-and-bound backend checks the token in its node
   loop, so cancellation (or an expired deadline) stops the solve at node
   granularity and returns the incumbent found so far;
-* the scipy/HiGHS backend cannot interrupt ``scipy.optimize.milp`` once it
-  is running; it checks the token *before* dispatching and clamps its
-  ``time_limit`` to the token's remaining deadline, so a budget still
-  bounds the solve (at HiGHS's own wall-clock granularity).
+* the scipy/HiGHS backend refuses to dispatch when the token is already
+  cancelled, installs HiGHS's MIP-interrupt callback, which polls the
+  token, so a cancelled solve stops at the next branch-and-bound poll
+  point, and clamps its ``time_limit`` to the token's remaining deadline
+  (see :func:`clamped_time_limit`).  The callback changes when a solve
+  stops, never what an uncancelled solve returns.
 
 Tokens nest: a token created with ``parent=current_cancel_token()`` is
 cancelled whenever the parent is, and its remaining time is the minimum
@@ -139,11 +141,12 @@ def cancel_scope(token: Optional[CancelToken]) -> Iterator[Optional[CancelToken]
 def clamped_time_limit(time_limit: Optional[float]) -> Optional[float]:
     """``time_limit`` clamped to the current token's remaining deadline.
 
-    Backends whose solver cannot be interrupted mid-solve (HiGHS through
-    ``scipy.optimize.milp``) call this so a wall-clock budget still bounds
-    the solve.  Returns the tighter of the two (``None`` = unlimited); an
-    already-expired deadline yields a tiny positive limit rather than zero,
-    which some solvers treat as "no limit".
+    The HiGHS backend calls this even though its interrupt callback stops
+    branch and bound: the callback is polled at MIP search points, not
+    inside presolve or an LP solve, so the clamp is what bounds presolve
+    and the root LP under a wall-clock budget.  Returns the tighter of the two (``None`` =
+    unlimited); an already-expired deadline yields a tiny positive limit
+    rather than zero, which some solvers treat as "no limit".
     """
     token = current_cancel_token()
     remaining = token.remaining() if token is not None else None

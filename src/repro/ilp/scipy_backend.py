@@ -1,20 +1,33 @@
-"""ILP solver backend based on :func:`scipy.optimize.milp` (HiGHS).
+"""ILP solver backend: HiGHS branch and cut through scipy's vendored binding.
 
 This is the default backend of the library.  It plays the role of the COPT
 commercial solver used in the paper: a branch-and-cut MILP solver applied to
-exactly the same formulations, with configurable time limits.
+exactly the same formulations, with configurable time and node limits.
+
+:func:`solve_with_scipy` is the library's one MILP driver.  It passes the
+compiled model to the HiGHS binding that ships inside scipy
+(``scipy.optimize._highspy._core``, imported on first use by
+:func:`highs_binding`) as a row-wise ``HighsLp``, plus an objective cutoff
+row when a warm start is known, and maps HiGHS's model status straight to a
+:class:`~repro.ilp.solution.SolutionStatus`.  With a
+:class:`~repro.ilp.cancellation.CancelToken` in scope, HiGHS's MIP-interrupt
+callback polls the token, so a cancelled race branch or budgeted stage stops
+at the next branch-and-bound poll point instead of at its time limit.  The
+token only decides when to stop: an uncancelled solve returns the same
+answer with or without one.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import SolverError
-from repro.ilp.model import IlpModel, Sense
+from repro.exceptions import ConfigurationError, SolverError
+from repro.ilp.model import CompiledModel, IlpModel, Sense
 from repro.ilp.solution import IlpSolution, SolutionStatus
 
 
@@ -33,12 +46,15 @@ class SolverOptions:
     verbose:
         Print solver progress output.
     node_limit:
-        Branch-and-bound node limit (``None`` for no limit, ``0`` for no
-        branching at all).  Both backends count branch-and-bound nodes, but
-        HiGHS additionally runs presolve/root heuristics that may find (and
-        even prove) an incumbent before the first node, so a node-limited
-        scipy solve can still return ``OPTIMAL`` where the transparent
-        pure-Python solver reports ``NO_SOLUTION``.
+        Branch-and-bound node limit: ``None`` for no limit, ``0`` for no
+        branching at all; a negative limit raises
+        :class:`~repro.exceptions.ConfigurationError`.  Both backends stop
+        after that many nodes and report ``FEASIBLE`` with an incumbent or
+        ``NO_SOLUTION`` without one.  HiGHS additionally runs presolve and
+        root heuristics that may find (and even prove) an incumbent before
+        the first node, so a node-limited scipy solve can still return
+        ``OPTIMAL`` where the transparent pure-Python solver reports
+        ``NO_SOLUTION``.
     warm_start_objective:
         Objective value of a known incumbent (in the *original* objective
         space, e.g. the greedy/ETF baseline cost), restricting the search to
@@ -56,8 +72,7 @@ class SolverOptions:
         the compiled model and installs it as the *initial incumbent*: the
         solve can only improve on it, and exhausting the tree returns the
         warm solution itself (status ``OPTIMAL``) instead of
-        ``NO_SOLUTION``.  The scipy backend cannot hand HiGHS a starting
-        point through ``scipy.optimize.milp``; it derives the solution's
+        ``NO_SOLUTION``.  The scipy backend derives the solution's
         objective value and applies it as the cutoff row (as if
         ``warm_start_objective`` had been passed).  An infeasible solution
         is ignored (recorded in the result message), never an error; a
@@ -75,21 +90,105 @@ class SolverOptions:
     warm_start_objective: Optional[float] = None
     warm_start_solution: Optional[Sequence[float]] = None
 
+    def __post_init__(self) -> None:
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ConfigurationError(
+                f"node_limit must be None or >= 0, got {self.node_limit}"
+            )
+
+
+@functools.cache
+def highs_binding():
+    """The HiGHS binding vendored with scipy, imported on the first call
+    (which loads ``scipy.optimize``); :class:`SolverError` if it does not
+    import."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise SolverError(f"scipy's vendored HiGHS binding is unavailable: {exc}") from exc
+    return _core
+
+
+def _status(model_status, has_values: bool) -> SolutionStatus:
+    """The :class:`SolutionStatus` of a finished HiGHS solve."""
+    s = highs_binding().HighsModelStatus
+    if model_status == s.kOptimal:
+        return SolutionStatus.OPTIMAL
+    if model_status == s.kInfeasible:
+        return SolutionStatus.INFEASIBLE
+    if model_status == s.kUnbounded:
+        return SolutionStatus.UNBOUNDED
+    if model_status in (
+        s.kTimeLimit,
+        s.kIterationLimit,
+        s.kSolutionLimit,  # mip_max_nodes
+        s.kInterrupt,  # the CancelToken callback
+        s.kHighsInterrupt,
+        s.kObjectiveBound,
+        s.kObjectiveTarget,
+    ):
+        return SolutionStatus.FEASIBLE if has_values else SolutionStatus.NO_SOLUTION
+    # kUnboundedOrInfeasible, load/solve errors, anything new
+    return SolutionStatus.ERROR
+
+
+def _highs_lp(compiled: CompiledModel, cutoff: Optional[float]):
+    """``compiled`` as a row-wise ``HighsLp``; with ``cutoff``, one more row
+    ``c @ x <= cutoff`` (compiled space, tolerance already applied)."""
+    from scipy import sparse
+
+    _highs = highs_binding()
+    rows = compiled.A.tocsr() if compiled.A.shape[0] else None
+    con_lb = np.asarray(compiled.con_lb, dtype=float)
+    con_ub = np.asarray(compiled.con_ub, dtype=float)
+    if cutoff is not None:
+        cut_row = sparse.csr_matrix(compiled.c.reshape(1, -1))
+        rows = cut_row if rows is None else sparse.vstack([rows, cut_row], format="csr")
+        con_lb = np.append(con_lb, -np.inf)
+        con_ub = np.append(con_ub, float(cutoff))
+
+    inf = float(_highs.kHighsInf)
+    clip = lambda a: np.clip(np.asarray(a, dtype=float), -inf, inf)
+    lp = _highs.HighsLp()
+    lp.num_col_ = int(compiled.c.shape[0])
+    lp.num_row_ = 0 if rows is None else int(rows.shape[0])
+    lp.col_cost_ = np.asarray(compiled.c, dtype=float)
+    lp.col_lower_ = clip(compiled.var_lb)
+    lp.col_upper_ = clip(compiled.var_ub)
+    lp.row_lower_ = clip(con_lb)
+    lp.row_upper_ = clip(con_ub)
+    if rows is not None:
+        matrix = lp.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kRowwise
+        matrix.start_ = np.asarray(rows.indptr, dtype=np.int32)
+        matrix.index_ = np.asarray(rows.indices, dtype=np.int32)
+        matrix.value_ = np.asarray(rows.data, dtype=float)
+    lp.integrality_ = np.array(
+        [
+            _highs.HighsVarType.kInteger if flag else _highs.HighsVarType.kContinuous
+            for flag in np.asarray(compiled.integrality).astype(bool)
+        ]
+    )
+    return lp
+
 
 def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -> IlpSolution:
-    """Solve ``model`` with ``scipy.optimize.milp`` and return an :class:`IlpSolution`."""
-    from scipy import optimize, sparse
+    """Solve ``model`` with HiGHS and return an :class:`IlpSolution`.
 
+    Values are returned only with ``OPTIMAL`` or ``FEASIBLE``; a node, time
+    or cancellation limit reached without an incumbent is ``NO_SOLUTION``.
+    A failure inside the binding raises :class:`SolverError` (so ``auto``
+    can fall back to branch and bound).
+    """
     from repro.ilp.cancellation import clamped_time_limit, current_cancel_token
 
     options = options or SolverOptions()
     compiled = model.compile()
     start = time.perf_counter()
 
-    # cooperative cancellation: scipy.optimize.milp cannot be interrupted
-    # once running, so the hook is coarse — refuse to start when the current
-    # scope is already cancelled, and clamp the time limit to the scope's
-    # remaining deadline so a wall-clock budget still bounds the solve
+    # a scope that is already cancelled gets no solve at all; a scope
+    # deadline also clamps the time limit, which bounds presolve and the
+    # root LP, where the interrupt callback is not polled
     token = current_cancel_token()
     if token is not None and token.cancelled():
         return IlpSolution(
@@ -97,13 +196,8 @@ def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -
             solve_time=0.0,
             message="solve cancelled before dispatch",
         )
-    effective_time_limit = clamped_time_limit(options.time_limit)
+    time_limit = clamped_time_limit(options.time_limit)
 
-    constraints = []
-    if compiled.A.shape[0] > 0:
-        constraints.append(
-            optimize.LinearConstraint(compiled.A, compiled.con_lb, compiled.con_ub)
-        )
     sign = 1.0 if compiled.sense is Sense.MINIMIZE else -1.0
     # cutoff candidates in compiled (minimization) space: the explicit
     # objective and/or a feasible warm-start solution's objective — the
@@ -115,9 +209,8 @@ def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -
         )
     warm_note = ""
     if options.warm_start_solution is not None:
-        # scipy.optimize.milp cannot hand HiGHS a starting point; the best we
-        # can do with a warm-start *solution* is derive its objective value
-        # and apply it as the cutoff row below (infeasible solutions are
+        # HiGHS gets no starting point: a warm-start *solution* contributes
+        # its objective value to the cutoff row (infeasible solutions are
         # noted and ignored, matching the branch-and-bound backend)
         candidate = np.asarray(options.warm_start_solution, dtype=float)
         if candidate.shape != (compiled.c.shape[0],):
@@ -131,96 +224,64 @@ def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -
             )
         else:
             warm_note = " (warm-start solution rejected: infeasible)"
-    cutoff_value = None
+    cutoff = None
     if cutoffs:
-        # objective cutoff: only solutions at least as good as the known
-        # incumbent are feasible (compiled space is always a minimization)
-        cutoff = min(cutoffs)
-        tolerance = 1e-6 * max(1.0, abs(cutoff))
-        cutoff_value = cutoff + tolerance
+        # only solutions at least as good as the known incumbent are feasible
+        tightest = min(cutoffs)
+        cutoff = tightest + 1e-6 * max(1.0, abs(tightest))
 
-    # fine-grained cancellation: with a CancelToken in scope, drive the
-    # scipy-vendored HiGHS binding directly so the MIP-interrupt callback
-    # can stop the solve at the next poll point instead of at the clamped
-    # time limit (a raced branch stops burning CPU once the race has a
-    # winner).  Same formulation, same HiGHS, same status mapping; any
-    # failure inside the private binding returns None and the plain
-    # optimize.milp path below takes over unchanged.
-    result = None
+    _highs = highs_binding()
+    solver = _highs._Highs()
+    settings = {
+        "output_flag": bool(options.verbose),
+        "log_to_console": bool(options.verbose),
+        "mip_rel_gap": float(options.mip_rel_gap),
+    }
+    if time_limit is not None:
+        settings["time_limit"] = float(time_limit)
+    if options.node_limit is not None:
+        settings["mip_max_nodes"] = int(options.node_limit)
+    for name, value in settings.items():
+        if solver.setOptionValue(name, value) == _highs.HighsStatus.kError:
+            raise SolverError(f"HiGHS rejected option {name}={value!r}")
+    if solver.passModel(_highs_lp(compiled, cutoff)) == _highs.HighsStatus.kError:
+        raise SolverError(f"HiGHS rejected model {model.name!r}")
+
+    cancelled = False
     if token is not None:
-        from repro.ilp.highs_cancel import solve_with_highs_callback
 
-        result = solve_with_highs_callback(
-            compiled,
-            token,
-            cutoff=cutoff_value,
-            time_limit=effective_time_limit,
-            node_limit=options.node_limit,
-            mip_rel_gap=options.mip_rel_gap,
-            verbose=options.verbose,
-        )
+        def _interrupt(callback_type, message, data_out, data_in, user_data):
+            # polled by HiGHS at its MIP interrupt points; the token read
+            # is lock-free and monotonic (cancel() only ever sets it)
+            nonlocal cancelled
+            if token.cancelled():
+                cancelled = True
+                data_in.user_interrupt = True
 
-    if result is None:
-        if cutoff_value is not None:
-            constraints.append(
-                optimize.LinearConstraint(
-                    sparse.csr_matrix(compiled.c.reshape(1, -1)), -np.inf, cutoff_value
-                )
-            )
-        constraints = constraints or None
-        bounds = optimize.Bounds(compiled.var_lb, compiled.var_ub)
+        if solver.setCallback(_interrupt, None) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the cancellation callback")
+        solver.startCallbackInt(int(_highs.cb.HighsCallbackType.kCallbackMipInterrupt))
+    solver.run()
 
-        milp_options = {
-            "disp": options.verbose,
-            "mip_rel_gap": options.mip_rel_gap,
-        }
-        if effective_time_limit is not None:
-            milp_options["time_limit"] = float(effective_time_limit)
-        if options.node_limit is not None:
-            milp_options["node_limit"] = int(options.node_limit)
-
-        try:
-            result = optimize.milp(
-                c=compiled.c,
-                constraints=constraints,
-                bounds=bounds,
-                integrality=compiled.integrality,
-                options=milp_options,
-            )
-        except (ValueError, TypeError, ArithmeticError) as exc:  # pragma: no cover - defensive
-            # scipy.optimize.milp rejects malformed inputs with ValueError /
-            # TypeError; ArithmeticError covers numerical blowups in HiGHS glue
-            raise SolverError(f"scipy.optimize.milp failed: {exc}") from exc
-
-    elapsed = time.perf_counter() - start
-    sign = 1.0 if compiled.sense is Sense.MINIMIZE else -1.0
-
-    # scipy.optimize.milp status codes:
-    #   0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded, 4 other
-    values = np.asarray(result.x) if result.x is not None else None
-    objective = None
-    if values is not None:
+    model_status = solver.getModelStatus()
+    solution = solver.getSolution()
+    info = solver.getInfo()
+    status = _status(model_status, bool(solution.value_valid))
+    values = objective = None
+    if status.has_solution:
+        values = np.asarray(solution.col_value, dtype=float)
         objective = sign * float(compiled.c @ values) + compiled.objective_constant
-
-    if result.status == 0:
-        status = SolutionStatus.OPTIMAL
-    elif result.status == 1:
-        status = SolutionStatus.FEASIBLE if values is not None else SolutionStatus.NO_SOLUTION
-    elif result.status == 2:
-        status = SolutionStatus.INFEASIBLE
-    elif result.status == 3:
-        status = SolutionStatus.UNBOUNDED
-    else:
-        status = SolutionStatus.FEASIBLE if values is not None else SolutionStatus.ERROR
-
-    mip_gap = getattr(result, "mip_gap", None)
-    node_count = int(getattr(result, "mip_node_count", 0) or 0)
+    message = f"HiGHS model status: {model_status.name}"
+    if cancelled:
+        message += " (cancelled by CancelToken mid-solve)"
+    gap = float(info.mip_gap)
     return IlpSolution(
         status=status,
         objective=objective,
         values=values,
-        mip_gap=None if mip_gap is None else float(mip_gap),
-        solve_time=elapsed,
-        message=str(getattr(result, "message", "")) + warm_note,
-        node_count=node_count,
+        mip_gap=gap if np.isfinite(gap) else None,
+        solve_time=time.perf_counter() - start,
+        message=message + warm_note,
+        # HiGHS reports -1 nodes for a model without integer columns
+        node_count=max(0, int(info.mip_node_count)),
     )

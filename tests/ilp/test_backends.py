@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.ilp import (
     ENV_BACKEND,
     FunctionBackend,
@@ -182,6 +183,21 @@ class TestLimitSemantics:
         if backend == "bnb":
             assert solution.status is SolutionStatus.NO_SOLUTION
             assert not solution.has_solution
+
+    def test_zero_node_limit_without_incumbent_is_no_solution(self, backend, market_split):
+        # market split branches: HiGHS has no incumbent at its root, so a
+        # node limit of 0 stops both backends with nothing to return
+        solution = solve(
+            market_split, SolverOptions(time_limit=30, node_limit=0), backend=backend
+        )
+        assert solution.status is SolutionStatus.NO_SOLUTION
+        assert solution.node_count == 0
+        assert solution.values is None and solution.objective is None
+
+    def test_negative_node_limit_is_rejected(self, backend):
+        model, _ = knapsack_model()
+        with pytest.raises(ConfigurationError, match="node_limit must be None or >= 0"):
+            solve(model, SolverOptions(time_limit=10, node_limit=-1), backend=backend)
 
     def test_zero_time_limit_returns_no_solution(self, backend):
         model, _ = knapsack_model()

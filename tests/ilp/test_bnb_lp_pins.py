@@ -12,8 +12,8 @@ step budget derived from the two-stage baseline, each DAG passed through its
 dict form as a job does.  For the root LP and its first (down) child the
 test pins a sha256 of the vertex ``x``, the objective and the branching
 variable.  The six smallest models run in tier 1, all thirteen under
-``slow``; one case forces the ``optimize.linprog`` fallback and must hit the
-same pins.
+``slow``.  The prepared LP is held to ``optimize.linprog``: a test-local
+relaxation that calls ``linprog`` at every node must hit the same pins.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.full_ilp import MbspIlpBuilder, MbspIlpConfig
@@ -102,10 +103,32 @@ def ilp_model(name: str):
     return model.compile()
 
 
-def root_and_down_child(name: str):
+def linprog_relaxation(compiled):
+    """The relaxation as per-node ``optimize.linprog`` calls, for reference."""
+    from scipy import optimize
+
+    A_ub, b_ub, A_eq, b_eq = branch_and_bound._split_constraints(compiled)
+
+    def solve(lower, upper):
+        res = optimize.linprog(
+            c=compiled.c,
+            A_ub=A_ub,
+            b_ub=b_ub,
+            A_eq=A_eq,
+            b_eq=b_eq,
+            bounds=np.column_stack((lower, np.where(np.isfinite(upper), upper, np.inf))),
+            method="highs",
+        )
+        assert res.status == 0, res.message
+        return res.x, float(res.fun)
+
+    return solve
+
+
+def root_and_down_child(name: str, relaxation=branch_and_bound._relaxation):
     """(x sha256, objective, branching variable) of the root LP and its down child."""
     compiled = ilp_model(name)
-    solve = branch_and_bound._relaxation(compiled)
+    solve = relaxation(compiled)
     int_idx = compiled.integrality.nonzero()[0]
     lower, upper = compiled.var_lb.astype(float), compiled.var_ub.astype(float)
     pins = []
@@ -129,7 +152,5 @@ def test_lp_vertices_are_pinned_on_larger_models(name):
     assert root_and_down_child(name) == PINS[name]
 
 
-def test_linprog_fallback_hits_the_same_pins(monkeypatch):
-    """Without the vendored HiGHS binding every node calls optimize.linprog."""
-    monkeypatch.setattr(branch_and_bound, "highs_cancellation_available", lambda: False)
-    assert root_and_down_child("bicgstab") == PINS["bicgstab"]
+def test_linprog_relaxation_hits_the_same_pins():
+    assert root_and_down_child("bicgstab", linprog_relaxation) == PINS["bicgstab"]

@@ -1,25 +1,18 @@
-"""Mid-solve cancellation through the scipy-vendored HiGHS binding.
+"""Mid-solve cancellation of the HiGHS driver.
 
-The whole module is skipped when the private ``scipy.optimize._highspy``
-binding is absent — the backend then falls back to plain ``optimize.milp``
-and cancellation stays coarse (pre-dispatch refusal + clamped time limit),
-which the last test pins regardless of the binding.
+With a :class:`CancelToken` in scope, :func:`solve_with_scipy` installs
+HiGHS's MIP-interrupt callback, which polls the token; a cancelled solve
+stops at the next branch-and-bound poll point and says so in its message.
+Around the callback, a scope that is already cancelled refuses to dispatch
+at all.
 """
 
-import numpy as np
 import pytest
 
-from repro.ilp import IlpModel, SolutionStatus, solve_with_scipy
+from repro.ilp import IlpModel, SolutionStatus, SolverOptions, solve_with_scipy
 from repro.ilp.cancellation import CancelToken, cancel_scope
-from repro.ilp.highs_cancel import (
-    highs_cancellation_available,
-    solve_with_highs_callback,
-)
 
-needs_highs = pytest.mark.skipif(
-    not highs_cancellation_available(),
-    reason="scipy-vendored HiGHS binding unavailable",
-)
+CANCELLED = "cancelled by CancelToken mid-solve"
 
 
 def knapsack_model():
@@ -31,47 +24,39 @@ def knapsack_model():
     return model
 
 
-def market_split_model(m=3, n=20, seed=7):
-    """A small market-split instance: trivially sized knapsacks solve in
-    presolve without ever polling the MIP-interrupt callback, this one is
-    guaranteed to branch (thousands of polls) yet finishes in ~1s."""
-    rng = np.random.RandomState(seed)
-    weights = rng.randint(0, 100, (m, n))
-    targets = weights.sum(axis=1) // 2
-    model = IlpModel("market-split")
-    x = model.add_variables("x", n, 0, 1, is_integer=True)
-    model.add_rows(np.tile(x, (m, 1)), weights, lower=targets, upper=targets)
-    model.minimize(x, 1.0)
-    return model
+class TripAfterPolls(CancelToken):
+    """Reports cancelled from poll ``polls_before_trip + 1`` on.
 
-
-class TripAfterFirstPoll(CancelToken):
-    """Reports cancelled from the second poll on.
-
-    With a model that enters branch and bound, the callback is polled
-    many times, so this token makes the mid-solve cancellation path
-    deterministic without wall-clock races.
+    The driver polls once before dispatch; every later poll comes from
+    the MIP-interrupt callback.  With a model that enters branch and
+    bound, the callback is polled many times, so this token makes the
+    mid-solve cancellation path deterministic without wall-clock races.
     """
 
-    def __init__(self):
+    def __init__(self, polls_before_trip):
         super().__init__()
+        self.polls_before_trip = polls_before_trip
         self.polls = 0
 
     def cancelled(self):
         self.polls += 1
-        return self.polls > 1
+        return self.polls > self.polls_before_trip
 
 
-@needs_highs
+def solve_in_scope(model, token, **options):
+    with cancel_scope(token):
+        return solve_with_scipy(model, SolverOptions(**options))
+
+
 class TestDirectSolve:
     def test_uncancelled_solve_is_optimal(self):
-        compiled = knapsack_model().compile()
-        result = solve_with_highs_callback(compiled, CancelToken())
-        assert result is not None
-        assert result.status == 0  # optimize.milp code space: optimal
-        assert not result.cancelled
+        model = knapsack_model()
+        result = solve_in_scope(model, CancelToken())
+        assert result.status is SolutionStatus.OPTIMAL
+        assert CANCELLED not in result.message
         # compiled space is minimization with negated costs: -14 == max 14
-        assert compiled.c @ result.x == pytest.approx(-14.0)
+        assert model.compile().c @ result.values == pytest.approx(-14.0)
+        assert result.objective == pytest.approx(14.0)
 
     def test_matches_plain_backend_objective(self):
         model = knapsack_model()
@@ -82,35 +67,34 @@ class TestDirectSolve:
         assert with_token.objective == pytest.approx(plain.objective)
 
     def test_cutoff_row_prunes_like_milp_path(self):
-        compiled = knapsack_model().compile()
-        # cutoff below the optimum (-14) makes the model infeasible
-        result = solve_with_highs_callback(
-            compiled, CancelToken(), cutoff=-15.0
+        # a cutoff above the optimum (max 14) makes the model infeasible
+        result = solve_in_scope(
+            knapsack_model(), CancelToken(), warm_start_objective=15.0
         )
-        assert result is not None
-        assert result.status == 2  # infeasible
+        assert result.status is SolutionStatus.INFEASIBLE
+        assert not result.has_solution
 
-    def test_mid_solve_cancellation_is_deterministic(self):
-        compiled = market_split_model().compile()
-        token = TripAfterFirstPoll()
-        result = solve_with_highs_callback(compiled, token, time_limit=60.0)
-        assert result is not None
-        assert token.polls >= 2  # the callback really was consulted
-        assert result.cancelled
-        assert result.status == 1  # limit-like: interrupted
-        assert "cancelled by CancelToken mid-solve" in result.message
+    def test_mid_solve_cancellation_is_deterministic(self, market_split):
+        # the pre-dispatch check and the first callback poll pass, the
+        # second callback poll trips
+        token = TripAfterPolls(2)
+        result = solve_in_scope(market_split, token, time_limit=60.0)
+        assert token.polls >= 3  # the callback really was consulted
+        assert result.status in (SolutionStatus.NO_SOLUTION, SolutionStatus.FEASIBLE)
+        assert CANCELLED in result.message
 
-    def test_cancelled_already_token_stops_at_first_poll(self):
-        compiled = market_split_model().compile()
-        token = CancelToken()
-        token.cancel("race lost")
-        result = solve_with_highs_callback(compiled, token, time_limit=60.0)
-        assert result is not None
-        assert result.cancelled
-        assert result.status == 1  # limit-like: interrupted
+    def test_cancelled_already_token_stops_at_first_poll(self, market_split):
+        # cancelled right after dispatch: the first callback poll trips
+        token = TripAfterPolls(1)
+        result = solve_in_scope(market_split, token, time_limit=60.0)
+        assert token.polls >= 2
+        assert result.status in (SolutionStatus.NO_SOLUTION, SolutionStatus.FEASIBLE)
+        assert CANCELLED in result.message
 
 
 class TestBackendFallback:
+    """The coarse hook around the callback: no dispatch once cancelled."""
+
     def test_pre_cancelled_scope_refuses_dispatch(self):
         token = CancelToken()
         token.cancel("budget exhausted")

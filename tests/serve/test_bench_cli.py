@@ -63,19 +63,23 @@ class TestServeBenchCli:
         self, tmp_path, flag, value, message
     ):
         """A bad flag value prints one ``error:`` line on stderr and exits
-        2, the ``repro lint`` usage convention, with no traceback."""
+        2, the ``repro lint`` usage convention, with no traceback, nothing
+        on stdout and neither the summary nor the trace written."""
         out = tmp_path / "s.json"
+        trace = tmp_path / "t.json"
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "serve", "bench", "--seed", "3",
              "--requests", "200", "--limit", "2", flag, value,
-             "--output", str(out)],
+             "--output", str(out), "--trace", str(trace)],
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 2
         assert proc.stderr == f"error: {message}\n"
         assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout == ""
         assert not out.exists()
+        assert not trace.exists()
 
     def test_json_mode_prints_the_summary(self, tmp_path, capsys):
         self._run(tmp_path, "one.json", "--json")

@@ -101,6 +101,14 @@ class TestExecRun:
                     "--limit", "1", "--time-limit", "1",
                 ])
 
+    @pytest.mark.parametrize("command", [["exec", "run"], ["experiment"], ["portfolio"]])
+    def test_negative_node_limit_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, "--limit", "1", "--node-limit", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --node-limit: must be >= 0, got -1" in err
+
 
 class TestExecSharded:
     ARGS = [

@@ -3,10 +3,12 @@
 ``import repro`` reaches :mod:`repro.ilp` through the scheduler exports,
 yet the heuristic pipelines and the serve loop never build an ILP.  The
 modules that use scipy (``ilp.model``, ``ilp.scipy_backend``,
-``ilp.branch_and_bound``, ``ilp.highs_cancel``) import it inside the
-functions that need it, so a process that only schedules heuristically
-never pays for ``scipy.sparse`` or ``scipy.optimize``.  The check runs in
-a fresh interpreter, because the test process has long imported scipy.
+``ilp.branch_and_bound``) import it inside the functions that need it, so
+a process that only schedules heuristically never pays for
+``scipy.sparse`` or ``scipy.optimize``.  Both solver backends need the
+HiGHS binding vendored with scipy (``scipy.optimize._highspy``); the
+script checks that it imports.  The check runs in a fresh interpreter,
+because the test process has long imported scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ assert result.ilp_cost > 0, result
 assert loaded() == [], f"loaded before any ILP: {loaded()}"
 
 from repro.ilp import IlpModel, SolutionStatus, solve
-from repro.ilp.highs_cancel import highs_cancellation_available
+from repro.ilp.scipy_backend import highs_binding
 
 model = IlpModel("lazy")
 cols = list(model.add_variables("x", 2, upper=1.0, is_integer=True))
@@ -48,7 +50,7 @@ assert "scipy.sparse" in sys.modules, "compile did not load scipy.sparse"
 solution = solve(model, backend="scipy")
 assert solution.status is SolutionStatus.OPTIMAL and solution.objective == -2.0, solution
 assert loaded() == ["scipy.sparse", "scipy.optimize"], loaded()
-assert highs_cancellation_available()
+assert highs_binding().__name__ == "scipy.optimize._highspy._core"
 print("ok")
 """
 
