@@ -20,6 +20,13 @@ Conversion rules
   clairvoyant policy (their next use is infinitely far away).
 * Source nodes are never computed; they are loaded from slow memory where
   needed.
+
+Each processor's cache is simulated with one :class:`~repro.cache.policies.
+CacheEntryInfo` per cached value, kept across make-room loops.  An entry's
+next use, last use and insertion index change only when the value enters
+the cache and when a compute consumes it as a parent, so the entry is
+refreshed at exactly those two points and every make-room loop hands the
+policy the entries as they stand.
 """
 
 from __future__ import annotations
@@ -80,11 +87,11 @@ class _ProcessorConverter:
         self.policy = policy
         self.required_in_slow_memory = set(required_in_slow_memory or ())
 
-        self.cache: Dict[NodeId, float] = {}
+        # the cached values, in insertion order, each with its eviction
+        # candidate info as of now
+        self.cache: Dict[NodeId, CacheEntryInfo] = {}
         self.used = 0.0
         self.blue_local: Set[NodeId] = set()
-        self.last_use: Dict[NodeId, int] = {}
-        self.insertion: Dict[NodeId, int] = {}
         self.pending_save: Set[NodeId] = set()
 
         # positions in this processor's sequence where each value is consumed
@@ -129,16 +136,6 @@ class _ProcessorConverter:
         idx = bisect.bisect_left(uses, position)
         return uses[idx] if idx < len(uses) else _INF
 
-    def _candidates(self, nodes: List[NodeId], position: int) -> List[CacheEntryInfo]:
-        """Eviction candidates for a make-room loop at ``position``."""
-        mu, last_use, insertion = self.mu, self.last_use, self.insertion
-        return [
-            CacheEntryInfo(
-                u, mu[u], self._next_use(u, position), last_use.get(u, -1), insertion.get(u, -1)
-            )
-            for u in nodes
-        ]
-
     def _evict_one(self, candidates: List[CacheEntryInfo]) -> CacheEntryInfo:
         """Let the policy pick a victim, drop it from ``candidates`` and the cache.
 
@@ -151,13 +148,25 @@ class _ProcessorConverter:
         return entry
 
     def _insert(self, node: NodeId, position: int) -> None:
-        self.cache[node] = self.mu[node]
-        self.used += self.mu[node]
-        self.insertion[node] = position
-        self.last_use[node] = position
+        mu = self.mu[node]
+        self.cache[node] = CacheEntryInfo(
+            node, mu, self._next_use(node, position), position, position
+        )
+        self.used += mu
+
+    def _consume(self, node: NodeId, position: int) -> None:
+        """Record that the compute at ``position`` read the cached ``node``.
+
+        Every later make-room loop runs at a later position, so the next
+        use moves past ``position``.
+        """
+        entry = self.cache[node]
+        self.cache[node] = CacheEntryInfo(
+            node, entry.mu, self._next_use(node, position + 1), position, entry.insertion
+        )
 
     def _remove(self, node: NodeId) -> None:
-        self.used -= self.cache.pop(node)
+        self.used -= self.cache.pop(node).mu
 
     # ------------------------------------------------------------------
     # segment construction
@@ -183,7 +192,7 @@ class _ProcessorConverter:
         pinned = set(parents) | {node}
         target = self.used + load_mu + self.mu[node]
         if target > self.cache_size + 1e-9:
-            candidates = self._candidates([u for u in self.cache if u not in pinned], position)
+            candidates = [entry for u, entry in self.cache.items() if u not in pinned]
             while target > self.cache_size + 1e-9:
                 if not candidates:
                     raise InfeasibleInstanceError(
@@ -223,7 +232,7 @@ class _ProcessorConverter:
             segment.compute_ops.append(compute_op(node))
             self._insert(node, index)
             for u in parents:
-                self.last_use[u] = index
+                self._consume(u, index)
             if self.needs_creation_save[node] and not self._is_blue(node):
                 segment.creation_saves.append(node)
                 self.blue_local.add(node)
@@ -244,14 +253,11 @@ class _ProcessorConverter:
         if self.used + need <= self.cache_size + 1e-9:
             return True
         parents = set(self.parents[node])
-        candidates = self._candidates(
-            [
-                u for u in self.cache
-                if u not in parents and u != node and u not in self.pending_save
-                and (self._is_blue(u) or self._next_use(u, position) == _INF)
-            ],
-            position,
-        )
+        candidates = [
+            entry for u, entry in self.cache.items()
+            if u not in parents and u != node and u not in self.pending_save
+            and (self._is_blue(u) or entry.next_use == _INF)
+        ]
         while self.used + need > self.cache_size + 1e-9:
             if not candidates:
                 return False
@@ -375,8 +381,7 @@ class TwoStageConverter:
                 prep_target.delete_phase.extend(prep.deletes)
                 prep_target.load_phase.extend(prep.loads)
 
-        schedule = MbspSchedule(instance, supersteps)
-        return schedule.drop_empty_supersteps()
+        return MbspSchedule(instance, [step for step in supersteps if not step.is_empty()])
 
 
 def two_stage_schedule(

@@ -23,12 +23,14 @@ def minimum_cache_size(dag: ComputationalDag) -> float:
     demanding node.  Source nodes are never computed but must be loadable,
     requiring at least ``mu(v)``.
     """
+    snap = dag.snapshot()
+    mu = snap.mu
     best = 0.0
-    for v in dag.nodes:
-        if dag.is_source(v):
-            best = max(best, dag.mu(v))
+    for v, parents in snap.parents.items():
+        if not parents:
+            best = max(best, mu[v])
         else:
-            need = dag.mu(v) + sum(dag.mu(u) for u in dag.parents(v))
+            need = mu[v] + sum(mu[u] for u in parents)
             best = max(best, need)
     return best
 

@@ -103,6 +103,11 @@ class ExperimentConfig:
     # budget/seed/strategy knobs).
     refine: RefineConfig = field(default_factory=RefineConfig)
 
+    def __post_init__(self) -> None:
+        # reject a bad node limit here, before it is hashed into job keys,
+        # with the solver options' own check instead of mid-plan
+        SolverOptions(node_limit=self.ilp_node_limit)
+
     def instance_for(self, dag: ComputationalDag) -> MbspInstance:
         return make_instance(
             dag,

@@ -11,19 +11,21 @@ Section 3.1 on each processor:
   pebbles of ``p`` on all parents of ``v``), cost ``omega(v)``;
 * ``DELETE(p, v)``  — evict ``v`` from the cache of ``p``, cost 0.
 
-This module defines the operation objects and a :class:`PebblingState` that
-replays them while enforcing the rules and the per-processor memory bound.
-The validator and the cost evaluators are built on top of it.
+This module defines the operation objects and a :class:`PebblingState`: the
+red and blue pebbles of a schedule under replay, with the
+:class:`~repro.dag.graph.DagSnapshot` its copies share.  The rules and the
+per-processor memory bound are enforced in one place,
+:func:`repro.model.validation.replay_superstep`, which applies a whole
+superstep to a state.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set
+from typing import List, Set
 
 from repro.dag.graph import ComputationalDag, NodeId
-from repro.exceptions import InvalidScheduleError
 
 
 class OpType(enum.Enum):
@@ -79,11 +81,16 @@ class PebblingState:
 
     Tracks the red-pebble set (cache contents) of every processor, the used
     cache capacity, and the shared blue-pebble set (slow memory contents).
+    The transition rules themselves are applied by
+    :func:`repro.model.validation.replay_superstep`, which reads memory
+    weights and parent sets from :attr:`snap`, a
+    :class:`~repro.dag.graph.DagSnapshot` of ``dag`` taken here and shared
+    by every :meth:`copy`.
 
     Parameters
     ----------
     dag:
-        The computational DAG (provides memory weights and parent sets).
+        The computational DAG.
     num_processors:
         Number of processors ``P``.
     cache_size:
@@ -92,6 +99,7 @@ class PebblingState:
 
     def __init__(self, dag: ComputationalDag, num_processors: int, cache_size: float) -> None:
         self.dag = dag
+        self.snap = dag.snapshot()
         self.num_processors = num_processors
         self.cache_size = cache_size
         self.red: List[Set[NodeId]] = [set() for _ in range(num_processors)]
@@ -99,104 +107,8 @@ class PebblingState:
         self.blue: Set[NodeId] = set(dag.sources())
 
     # ------------------------------------------------------------------
-    def _check_proc(self, proc: int) -> None:
-        if not 0 <= proc < self.num_processors:
-            raise InvalidScheduleError(f"processor index {proc} out of range")
-
-    def has_red(self, proc: int, node: NodeId) -> bool:
-        self._check_proc(proc)
-        return node in self.red[proc]
-
-    def has_blue(self, node: NodeId) -> bool:
-        return node in self.blue
-
-    def cache_used(self, proc: int) -> float:
-        self._check_proc(proc)
-        return self.red_usage[proc]
-
-    # ------------------------------------------------------------------
-    def _add_red(self, proc: int, node: NodeId, context: str) -> None:
-        if node in self.red[proc]:
-            return
-        self.red[proc].add(node)
-        self.red_usage[proc] += self.dag.mu(node)
-        if self.red_usage[proc] > self.cache_size + 1e-9:
-            raise InvalidScheduleError(
-                f"{context}: cache of processor {proc} exceeds capacity "
-                f"({self.red_usage[proc]:.6g} > {self.cache_size:.6g})"
-            )
-
-    def _remove_red(self, proc: int, node: NodeId) -> None:
-        if node in self.red[proc]:
-            self.red[proc].remove(node)
-            self.red_usage[proc] -= self.dag.mu(node)
-
-    # ------------------------------------------------------------------
-    def apply_load(self, proc: int, node: NodeId) -> None:
-        """Apply ``LOAD(proc, node)``; requires a blue pebble on ``node``."""
-        self._check_proc(proc)
-        if node not in self.blue:
-            raise InvalidScheduleError(
-                f"LOAD({proc}, {node!r}): node has no blue pebble (not in slow memory)"
-            )
-        self._add_red(proc, node, f"LOAD({proc}, {node!r})")
-
-    def apply_save(self, proc: int, node: NodeId, blue_target: Optional[Set[NodeId]] = None) -> None:
-        """Apply ``SAVE(proc, node)``; requires a red pebble of ``proc``.
-
-        If ``blue_target`` is given, the blue pebble is placed into that set
-        instead of the live blue set; this implements the superstep semantics
-        where the shared slow memory is only updated at the end of the save
-        phase (Appendix A).
-        """
-        self._check_proc(proc)
-        if node not in self.red[proc]:
-            raise InvalidScheduleError(
-                f"SAVE({proc}, {node!r}): node has no red pebble of processor {proc}"
-            )
-        (blue_target if blue_target is not None else self.blue).add(node)
-
-    def apply_compute(self, proc: int, node: NodeId) -> None:
-        """Apply ``COMPUTE(proc, node)``; requires all parents in cache."""
-        self._check_proc(proc)
-        parents = self.dag.parents(node)
-        if not parents:
-            raise InvalidScheduleError(
-                f"COMPUTE({proc}, {node!r}): source nodes are never computed"
-            )
-        missing = [u for u in parents if u not in self.red[proc]]
-        if missing:
-            raise InvalidScheduleError(
-                f"COMPUTE({proc}, {node!r}): parents {missing!r} not in cache of "
-                f"processor {proc}"
-            )
-        self._add_red(proc, node, f"COMPUTE({proc}, {node!r})")
-
-    def apply_delete(self, proc: int, node: NodeId) -> None:
-        """Apply ``DELETE(proc, node)``; requires a red pebble of ``proc``."""
-        self._check_proc(proc)
-        if node not in self.red[proc]:
-            raise InvalidScheduleError(
-                f"DELETE({proc}, {node!r}): node has no red pebble of processor {proc}"
-            )
-        self._remove_red(proc, node)
-
-    def apply(self, proc: int, op: Operation, blue_target: Optional[Set[NodeId]] = None) -> None:
-        """Apply an arbitrary operation."""
-        if op.op_type is OpType.LOAD:
-            self.apply_load(proc, op.node)
-        elif op.op_type is OpType.SAVE:
-            self.apply_save(proc, op.node, blue_target=blue_target)
-        elif op.op_type is OpType.COMPUTE:
-            self.apply_compute(proc, op.node)
-        elif op.op_type is OpType.DELETE:
-            self.apply_delete(proc, op.node)
-        else:  # pragma: no cover - enum is exhaustive
-            raise InvalidScheduleError(f"unknown operation type {op.op_type!r}")
-
-    # ------------------------------------------------------------------
     def copy(self) -> "PebblingState":
-        """An independent snapshot of this configuration (same DAG object).
+        """An independent copy of this configuration (same DAG and snapshot).
 
         Used by the refinement engine to checkpoint the replay state before
         every superstep so that a local schedule edit only needs a suffix
@@ -204,6 +116,7 @@ class PebblingState:
         """
         new = PebblingState.__new__(PebblingState)
         new.dag = self.dag
+        new.snap = self.snap
         new.num_processors = self.num_processors
         new.cache_size = self.cache_size
         new.red = [set(pebbles) for pebbles in self.red]

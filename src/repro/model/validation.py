@@ -1,7 +1,8 @@
 """Validation of MBSP schedules.
 
-The validator replays a schedule through :class:`~repro.model.pebbling.PebblingState`
-and enforces every rule of the model definition (Section 3 and Appendix A):
+The validator replays a schedule superstep by superstep with
+:func:`replay_superstep` and enforces every rule of the model definition
+(Section 3 and Appendix A):
 
 * every operation's precondition (parents in cache, blue pebble present, ...),
 * the per-processor memory bound after every cache insertion,
@@ -9,17 +10,24 @@ and enforces every rule of the model definition (Section 3 and Appendix A):
   save phase and queried in the load phase),
 * the initial configuration (only sources in slow memory, empty caches) and
   the terminal configuration (all sinks in slow memory).
+
+:func:`replay_superstep` is the one implementation of the transition rules
+of :mod:`repro.model.pebbling`: a single kernel that applies a whole
+superstep to a :class:`~repro.model.pebbling.PebblingState`, reading
+parents and memory weights from the state's
+:class:`~repro.dag.graph.DagSnapshot` instead of the DAG's validated
+per-node accessors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, Optional, Set
 
 from repro.dag.graph import NodeId
-from repro.exceptions import InvalidScheduleError
+from repro.exceptions import GraphError, InvalidScheduleError
 from repro.model.pebbling import OpType, PebblingState
-from repro.model.schedule import MbspSchedule
+from repro.model.schedule import MbspSchedule, Superstep
 
 
 @dataclass
@@ -49,9 +57,22 @@ class ValidationReport:
         }
 
 
+def _out_of_range(s: int, proc: int) -> InvalidScheduleError:
+    return InvalidScheduleError(f"superstep {s}: processor index {proc} out of range")
+
+
+def _over_capacity(
+    s: int, context: str, proc: int, state: PebblingState
+) -> InvalidScheduleError:
+    return InvalidScheduleError(
+        f"superstep {s}: {context}: cache of processor {proc} exceeds capacity "
+        f"({state.red_usage[proc]:.6g} > {state.cache_size:.6g})"
+    )
+
+
 def replay_superstep(
     state: PebblingState,
-    step,
+    step: Superstep,
     superstep_index: int = 0,
     report: Optional[ValidationReport] = None,
 ) -> None:
@@ -62,57 +83,122 @@ def replay_superstep(
     refinement engine (:mod:`repro.refine`): the four phases are applied in
     order (compute, save, delete, load) with the superstep semantics of the
     save phase (blue pebbles become visible only after *all* saves of the
-    step).  Raises :class:`InvalidScheduleError` on any violation; when a
-    ``report`` is given, operation counts and peak cache usage are recorded
-    on it.
+    step).  Raises :class:`InvalidScheduleError` on any violation (a
+    COMPUTE of a node the DAG does not have raises
+    :class:`~repro.exceptions.GraphError`, a LOAD or SAVE in a compute phase
+    :class:`~repro.exceptions.ScheduleError`); when a ``report`` is given,
+    operation counts and peak cache usage are recorded on it.  On an error
+    the state keeps the operations applied before it.
     """
     s = superstep_index
+    parents_of, mu = state.snap.parents, state.snap.mu
+    red, usage, blue = state.red, state.red_usage, state.blue
+    num_processors = state.num_processors
+    limit = state.cache_size + 1e-9
+    compute = OpType.COMPUTE
+    processor_steps = step.processor_steps
     # 1. compute phases (COMPUTE / DELETE only)
-    for p, ps in enumerate(step.processor_steps):
+    for p, ps in enumerate(processor_steps):
         ps.validate_phase_types()
+        if not ps.compute_phase:
+            continue
+        if p >= num_processors:
+            raise _out_of_range(s, p)
+        cache = red[p]
         for op in ps.compute_phase:
-            try:
-                state.apply(p, op)
-            except InvalidScheduleError as exc:
-                raise InvalidScheduleError(f"superstep {s}: {exc}") from None
+            node = op.node
+            if op.op_type is compute:
+                parents = parents_of.get(node)
+                if parents is None:
+                    raise GraphError(f"unknown node {node!r}")
+                if not parents:
+                    raise InvalidScheduleError(
+                        f"superstep {s}: COMPUTE({p}, {node!r}): source nodes are "
+                        f"never computed"
+                    )
+                if not cache.issuperset(parents):
+                    missing = [u for u in parents if u not in cache]
+                    raise InvalidScheduleError(
+                        f"superstep {s}: COMPUTE({p}, {node!r}): parents {missing!r} "
+                        f"not in cache of processor {p}"
+                    )
+                if node not in cache:
+                    cache.add(node)
+                    usage[p] += mu[node]
+                    if usage[p] > limit:
+                        raise _over_capacity(s, f"COMPUTE({p}, {node!r})", p, state)
+            else:
+                if node not in cache:
+                    raise InvalidScheduleError(
+                        f"superstep {s}: DELETE({p}, {node!r}): node has no red pebble "
+                        f"of processor {p}"
+                    )
+                cache.remove(node)
+                usage[p] -= mu[node]
             if report is not None:
-                if op.op_type is OpType.COMPUTE:
+                if op.op_type is compute:
                     report.num_computes += 1
-                    report.compute_events[op.node] = report.compute_events.get(op.node, 0) + 1
-                    report.computed_nodes.add(op.node)
+                    report.compute_events[node] = report.compute_events.get(node, 0) + 1
+                    report.computed_nodes.add(node)
                 else:
                     report.num_deletes += 1
-                report.max_cache_used = max(report.max_cache_used, state.cache_used(p))
+                report.max_cache_used = max(report.max_cache_used, usage[p])
     # 2. save phases: blue pebbles become visible only after all saves
     new_blue: Set[NodeId] = set()
-    for p, ps in enumerate(step.processor_steps):
+    for p, ps in enumerate(processor_steps):
+        if not ps.save_phase:
+            continue
+        if p >= num_processors:
+            raise _out_of_range(s, p)
+        cache = red[p]
         for v in ps.save_phase:
-            try:
-                state.apply_save(p, v, blue_target=new_blue)
-            except InvalidScheduleError as exc:
-                raise InvalidScheduleError(f"superstep {s}: {exc}") from None
+            if v not in cache:
+                raise InvalidScheduleError(
+                    f"superstep {s}: SAVE({p}, {v!r}): node has no red pebble of "
+                    f"processor {p}"
+                )
+            new_blue.add(v)
             if report is not None:
                 report.num_saves += 1
-    state.blue.update(new_blue)
+    blue.update(new_blue)
     # 3. delete phases
-    for p, ps in enumerate(step.processor_steps):
+    for p, ps in enumerate(processor_steps):
+        if not ps.delete_phase:
+            continue
+        if p >= num_processors:
+            raise _out_of_range(s, p)
+        cache = red[p]
         for v in ps.delete_phase:
-            try:
-                state.apply_delete(p, v)
-            except InvalidScheduleError as exc:
-                raise InvalidScheduleError(f"superstep {s}: {exc}") from None
+            if v not in cache:
+                raise InvalidScheduleError(
+                    f"superstep {s}: DELETE({p}, {v!r}): node has no red pebble of "
+                    f"processor {p}"
+                )
+            cache.remove(v)
+            usage[p] -= mu[v]
             if report is not None:
                 report.num_deletes += 1
     # 4. load phases
-    for p, ps in enumerate(step.processor_steps):
+    for p, ps in enumerate(processor_steps):
+        if not ps.load_phase:
+            continue
+        if p >= num_processors:
+            raise _out_of_range(s, p)
+        cache = red[p]
         for v in ps.load_phase:
-            try:
-                state.apply_load(p, v)
-            except InvalidScheduleError as exc:
-                raise InvalidScheduleError(f"superstep {s}: {exc}") from None
+            if v not in blue:
+                raise InvalidScheduleError(
+                    f"superstep {s}: LOAD({p}, {v!r}): node has no blue pebble (not in "
+                    f"slow memory)"
+                )
+            if v not in cache:
+                cache.add(v)
+                usage[p] += mu[v]
+                if usage[p] > limit:
+                    raise _over_capacity(s, f"LOAD({p}, {v!r})", p, state)
             if report is not None:
                 report.num_loads += 1
-                report.max_cache_used = max(report.max_cache_used, state.cache_used(p))
+                report.max_cache_used = max(report.max_cache_used, usage[p])
 
 
 def validate_schedule(schedule: MbspSchedule, require_all_computed: bool = True) -> ValidationReport:
@@ -153,8 +239,9 @@ def validate_schedule(schedule: MbspSchedule, require_all_computed: bool = True)
             f"saved to slow memory"
         )
     if require_all_computed:
+        computed = report.computed_nodes
         not_computed = [
-            v for v in dag.nodes if not dag.is_source(v) and v not in report.computed_nodes
+            v for v, parents in state.snap.parents.items() if parents and v not in computed
         ]
         if not_computed:
             raise InvalidScheduleError(

@@ -37,12 +37,16 @@ class IncrementalCost:
     The synchronous cost is ``sum_s [max_p comp(s,p) + max_p save(s,p) +
     max_p load(s,p) + L]`` over non-empty supersteps.  The per-cell sums are
     kept explicitly; editing one cell refreshes only that superstep's
-    contribution.
+    contribution.  Construction reads the weights through the DAG's
+    validated accessors (an unknown node raises
+    :class:`~repro.exceptions.GraphError`); edits read them from ``snap``,
+    a :class:`~repro.dag.graph.DagSnapshot` taken at construction.
     """
 
     def __init__(self, schedule: MbspSchedule) -> None:
         instance = schedule.instance
         self.dag = instance.dag
+        self.snap = self.dag.snapshot()
         self.g = instance.g
         self.L = instance.L
         self.num_processors = instance.num_processors
@@ -170,7 +174,7 @@ class ScheduleEditor:
     # compute-phase primitives
     # ------------------------------------------------------------------
     def _compute_delta(self, op: Operation) -> float:
-        return self.cost.dag.omega(op.node) if op.op_type is OpType.COMPUTE else 0.0
+        return self.cost.snap.omega[op.node] if op.op_type is OpType.COMPUTE else 0.0
 
     def pop_compute_op(self, s: int, p: int, index: int) -> Operation:
         """Remove and return the ``index``-th compute-phase operation of ``(s, p)``."""
@@ -208,7 +212,7 @@ class ScheduleEditor:
         raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
 
     def _phase_delta(self, phase: str, node: NodeId) -> float:
-        return 0.0 if phase == "delete" else self.cost.g * self.cost.dag.mu(node)
+        return 0.0 if phase == "delete" else self.cost.g * self.cost.snap.mu[node]
 
     def remove_phase_node(self, s: int, p: int, phase: str, index: int) -> NodeId:
         """Remove and return the ``index``-th node of a save/delete/load phase."""

@@ -110,7 +110,7 @@ class RefineResult:
     trace: List[TraceEntry] = field(default_factory=list)
     proposals: int = 0
     accepted: int = 0
-    invalid: int = 0       # cost-accepted candidates rejected by the validator
+    invalid: int = 0       # cost-accepted candidates rejected by a screen or the replay
     rounds: int = 0
     wall_time: float = 0.0
 
@@ -294,7 +294,7 @@ class Refiner:
                         continue
                 else:
                     new_cost = editor.cost.total
-                if not validator.revalidate(
+                if move.doomed(work, validator) or not validator.revalidate(
                     editor.first_affected, editor.last_affected, editor.structural
                 ):
                     result.invalid += 1

@@ -5,9 +5,15 @@ primitives of :class:`~repro.refine.editing.ScheduleEditor`.  Moves are
 *optimistic*: ``apply`` performs cheap structural checks only (index bounds,
 trivially-doomed patterns) and the engine gates acceptance on the incremental
 cost delta first and on a localized pebbling revalidation second — a move
-that would break a model rule is simply rolled back.  This keeps every move
-class tiny while the validator remains the single source of truth for the
-model semantics.
+that would break a model rule is simply rolled back.
+
+Before that revalidation, the ``load``, ``save`` and ``reassign`` families
+screen the applied edit with :meth:`Move.doomed`: a precondition read from
+the validator's recorded pebble configurations, each argued in its
+docstring.  A screen is a necessary condition only.  It rejects just
+edits that the replay would also reject, and a rejected edit counts as
+invalid exactly like a replay failure; the replay still decides every
+acceptance.
 
 Move families (selectable through ``RefineConfig.moves``):
 
@@ -45,6 +51,7 @@ from typing import List, Sequence, Tuple
 from repro.model.pebbling import OpType, compute_op
 from repro.model.schedule import MbspSchedule
 from repro.refine.editing import ScheduleEditor
+from repro.refine.validation import IncrementalValidator
 
 #: All known move family names (the default configuration enables them all).
 MOVE_FAMILIES = ("merge", "reassign", "split", "reorder", "load", "save", "recompute")
@@ -63,6 +70,17 @@ class Move:
         always wraps ``apply`` in ``begin``/``rollback``.
         """
         raise NotImplementedError
+
+    def doomed(self, schedule: MbspSchedule, validator: IncrementalValidator) -> bool:
+        """Whether the applied edit is certain to fail revalidation.
+
+        Called after a successful ``apply``, on the edited ``schedule``,
+        while ``validator``'s snapshots still describe the schedule before
+        the edit.  True only when :meth:`IncrementalValidator.revalidate`
+        and a full :func:`~repro.model.validation.validate_schedule` of the
+        edited schedule would both fail; the base class screens nothing.
+        """
+        return False
 
     def describe(self) -> str:
         return repr(self)
@@ -137,6 +155,26 @@ class ReassignCompute(Move):
             editor.remove_phase_node(s, p, "delete", idx)
             editor.insert_phase_node(s, q, "delete", len(steps[s][q].delete_phase), node)
         return True
+
+    def doomed(self, schedule: MbspSchedule, validator: IncrementalValidator) -> bool:
+        """A parent of the node is neither red on ``q`` nor computed in ``(s, q)``.
+
+        The edit leaves the supersteps before ``s`` alone, so the replay
+        enters ``s`` in the recorded configuration ``snapshots[s]``.  The
+        moved COMPUTE runs last in ``q``'s compute phase, and a compute
+        phase only adds the nodes it computes to ``q``'s red pebbles, so
+        every parent must be red on ``q`` before ``s`` or computed earlier
+        in ``(s, q)``; otherwise the COMPUTE fails (or the replay fails
+        before it).
+        """
+        before = validator.snapshots[self.s]
+        compute_phase = schedule.supersteps[self.s][self.q].compute_phase
+        red = before.red[self.q]
+        parents = before.snap.parents[compute_phase[-1].node]
+        if red.issuperset(parents):
+            return False
+        computed = {op.node for op in compute_phase if op.op_type is OpType.COMPUTE}
+        return any(u not in red and u not in computed for u in parents)
 
 
 @dataclass(frozen=True)
@@ -223,6 +261,19 @@ class MoveLoad(Move):
         editor.insert_phase_node(t, p, "load", len(steps[t][p].load_phase), node)
         return True
 
+    def doomed(self, schedule: MbspSchedule, validator: IncrementalValidator) -> bool:
+        """The value has no blue pebble after superstep ``t``.
+
+        The edit leaves the supersteps before ``t`` alone and superstep
+        ``t`` as it was except for the LOAD appended to ``p``'s load phase.
+        The replay therefore reaches that LOAD with the blue pebbles of
+        ``snapshots[t + 1]``, the configuration after ``t``: blue pebbles
+        change only at the end of a save phase, and loads and deletes come
+        after it.  Without a blue pebble there, the LOAD fails.
+        """
+        node = schedule.supersteps[self.t][self.p].load_phase[-1]
+        return node not in validator.snapshots[self.t + 1].blue
+
 
 @dataclass(frozen=True)
 class RemoveLoad(Move):
@@ -266,6 +317,42 @@ class MoveSave(Move):
         node = editor.remove_phase_node(s, p, "save", self.index)
         editor.insert_phase_node(t, p, "save", len(steps[t][p].save_phase), node)
         return True
+
+    def doomed(self, schedule: MbspSchedule, validator: IncrementalValidator) -> bool:
+        """Earlier: the value is not red on ``p`` at ``t``.  Later: a LOAD of
+        it between ``s`` and ``t`` loses its blue pebble.
+
+        *Earlier* (``t < s``): the replay enters ``t`` in ``snapshots[t]``
+        and reaches the SAVE after ``p``'s compute phase, which only adds
+        the nodes it computes to ``p``'s red pebbles.  Unless the value is
+        red in ``snapshots[t]`` or computed in ``(t, p)``, the SAVE fails.
+
+        *Later* (``t > s``): the replay enters ``s`` in ``snapshots[s]``,
+        and blue pebbles are only ever added, by SAVEs, visible to the
+        loads of their own superstep.  If the value is not blue in
+        ``snapshots[s]``, walk the supersteps ``s, ..., t - 1`` of the
+        edited schedule: one that saves it again ends the walk (the value
+        is blue from there on), and one that loads it first fails that
+        LOAD.  The replay cannot stop early before ``t``, the last edited
+        superstep.
+        """
+        steps = schedule.supersteps
+        s, p, t = self.s, self.p, self.t
+        node = steps[t][p].save_phase[-1]
+        if t < s:
+            return node not in validator.snapshots[t].red[p] and not any(
+                op.node == node and op.op_type is OpType.COMPUTE
+                for op in steps[t][p].compute_phase
+            )
+        if node in validator.snapshots[s].blue:
+            return False
+        for u in range(s, t):
+            processor_steps = steps[u].processor_steps
+            if any(node in ps.save_phase for ps in processor_steps):
+                return False
+            if any(node in ps.load_phase for ps in processor_steps):
+                return True
+        return False
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,19 @@ only requires:
 
 1. cloning the snapshot before the first affected superstep,
 2. replaying forward (via :func:`repro.model.validation.replay_superstep`,
-   the exact primitive of the full validator — the rules enforced are
+   the exact kernel of the full validator — the rules enforced are
    identical), and
 3. stopping early once the replay reaches an unedited superstep whose
    pebble configuration matches the recorded snapshot: from there on the
    old replay is guaranteed to repeat verbatim.
 
 On success the snapshots are updated in place; on failure they are left
-untouched, matching the editor's rollback of the schedule itself.
+untouched, matching the editor's rollback of the schedule itself.  Every
+snapshot shares the one :class:`~repro.dag.graph.DagSnapshot` of the DAG.
+
+The snapshots also serve the move families' precondition screens
+(:meth:`repro.refine.moves.Move.doomed`), which reject some doomed edits
+from the recorded pebble sets without a replay.
 """
 
 from __future__ import annotations

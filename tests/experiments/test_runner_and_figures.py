@@ -7,6 +7,7 @@ good solutions — that is what the benchmarks are for.
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.experiments.figures import RatioSeries, render_figure4, theorem41_comparison
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -50,6 +51,19 @@ class TestExperimentConfig:
         assert variant.synchronous is False
         assert variant.cache_factor == 5.0
         assert FAST.synchronous is True  # original untouched
+
+    def test_negative_node_limit_is_rejected_at_construction(self):
+        # it used to be accepted and hashed into job keys, failing only once
+        # a job of the plan built its solver options
+        with pytest.raises(ConfigurationError, match="node_limit must be None or >= 0, got -1"):
+            ExperimentConfig(ilp_node_limit=-1, ilp_backend="bnb")
+        with pytest.raises(ConfigurationError, match="got -1"):
+            FAST.variant(ilp_node_limit=-1)
+        config = ExperimentConfig(ilp_node_limit=0, ilp_backend="bnb")
+        results = Session().run(
+            plan_pipelines(["bspg+clairvoyant", "baseline|ilp"], [fork_join_dag(width=3, stages=1)], config)
+        )
+        assert len(results) == 2
 
     def test_ilp_config_propagates_settings(self):
         config = FAST.variant(allow_recomputation=False, step_cap=8)

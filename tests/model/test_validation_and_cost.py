@@ -1,5 +1,7 @@
 """Unit tests for schedule validation and the cost functions."""
 
+import typing
+
 import pytest
 
 from repro.exceptions import InvalidScheduleError
@@ -15,6 +17,7 @@ from repro.model.schedule import MbspSchedule
 from repro.model.validation import (
     is_valid_schedule,
     replay_final_state,
+    replay_superstep,
     validate_schedule,
 )
 
@@ -54,6 +57,13 @@ def parallel_schedule(instance):
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "function", [replay_superstep, validate_schedule, replay_final_state]
+    )
+    def test_type_hints_resolve(self, function):
+        # every annotation names something the module imports
+        assert typing.get_type_hints(function)
+
     def test_sequential_schedule_valid(self, diamond_instance):
         report = validate_schedule(sequential_schedule(diamond_instance))
         assert report.num_computes == 3
@@ -130,9 +140,9 @@ class TestValidation:
     def test_replay_final_state(self, diamond_instance):
         schedule = sequential_schedule(diamond_instance)
         state = replay_final_state(schedule)
-        assert state.has_blue("d")
-        assert state.has_red(0, "d")
-        assert not state.has_red(1, "d")
+        assert "d" in state.blue
+        assert "d" in state.red[0]
+        assert "d" not in state.red[1]
 
     def test_wrong_processor_count_rejected(self, diamond_dag):
         inst2 = make_instance(diamond_dag, num_processors=2, cache_factor=2.0)

@@ -11,7 +11,12 @@ as the reference implementation:
   earliest start from scratch at every step;
 * the converter's ``_prepare_for`` and ``_make_room_in_phase`` (with the
   ``_entry_info`` helper they call), which rebuilt the eviction candidates
-  before every single eviction.
+  before every single eviction, together with the rest of the per-processor
+  converter as it stood before it kept one candidate entry per cached value
+  across make-room loops (``__init__``, ``_is_blue``, ``_next_use``,
+  ``_insert``, ``_remove``, ``convert``, ``_run_segment``);
+* ``TwoStageConverter._assemble``, which deep-copied its supersteps through
+  ``drop_empty_supersteps``.
 
 Hypothesis draws small DAGs whose weights repeat and include zeros, so ties
 in bottom levels, start times and eviction keys are common.  Every case must
@@ -21,6 +26,7 @@ agree on the BSP ``(processor, superstep, order)`` triples, the MBSP
 
 from __future__ import annotations
 
+import bisect
 import random
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Set, Tuple
@@ -34,13 +40,14 @@ from repro.bsp.etf import EtfPlacement, etf_bsp_schedule, etf_placement
 from repro.bsp.greedy import GreedyBspScheduler, _bottom_levels, greedy_bsp_schedule
 from repro.bsp.schedule import BspSchedule
 from repro.cache import conversion
-from repro.cache.conversion import _INF, _Prep, _ProcessorConverter, _Segment, two_stage_schedule
-from repro.cache.policies import CacheEntryInfo, make_policy
-from repro.dag.graph import ComputationalDag, NodeId
+from repro.cache.conversion import _INF, _Prep, _Segment, two_stage_schedule
+from repro.cache.policies import CacheEntryInfo, EvictionPolicy, make_policy
+from repro.dag.graph import ComputationalDag, DagSnapshot, NodeId
 from repro.exceptions import InfeasibleInstanceError, ScheduleError
 from repro.model.cost import asynchronous_cost, synchronous_cost
-from repro.model.instance import make_instance
-from repro.model.pebbling import delete_op
+from repro.model.instance import MbspInstance, make_instance
+from repro.model.pebbling import compute_op, delete_op
+from repro.model.schedule import MbspSchedule, Superstep
 from repro.pipeline.stage import schedule_digest
 
 POLICIES = ("clairvoyant", "lru", "fifo", "largest_first", "random")
@@ -273,12 +280,125 @@ def reference_etf_bsp_schedule(dag: ComputationalDag, num_processors: int, g: fl
         return etf_bsp_schedule(dag, num_processors, g=g)
 
 
-class ReferenceProcessorConverter(_ProcessorConverter):
+class ReferenceProcessorConverter:
     """The converter with its original per-eviction candidate rebuild."""
 
-    def __init__(self, dag: ComputationalDag, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        dag: ComputationalDag,
+        snap: DagSnapshot,
+        proc: int,
+        sequence: List[Tuple[int, NodeId]],
+        placement: Dict[NodeId, int],
+        cache_size: float,
+        policy: EvictionPolicy,
+        required_in_slow_memory: Optional[Set[NodeId]] = None,
+    ) -> None:
         self.dag = dag
+        self.parents = snap.parents
+        self.mu = snap.mu
+        self.sources = snap.sources
+        self.proc = proc
+        self.sequence = sequence
+        self.placement = placement
+        self.cache_size = cache_size
+        self.policy = policy
+        self.required_in_slow_memory = set(required_in_slow_memory or ())
+
+        self.cache: Dict[NodeId, float] = {}
+        self.used = 0.0
+        self.blue_local: Set[NodeId] = set()
+        self.last_use: Dict[NodeId, int] = {}
+        self.insertion: Dict[NodeId, int] = {}
+        self.pending_save: Set[NodeId] = set()
+
+        # positions in this processor's sequence where each value is consumed
+        self.use_positions: Dict[NodeId, List[int]] = {}
+        for idx, (_group, node) in enumerate(sequence):
+            for parent in self.parents[node]:
+                self.use_positions.setdefault(parent, []).append(idx)
+
+        # values that must be saved right after being computed: sinks, and
+        # values consumed by another processor
+        self.needs_creation_save: Dict[NodeId, bool] = {}
+        for _group, node in sequence:
+            children = snap.children[node]
+            needed = (
+                not children
+                or node in self.required_in_slow_memory
+                or any(placement.get(child, proc) != proc for child in children)
+            )
+            self.needs_creation_save[node] = needed
+
+        self.segments: List[_Segment] = []
+        self.preps: List[_Prep] = []
+
+    # ------------------------------------------------------------------
+    # cache bookkeeping helpers
+    # ------------------------------------------------------------------
+    def _is_blue(self, node: NodeId) -> bool:
+        """Whether ``node`` is in slow memory from this processor's viewpoint."""
+        if node in self.sources:
+            return True
+        if node in self.blue_local:
+            return True
+        # values computed on another processor are creation-saved there,
+        # because this processor consumes them
+        return self.placement.get(node, self.proc) != self.proc
+
+    def _next_use(self, node: NodeId, position: int) -> float:
+        """Index of the next local consumption of ``node`` at or after ``position``."""
+        uses = self.use_positions.get(node)
+        if not uses:
+            return _INF
+        idx = bisect.bisect_left(uses, position)
+        return uses[idx] if idx < len(uses) else _INF
+
+    def _insert(self, node: NodeId, position: int) -> None:
+        self.cache[node] = self.mu[node]
+        self.used += self.mu[node]
+        self.insertion[node] = position
+        self.last_use[node] = position
+
+    def _remove(self, node: NodeId) -> None:
+        self.used -= self.cache.pop(node)
+
+    def convert(self) -> Tuple[List[_Segment], List[_Prep]]:
+        """Split the compute sequence into segments with their I/O preparations."""
+        index = 0
+        n = len(self.sequence)
+        while index < n:
+            prep = self._prepare_for(index)
+            segment, index = self._run_segment(index)
+            self.preps.append(prep)
+            self.segments.append(segment)
+        return self.segments, self.preps
+
+    def _run_segment(self, start: int) -> Tuple[_Segment, int]:
+        """Execute compute steps greedily until new I/O would be required."""
+        group = self.sequence[start][0]
+        segment = _Segment(group=group)
+        self.pending_save = set()
+        index = start
+        n = len(self.sequence)
+        while index < n and self.sequence[index][0] == group:
+            node = self.sequence[index][1]
+            parents = self.parents[node]
+            if any(u not in self.cache for u in parents):
+                break
+            if not self._make_room_in_phase(node, index, segment):
+                break
+            segment.compute_ops.append(compute_op(node))
+            self._insert(node, index)
+            for u in parents:
+                self.last_use[u] = index
+            if self.needs_creation_save[node] and not self._is_blue(node):
+                segment.creation_saves.append(node)
+                self.blue_local.add(node)
+                self.pending_save.add(node)
+            index += 1
+        self.pending_save = set()
+        return segment, index
 
     def _entry_info(self, node: NodeId, position: int) -> CacheEntryInfo:
         return CacheEntryInfo(
@@ -351,13 +471,69 @@ class ReferenceProcessorConverter(_ProcessorConverter):
         return True
 
 
+def reference_assemble(
+    self,
+    instance: MbspInstance,
+    num_groups: int,
+    all_segments: List[List[_Segment]],
+    all_preps: List[List[_Prep]],
+) -> MbspSchedule:
+    """Align per-processor segments into global supersteps.
+
+    Each BSP superstep ``s`` becomes a block of ``G_s`` MBSP supersteps
+    (the maximum number of segments any processor needs for it); a global
+    "prologue" superstep 0 carries the loads for the very first segments.
+    The I/O preparation of a segment is placed in the superstep directly
+    preceding its compute phase.
+    """
+    P = instance.num_processors
+    group_sizes = [0] * num_groups
+    for p in range(P):
+        counts = [0] * num_groups
+        for seg in all_segments[p]:
+            counts[seg.group] += 1
+        for s in range(num_groups):
+            group_sizes[s] = max(group_sizes[s], counts[s])
+
+    offsets = [0] * num_groups
+    running = 1  # superstep 0 is the prologue
+    for s in range(num_groups):
+        offsets[s] = running
+        running += group_sizes[s]
+    total_supersteps = running
+
+    supersteps = [Superstep(P) for _ in range(total_supersteps)]
+
+    for p in range(P):
+        local_index_in_group: Dict[int, int] = {}
+        for seg, prep in zip(all_segments[p], all_preps[p]):
+            j = local_index_in_group.get(seg.group, 0)
+            local_index_in_group[seg.group] = j + 1
+            compute_step = offsets[seg.group] + j
+            prep_step = offsets[seg.group] - 1 if j == 0 else compute_step - 1
+
+            target = supersteps[compute_step][p]
+            target.compute_phase.extend(seg.compute_ops)
+            target.save_phase.extend(seg.creation_saves)
+
+            prep_target = supersteps[prep_step][p]
+            prep_target.save_phase.extend(prep.saves)
+            prep_target.delete_phase.extend(prep.deletes)
+            prep_target.load_phase.extend(prep.loads)
+
+    schedule = MbspSchedule(instance, supersteps)
+    return schedule.drop_empty_supersteps()
+
+
 @contextmanager
 def reference_conversion(dag: ComputationalDag):
-    """Run :func:`two_stage_schedule` with the reference converter."""
+    """Run :func:`two_stage_schedule` with the reference converter and assembly."""
     def factory(*args, **kwargs):
         return ReferenceProcessorConverter(dag, *args, **kwargs)
 
-    with mock.patch.object(conversion, "_ProcessorConverter", factory):
+    with mock.patch.object(conversion, "_ProcessorConverter", factory), mock.patch.object(
+        conversion.TwoStageConverter, "_assemble", reference_assemble
+    ):
         yield
 
 
