@@ -55,7 +55,7 @@ import json
 import math
 import operator
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -577,37 +577,50 @@ class ScheduleService:
     def _simulate(self, pool, requests):
         """Phase 1: the discrete-event loop in virtual time.
 
-        ``free`` is the min-heap of virtual server availability times;
-        ``in_system`` holds the finish times of admitted-but-unfinished
-        requests, so popping it at each arrival yields the queue depth the
-        policy sees.  Repeat ``(template, spec)`` pairs are answered at
-        ``cache_hit_time``.  The simulation deliberately never consults the
-        *disk* cache: the timeline must be a pure function of the config —
-        byte-identical across repeats even when runs share a cache
-        directory — so disk hits accelerate phase 2 (no solving) without
-        touching the telemetry.  Returns the :class:`RequestRecords` (costs
-        still NaN) and the distinct jobs by key, in first-request order.
+        ``free`` is the min-heap of virtual server availability times: a
+        request starts on the server that frees up first, or at its
+        arrival if that is later, and ``heapreplace`` swaps that server's
+        time for the request's finish (the same multiset as a pop and a
+        push, so the same minimum next time).  ``in_system`` holds the
+        finish times of admitted-but-unfinished requests, so popping it at
+        each arrival yields the queue depth the policy sees.  Repeat
+        ``(template, spec)`` pairs are answered at ``cache_hit_time``.
+        The simulation deliberately never consults the *disk* cache: the
+        timeline must be a pure function of the config — byte-identical
+        across repeats even when runs share a cache directory — so disk
+        hits accelerate phase 2 (no solving) without touching the
+        telemetry.  The loop is per-request Python, so everything it calls
+        is bound once: the policy's ``choose``, the heap functions and
+        the column ``append`` methods.  Returns the
+        :class:`RequestRecords` (costs still NaN) and the distinct jobs by
+        key, in first-request order.
         """
         cfg = self.config
+        hit_time = cfg.cache_hit_time
         # feature-aware policies (duck-typed choose_for, e.g. LearnedPolicy)
         # see the instance features of the request's template; features are
         # deterministic per (dag, config), so one computation per template
         # keeps the timeline pure and the loop cheap
         chooser = getattr(self.policy, "choose_for", None)
         feature_memo: Dict[int, object] = {}
-        if chooser is not None:
+        if chooser is None:
+            choose = self.policy.choose
+        else:
             from repro.learn.features import instance_features
-        heappop, heappush = heapq.heappop, heapq.heappush
-        free = [0.0] * cfg.servers
-        heapq.heapify(free)
+        heappop, heappush, heapreplace = (
+            heapq.heappop, heapq.heappush, heapq.heapreplace
+        )
+        free = [0.0] * cfg.servers  # equal times: already a heap
         in_system: List[float] = []
         # one job slot per distinct (template, spec) pair, in first-request
-        # order; miss_time is a slot's virtual service time on a cache miss
-        slots: Dict[tuple, int] = {}
+        # order, found by template and then spec; miss_time is a slot's
+        # virtual service time on a cache miss
+        slots: Dict[int, Dict[str, int]] = defaultdict(dict)
         miss_time: List[float] = []
         jobs: Dict[str, "ExperimentJob"] = {}
         hot: set = set()
         records = RequestRecords(requests)
+        keys = records.keys
         start_column, finish_column = records.start.append, records.finish.append
         depth_column, hit_column = records.queue_depth.append, records.cache_hit.append
         job_column = records.job.append
@@ -617,36 +630,39 @@ class ScheduleService:
             while in_system and in_system[0] <= arrival:
                 heappop(in_system)
             depth = len(in_system)
-            if chooser is not None:
+            if chooser is None:
+                spec = choose(depth, deadline)
+            else:
                 if template not in feature_memo:
                     feature_memo[template] = instance_features(
                         pool[template], cfg.experiment
                     )
                 spec = chooser(feature_memo[template], depth, deadline)
-            else:
-                spec = self.policy.choose(depth, deadline)
-            slot = slots.get((template, spec))
+            template_slots = slots[template]
+            slot = template_slots.get(spec)
             if slot is None:
                 job = pipeline_job(pool[template], spec, cfg.experiment)
                 key = job.key()
                 jobs.setdefault(key, job)
-                slot = slots[(template, spec)] = len(records.keys)
+                slot = template_slots[spec] = len(keys)
                 records.instances.append(job.instance_name)
                 records.specs.append(spec)
-                records.keys.append(key)
+                keys.append(key)
                 records.costs.append(float("nan"))
                 nodes = len(job.dag_data.get("nodes", ()))
                 miss_time.append(cfg.service_time_scale * nodes * spec_weight(spec))
-            key = records.keys[slot]
+            key = keys[slot]
             cache_hit = key in hot
             if cache_hit:
-                service_time = cfg.cache_hit_time
+                service_time = hit_time
             else:
                 service_time = miss_time[slot]
                 hot.add(key)
-            start = max(arrival, heappop(free))
+            # max(arrival, earliest), which keeps arrival on a tie
+            earliest = free[0]
+            start = earliest if earliest > arrival else arrival
             finish = start + service_time
-            heappush(free, finish)
+            heapreplace(free, finish)
             heappush(in_system, finish)
             start_column(start)
             finish_column(finish)
