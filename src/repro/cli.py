@@ -13,7 +13,7 @@ Nine sub-commands are provided:
   one DAG and prints per-stage telemetry (cost in/out, wall time, solver
   calls);
 * ``dataset``    — list the benchmark datasets (instance names, sizes, r0);
-* ``exec``       — the unified async execution core (:mod:`repro.exec`):
+* ``exec``       — the unified execution core (:mod:`repro.exec`):
   ``exec run`` executes pipeline specs over a dataset through one
   ``Session``, streaming per-job results as they complete and reducing to
   the best-per-instance table.  Specs support ``race(a,b,...)`` (concurrent
@@ -421,6 +421,14 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dataset(args: argparse.Namespace):
+    """The DAGs behind ``--which``/``--scale``/``--limit``."""
+    from repro.experiments.datasets import small_dataset, tiny_dataset
+
+    build = tiny_dataset if args.which == "tiny" else small_dataset
+    return build(scale=args.scale, limit=args.limit)
+
+
 def _make_session(args: argparse.Namespace):
     """The session behind ``--workers``/``--cache-dir``/``--results``/``--resume``."""
     from repro.exec import Session
@@ -488,7 +496,6 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     import warnings as _warnings
 
     from repro.exceptions import ConfigurationError
-    from repro.experiments.datasets import small_dataset, tiny_dataset
     from repro.experiments.runner import ExperimentConfig
     from repro.portfolio import (
         DEFAULT_MEMBERS,
@@ -547,8 +554,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
                 else member + "|refine"
             members.append(variant)
             resolved[variant] = resolve_member(variant)
-    dags = (tiny_dataset(scale=args.scale, limit=args.limit) if args.which == "tiny"
-            else small_dataset(scale=args.scale, limit=args.limit))
+    dags = _dataset(args)
     session = _make_session(args)
     # only thread the refine knobs into the config (and therefore into the
     # job hashes) when a refined member actually consumes them, so
@@ -611,20 +617,12 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     return 0
 
 
-def _learn_dataset(args):
-    from repro.experiments.datasets import small_dataset, tiny_dataset
-
-    return (tiny_dataset(scale=args.scale, limit=args.limit)
-            if args.which == "tiny"
-            else small_dataset(scale=args.scale, limit=args.limit))
-
-
 def _cmd_learn_mine(args: argparse.Namespace) -> int:
     from repro.experiments.runner import ExperimentConfig
     from repro.learn import mine_history
 
     config = ExperimentConfig(name="learn", num_processors=args.processors)
-    dags = _learn_dataset(args)
+    dags = _dataset(args)
     history, stats = mine_history(args.results, dags, config)
     history.save(args.output)
     print(f"mined: {stats.describe()}")
@@ -654,7 +652,7 @@ def _cmd_learn_select(args: argparse.Namespace) -> int:
             "see 'repro portfolio --list-members'"
         )
     config = ExperimentConfig(name="learn", num_processors=args.processors)
-    dags = _learn_dataset(args)
+    dags = _dataset(args)
     report = plan_selection(
         history, dags, config, members, canonical,
         top_k=args.top_k, selector=args.selector, seed=args.seed,
@@ -752,7 +750,6 @@ def _exec_plan_from_args(args: argparse.Namespace):
 
     from repro.exceptions import ConfigurationError
     from repro.exec import plan_pipelines
-    from repro.experiments.datasets import small_dataset, tiny_dataset
     from repro.experiments.runner import ExperimentConfig
     from repro.pipeline import with_default_budget
     from repro.portfolio import DEFAULT_MEMBERS
@@ -791,8 +788,7 @@ def _exec_plan_from_args(args: argparse.Namespace):
            if uses_refine else {}),
         **_backend_kwargs(args),
     )
-    dags = (tiny_dataset(scale=args.scale, limit=args.limit) if args.which == "tiny"
-            else small_dataset(scale=args.scale, limit=args.limit))
+    dags = _dataset(args)
     prune_gap = None if args.no_prune else args.prune_gap
     plan = plan_pipelines(members, dags, config, prune_gap=prune_gap)
     return members, dags, config, plan, prune_gap
@@ -1106,7 +1102,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # dry-run the deterministic shard assignment over the real plan
         # the specs × dataset fan-out would execute
         from repro.exec import plan_pipelines
-        from repro.experiments.datasets import small_dataset, tiny_dataset
         from repro.experiments.runner import ExperimentConfig
 
         resolvable = []
@@ -1122,12 +1117,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 config = ExperimentConfig(
                     name="check", num_processors=args.processors
                 )
-                dags = (
-                    tiny_dataset(scale=args.scale, limit=args.limit)
-                    if args.which == "tiny"
-                    else small_dataset(scale=args.scale, limit=args.limit)
-                )
-                plan = plan_pipelines(resolvable, dags, config)
+                plan = plan_pipelines(resolvable, _dataset(args), config)
             findings += lint.check_shards(
                 plan,
                 args.shards,
@@ -1329,7 +1319,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=_cmd_experiment)
 
     execp = sub.add_parser(
-        "exec", help="the unified async execution core (repro.exec)"
+        "exec", help="the unified execution core (repro.exec)"
     )
     exec_sub = execp.add_subparsers(dest="action", required=True)
 
@@ -1374,8 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_exec_plan_arguments(exec_run)
     exec_run.add_argument("--shards", type=int, default=None, metavar="N",
                           help="worker mode: split the plan into N shards by "
-                               "job index (dependency chains stay within one "
-                               "shard) and run only --shard-id; requires "
+                               "job index and run only --shard-id; requires "
                                "--results (the shard writes "
                                "FILE.jsonl.shard<I>of<N>); share --cache-dir "
                                "across shards, then 'repro exec merge'")

@@ -1,13 +1,14 @@
-"""Unified async execution core (``repro.exec``).
+"""Unified execution core (``repro.exec``).
 
 One :class:`Session` API executes everything: experiment batches, portfolio
-sweeps and individual pipelines are all :class:`RunPlan`\\ s — job graphs of
-pipeline-stage nodes — run on an asyncio core with bounded worker slots and
-streaming :class:`ResultEvent`\\ s.  The content-hash result cache, JSONL
-streaming + resume, and in-pipeline concurrency slots (used by ``race``
-stages) are session services.  The paper's tables and the ``Portfolio``
-build their plans with :func:`plan_pipelines` and run them on a session;
-a plain batch of jobs runs as ``Session.run(RunPlan.from_jobs(jobs))``.
+sweeps and individual pipelines are all :class:`RunPlan`\\ s — ordered lists
+of uniquely named pipeline jobs — run inline or on a process pool with
+bounded worker slots, streaming :class:`ResultEvent`\\ s.  The content-hash
+result cache, JSONL streaming + resume, and in-pipeline concurrency slots
+(used by ``race`` stages) are session services.  The paper's tables and
+the ``Portfolio`` build their plans with :func:`plan_pipelines` and run
+them on a session; a plain batch of jobs runs as
+``Session.run(RunPlan.from_jobs(jobs))``.
 Plans also split across processes or machines (:mod:`repro.exec.shard`):
 ``Session.run_sharded(plan, shards)`` fork-joins locally, and the CLI's
 ``repro exec run --shards N --shard-id I`` / ``repro exec merge`` pair

@@ -1,17 +1,17 @@
-"""Run plans: the job graph executed by :class:`repro.exec.session.Session`.
+"""Run plans: the jobs executed by :class:`repro.exec.session.Session`.
 
-A :class:`RunPlan` is an ordered collection of :class:`PlanNode`\\ s, each
-wrapping one picklable :class:`~repro.experiments.parallel.ExperimentJob`
-(one pipeline spec on one DAG under one config) plus optional
-``after=(node_id, ...)`` ordering edges.  The session executes ready nodes
-concurrently under its worker slots, respecting the edges; results are
-always *returned* in plan order.
+A :class:`RunPlan` is an ordered list of uniquely named
+:class:`PlanNode`\\ s, each wrapping one picklable
+:class:`~repro.experiments.parallel.ExperimentJob` (one pipeline spec on
+one DAG under one config).  The session executes pending nodes
+concurrently under its worker slots; results are always *returned* in
+plan order.
 
 Builders:
 
 * :func:`pipeline_job` — the one way to build a job: a pipeline spec on a
   DAG, hashed under the canonical spec;
-* :meth:`RunPlan.from_jobs` — one node per job, no edges (the batch API:
+* :meth:`RunPlan.from_jobs` — one node per job (the batch API:
   ``Session.run(RunPlan.from_jobs(jobs))``);
 * :func:`plan_pipelines` — the ``specs x dags`` fan-out used by the paper's
   tables, the portfolio and ``repro exec run``: one node per
@@ -20,8 +20,8 @@ Builders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -33,83 +33,51 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class PlanNode:
-    """One node of a run plan: a job plus the nodes it must run after."""
+    """One node of a run plan: a job under a plan-unique id."""
 
     id: str
     job: "ExperimentJob"
-    after: Tuple[str, ...] = ()
 
 
 class RunPlan:
-    """An ordered, validated job graph."""
+    """An ordered list of uniquely named jobs."""
 
     def __init__(self, nodes: Iterable[PlanNode] = ()) -> None:
         self.nodes: List[PlanNode] = []
-        self._ids: Dict[str, int] = {}
+        self._ids = set()
         for node in nodes:
             self._append(node)
 
-    # ------------------------------------------------------------------
     def _append(self, node: PlanNode) -> None:
         if node.id in self._ids:
             raise ConfigurationError(f"duplicate plan node id {node.id!r}")
-        for dep in node.after:
-            if dep not in self._ids:
-                raise ConfigurationError(
-                    f"plan node {node.id!r} depends on unknown node {dep!r}; "
-                    f"dependencies must be added before their dependents"
-                )
-        self._ids[node.id] = len(self.nodes)
+        self._ids.add(node.id)
         self.nodes.append(node)
 
-    def add(
-        self,
-        job: "ExperimentJob",
-        id: Optional[str] = None,
-        after: Sequence[str] = (),
-    ) -> str:
-        """Append one job; returns the node id (generated when omitted).
-
-        Edges may only point at already-added nodes, which makes every plan
-        acyclic by construction.
-        """
+    def add(self, job: "ExperimentJob", id: Optional[str] = None) -> str:
+        """Append one job; returns the node id (generated when omitted)."""
         node_id = id if id is not None else f"n{len(self.nodes)}"
-        self._append(PlanNode(id=node_id, job=job, after=tuple(after)))
+        self._append(PlanNode(id=node_id, job=job))
         return node_id
 
     @classmethod
     def from_jobs(cls, jobs: Sequence["ExperimentJob"]) -> "RunPlan":
-        """An edge-free plan: one node per job, in the given order."""
+        """One node per job, in the given order."""
         plan = cls()
         for job in jobs:
             plan.add(job)
         return plan
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __iter__(self):
         return iter(self.nodes)
 
-    def index_of(self, node_id: str) -> int:
-        return self._ids[node_id]
-
-    @property
-    def has_edges(self) -> bool:
-        """True when any node carries an ``after=`` ordering edge."""
-        return any(node.after for node in self.nodes)
-
     def subset(self, indices: Iterable[int]) -> "RunPlan":
-        """A new plan over the given node positions (in ascending order).
-
-        Node ids and edges are preserved, so the subset must be closed
-        under ``after=`` dependencies — picking a node without its
-        dependency raises the usual unknown-node
-        :class:`~repro.exceptions.ConfigurationError`.  This is the
-        building block of sharded execution (:mod:`repro.exec.shard`),
-        whose assignment keeps dependency chains within one shard.
-        """
+        """A new plan over the given node positions (in ascending order),
+        node ids preserved: the building block of sharded execution
+        (:mod:`repro.exec.shard`)."""
         positions = sorted({int(i) for i in indices})
         for i in positions:
             if not 0 <= i < len(self.nodes):

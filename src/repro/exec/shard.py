@@ -1,18 +1,13 @@
 """Coordinator/worker sharded execution of run plans.
 
-A :class:`~repro.exec.plan.RunPlan` is a serializable job graph and the
+A :class:`~repro.exec.plan.RunPlan` is a serializable list of jobs and the
 JSONL result store is plan-ordered and byte-stable — which makes plans
 splittable across processes (or machines) with no coordination beyond a
 shared filesystem:
 
 * :func:`shard_assignment` deterministically partitions a plan's nodes
-  into ``shards`` shards by job index.  ``after=`` edges are respected by
-  construction: nodes connected by edges form one *chain component* and
-  the whole component lands in a single shard (components are assigned
-  round-robin in plan order, so an edge-free plan shards exactly as
-  ``index % shards``).  When the chains are so coarse that they cannot
-  fill the requested shard count, the plan refuses to shard with a clear
-  error instead of silently running lopsided.
+  into ``shards`` shards by job index: node ``i`` runs in shard
+  ``i % shards``.
 * Every shard executes as an ordinary :class:`~repro.exec.session.Session`
   over its sub-plan — against a **shared** content-hash cache directory
   (safe for concurrent writer processes, see :mod:`repro.exec.store`) and
@@ -68,55 +63,13 @@ class PlanShard:
 
 
 def shard_assignment(plan, shards: int) -> List[int]:
-    """The shard id of every plan node, deterministically by job index.
-
-    Nodes connected by ``after=`` edges form one chain component; each
-    component is assigned whole, round-robin in plan order, so dependency
-    chains never span shards and an edge-free plan shards exactly as
-    ``index % shards``.  Raises :class:`ConfigurationError` when the
-    plan's chains are too coarse to fill ``shards`` shards (fewer chain
-    components than the shard count) — shard the plan edge-free, or use
-    fewer shards.
-    """
-    plan = as_plan(plan)
+    """The shard id of every plan node: node ``i`` runs in shard
+    ``i % shards``.  Raises :class:`ConfigurationError` for a shard count
+    below 1."""
     shards = int(shards)
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    n = len(plan.nodes)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, node in enumerate(plan.nodes):
-        for dep in node.after:
-            a, b = find(i), find(plan.index_of(dep))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    # components numbered in plan order of their first node, then assigned
-    # round-robin: component k -> shard k % shards
-    component_order: dict = {}
-    assignment: List[int] = []
-    for i in range(n):
-        root = find(i)
-        if root not in component_order:
-            component_order[root] = len(component_order)
-        assignment.append(component_order[root] % shards)
-    if shards > 1 and plan.has_edges:
-        components = len(component_order)
-        if components < min(shards, n):
-            raise ConfigurationError(
-                f"cannot split this plan into {shards} shards: its after= "
-                f"edges chain the {n} nodes into only {components} "
-                f"component(s), and a node always runs in the shard of its "
-                f"dependency chain — use at most {components} shard(s) or "
-                f"an edge-free plan"
-            )
-    return assignment
+    return [i % shards for i in range(len(as_plan(plan)))]
 
 
 def shard_plan(plan, shards: int, shard_id: int) -> PlanShard:
@@ -307,8 +260,7 @@ def run_sharded(
 
     plan = as_plan(plan)
     shards = int(shards)
-    assignment = shard_assignment(plan, shards)  # validates shards/edges
-    del assignment
+    shard_assignment(plan, shards)  # validates the shard count
     results: List[Optional[InstanceResult]] = [None] * len(plan)
     payload = list(plan.nodes)
     with ProcessPoolExecutor(max_workers=max(1, shards)) as pool:

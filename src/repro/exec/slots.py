@@ -10,11 +10,11 @@ the machine); results are identical either way, only the wall clock
 changes.
 
 The scope is **thread-local**: the session enters it in the thread that
-executes the job (the calling thread inline, a helper thread when the sync
-facades run under an existing event loop), and the stages of that job read
-it from the same thread.  Concurrent sessions in different threads
-therefore cannot clobber each other's slot counts; threads without a scope
-see the default of one slot.
+executes the job inline (the thread that called ``Session.run`` or
+iterates ``Session.stream``), and the stages of that job read it from the
+same thread.  Concurrent sessions in different threads therefore cannot
+clobber each other's slot counts; threads without a scope see the default
+of one slot.
 """
 
 from __future__ import annotations

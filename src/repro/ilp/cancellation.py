@@ -1,6 +1,6 @@
 """Cooperative cancellation for solver backends (and anything else slow).
 
-The async execution core (:mod:`repro.exec`) and the composite pipeline
+The execution core (:mod:`repro.exec`) and the composite pipeline
 stages (:mod:`repro.pipeline.composite`) need a way to *stop* work that is
 already running: a ``race(...)`` stage cancels losing branches once the
 winner is decided, and a per-stage ``budget=<seconds>s`` wall-clock limit

@@ -10,10 +10,9 @@ and exit codes:
   temp files next to ``os.replace``, blocking calls inside ``async def``
   and over-broad exception handlers.  See :mod:`repro.lint.rules`.
 * **``repro check`` (pack B)** — semantic validation of pipeline specs,
-  run-plan edges, shard counts and serve policies *without executing
-  anything*, through the real parser/registries, so a malformed config
-  fails in milliseconds instead of mid-run.  See
-  :mod:`repro.lint.semantic`.
+  shard counts and serve policies *without executing anything*, through
+  the real parser/registries, so a malformed config fails in milliseconds
+  instead of mid-run.  See :mod:`repro.lint.semantic`.
 
 Suppression comments (``# repro: lint-ignore[REP-D01]``) and the
 checked-in JSON baseline (:mod:`repro.lint.baseline`) keep the gate
@@ -51,7 +50,6 @@ from repro.lint.report import (
 )
 from repro.lint.semantic import (
     SEMANTIC_CHECKS,
-    check_plan_edges,
     check_policy,
     check_shards,
     check_spec,
@@ -71,7 +69,6 @@ __all__ = [
     "SEMANTIC_CHECKS",
     "available_rules",
     "baseline_from_findings",
-    "check_plan_edges",
     "check_policy",
     "check_shards",
     "check_spec",

@@ -4,9 +4,9 @@ Unlike pack A (:mod:`repro.lint.rules`), these checks do not read source
 files — they validate *configuration* the way the runtime would, without
 executing anything: pipeline specs are parsed and built through the real
 spec parser and stage registry (so every check is resolution-level-true,
-not regex guesswork), plans go through the real :class:`RunPlan`
-constructor, shard counts through the real :func:`shard_assignment`, and
-serve policy tiers through the real ``resolve_member``.
+not regex guesswork), shard counts go through the real
+:func:`shard_assignment`, and serve policy tiers through the real
+``resolve_member``.
 
 Findings reuse the :class:`~repro.lint.engine.Finding` shape with a
 virtual path such as ``<spec:baseline|ilp>`` or ``<policy.rich>``, so the
@@ -27,13 +27,12 @@ REP-S04   error     incumbent-consuming stage whose upstream cannot
 REP-S05   warning   sweep cardinality above the ``max_sweep`` threshold
 REP-S06   error     serve policy invalid (thresholds, unresolvable tiers)
 REP-S07   error     plan cannot split into the requested shard count
-REP-S08   error     plan edges invalid (duplicate id, unknown/forward dep)
 ========  ========  ====================================================
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.lint.engine import Finding
@@ -379,65 +378,14 @@ def check_policy(
 
 
 # ----------------------------------------------------------------------
-# plan / shard checking
+# shard checking
 # ----------------------------------------------------------------------
-def check_plan_edges(
-    nodes: Sequence[Tuple[str, Sequence[str]]],
-    *,
-    source: str = "plan",
-) -> List[Finding]:
-    """Validate ``(node_id, after)`` edge declarations without jobs.
-
-    Replays the :class:`~repro.exec.plan.RunPlan` construction rules —
-    unique ids, dependencies declared before dependents (which is also
-    what makes every plan acyclic) — and reports each violation as a
-    REP-S08 error instead of raising on the first.
-    """
-    findings: List[Finding] = []
-    seen = set()
-    for node_id, after in nodes:
-        if node_id in seen:
-            findings.append(
-                _semantic_finding(
-                    "REP-S08",
-                    "error",
-                    source,
-                    f"duplicate plan node id {node_id!r}",
-                )
-            )
-            continue
-        for dep in after:
-            if dep == node_id:
-                findings.append(
-                    _semantic_finding(
-                        "REP-S08",
-                        "error",
-                        source,
-                        f"plan node {node_id!r} depends on itself",
-                    )
-                )
-            elif dep not in seen:
-                findings.append(
-                    _semantic_finding(
-                        "REP-S08",
-                        "error",
-                        source,
-                        f"plan node {node_id!r} depends on unknown or "
-                        f"later node {dep!r}; dependencies must be added "
-                        f"before their dependents (forward edges would "
-                        f"allow cycles)",
-                    )
-                )
-        seen.add(node_id)
-    return findings
-
-
 def check_shards(plan, shards: int, *, source: str = "plan") -> List[Finding]:
     """Dry-run the deterministic shard assignment of ``plan``.
 
     Reports the exact :class:`ConfigurationError` the coordinator would
-    raise (chains too coarse for the shard count, bad shard count) as a
-    REP-S07 error — in milliseconds, before any worker starts.
+    raise (a shard count below 1) as a REP-S07 error, before any worker
+    starts.
     """
     from repro.exec.shard import shard_assignment
 
@@ -463,5 +411,4 @@ SEMANTIC_CHECKS: Tuple[Tuple[str, str, str], ...] = (
     ("REP-S05", "warning", "sweep cardinality above the --max-sweep threshold"),
     ("REP-S06", "error", "serve policy invalid (thresholds / unresolvable tiers)"),
     ("REP-S07", "error", "plan cannot split into the requested shard count"),
-    ("REP-S08", "error", "plan edges invalid (duplicate id / unknown dep)"),
 )

@@ -104,9 +104,10 @@ class _SpanScope:
     """Context manager for one live span; records it into the tracer on exit.
 
     *Detached* scopes (an explicit ``parent``) skip the per-thread span
-    stack entirely: concurrently-open async spans in one event-loop thread
-    would corrupt each other's stack-derived parents, so the Session's job
-    lifecycle spans chain to the session span explicitly instead.
+    stack entirely: spans open concurrently in one thread would corrupt
+    each other's stack-derived parents, so the Session's job lifecycle
+    spans (several pool jobs in flight at once) chain to the session span
+    explicitly instead.
     """
 
     __slots__ = (
@@ -220,7 +221,7 @@ class Tracer:
         self, name: str, category: str = "", parent: Optional[int] = None, **attrs
     ) -> _SpanScope:
         """A span chained to an explicit parent, outside the thread stack
-        (for concurrently-open async spans in one thread)."""
+        (for spans open concurrently in one thread)."""
         return _SpanScope(self, name, category, attrs, parent=parent, detached=True)
 
     def _record(self, span: Span) -> None:
@@ -323,8 +324,8 @@ def trace_span_detached(
     name: str, category: str = "", parent: Optional[int] = None, **attrs
 ):
     """Like :func:`trace_span` but chained to an explicit ``parent`` span id
-    (and kept off the per-thread stack) — for async code that holds several
-    spans open concurrently in one thread."""
+    (and kept off the per-thread stack) — for the session's pool loop,
+    which holds one span open per in-flight job in one thread."""
     if not _TRACER.enabled:
         return NULL_SCOPE
     return _TRACER.span_detached(name, category, parent=parent, **attrs)

@@ -157,6 +157,16 @@ class ArrivalConfig:
         for name in ("rate", "deadline_min", "deadline_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
+        for name in ("requests", "limit"):
+            value = getattr(self, name)
+            if value is None and name == "limit":
+                continue  # the whole dataset
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
         if self.requests < 1:
             raise ConfigurationError("arrival trace needs at least 1 request")
         if self.rate <= 0:

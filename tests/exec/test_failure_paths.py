@@ -14,6 +14,10 @@ the same PR):
   keeps one lazily-opened, flushed append handle with ``close()`` /
   context-manager support.
 
+An abandoned pool stream must stop the run: breaking out of
+``Session.stream`` cancels the queued jobs and stores every result that
+already finished.
+
 The pool tests substitute a thread pool for the process pool (the
 ``Session._make_executor`` seam), so a monkeypatched ``execute_job`` is
 visible to the "workers" and failures are deterministic.
@@ -198,6 +202,39 @@ class TestJobTimeoutLabeling:
         assert [r.instance_name for r in results] == [
             j.instance_name for j in jobs
         ]
+
+
+class TestAbandonedPoolStream:
+    def test_break_starts_no_more_jobs_and_keeps_finished_results(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = _jobs(6)
+        started, completed = [], []
+        lock = threading.Lock()
+
+        def slow_execute(job):
+            with lock:
+                started.append(job.key())
+            time.sleep(0.2)
+            with lock:
+                completed.append(job.key())
+            return _fake_result(job)
+
+        monkeypatch.setattr(
+            "repro.experiments.parallel.execute_job", slow_execute
+        )
+        session = ThreadedSession(workers=2, cache_dir=tmp_path / "cache")
+        for _ in session.stream(RunPlan.from_jobs(jobs)):
+            with lock:
+                done_before_break = list(completed)
+            break
+        time.sleep(1.0)  # give an (incorrect) runaway time to show
+        # the two jobs in flight at the first event, and at most the two
+        # that refilled the window before it was yielded
+        assert len(started) <= 4
+        assert done_before_break
+        for key in done_before_break:
+            assert session.cache.load(key) is not None
 
 
 class TestResultLogHandle:

@@ -103,11 +103,6 @@ class TestEngineExecution:
         assert session.stats.executed == 6
         assert "6 jobs" in session.stats.describe()
 
-    def test_run_one(self):
-        result = Session(workers=1).run_one(_fast_jobs()[0])
-        assert isinstance(result, InstanceResult)
-        assert result.instance_name == "spmv_1"
-
 
 class TestEngineCache:
     def test_second_run_hits_cache_with_zero_executions(self, tmp_path):

@@ -51,6 +51,8 @@ class TestGenerateRequests:
             {"deadline_min": float("nan")},
             {"deadline_max": float("nan")},
             {"deadline_max": float("inf")},
+            {"requests": 5.5},
+            {"limit": 2.5},
         ],
     )
     def test_invalid_configs_are_rejected(self, kwargs):
