@@ -11,7 +11,9 @@ point in the ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, List, Tuple
 
 from repro.dag.graph import ComputationalDag, NodeId
 from repro.bsp.schedule import BspSchedule
@@ -58,20 +60,29 @@ def etf_placement(
             row = [max(r, local if p == q else remote) for p, r in enumerate(row)]
         return row
 
-    name = {v: str(v) for v in computable}
-    # ready node -> its data-ready row
-    ready = {v: data_ready(v) for v in computable if pending[v] == 0}
-    while ready:
-        # pick the (task, processor) pair with the globally earliest start;
-        # ties are broken deterministically by node id, then lowest processor
-        best: Optional[Tuple[Tuple[float, str], NodeId]] = None
-        for v, row in ready.items():
-            key = (min(map(max, proc_free, row)), name[v])
-            if best is None or key < best[0]:
-                best = (key, v)
-        assert best is not None
-        (start, _), v = best
-        p = list(map(max, proc_free, ready.pop(v))).index(start)
+    # the ready nodes as a min-heap of (start, name, arrival, node, data-ready
+    # row).  proc_free only grows and omega >= 0, so a stored start is a
+    # lower bound of the node's earliest start: a popped entry whose start
+    # still holds is the globally earliest (start, name) pair, and the
+    # arrival counter breaks ties in the order nodes became ready
+    heap: List[Tuple[float, str, int, NodeId, List[float]]] = []
+    arrivals = count()
+
+    def make_ready(v: NodeId) -> None:
+        row = data_ready(v)
+        heappush(heap, (min(map(max, proc_free, row)), str(v), next(arrivals), v, row))
+
+    for v in computable:
+        if pending[v] == 0:
+            make_ready(v)
+    while heap:
+        stored, name, arrival, v, row = heappop(heap)
+        start = min(map(max, proc_free, row))
+        if start != stored:
+            heappush(heap, (start, name, arrival, v, row))
+            continue
+        # the lowest processor among those attaining the start
+        p = list(map(max, proc_free, row)).index(start)
         placement[v] = p
         start_time[v] = start
         finish_time[v] = start + snap.omega[v]
@@ -80,7 +91,7 @@ def etf_placement(
         for child in snap.children[v]:
             pending[child] -= 1
             if pending[child] == 0:
-                ready[child] = data_ready(child)
+                make_ready(child)
 
     makespan = max(finish_time.values()) if finish_time else 0.0
     return EtfPlacement(

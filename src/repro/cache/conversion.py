@@ -21,27 +21,35 @@ Conversion rules
 * Source nodes are never computed; they are loaded from slow memory where
   needed.
 
-Each processor's cache is simulated with one :class:`~repro.cache.policies.
-CacheEntryInfo` per cached value, kept across make-room loops.  An entry's
-next use, last use and insertion index change only when the value enters
-the cache and when a compute consumes it as a parent, so the entry is
-refreshed at exactly those two points and every make-room loop hands the
-policy the entries as they stand.
+Each processor's cache is simulated by one loop over its compute sequence.
+A cached value's next use, last use and insertion index change only when
+the value enters the cache and when a compute consumes it as a parent, so
+they are kept in dicts refreshed at exactly those two points.  A policy with
+a total order (see :func:`~repro.cache.policies.victim_rank`) also gets each
+value's rank there, and every make-room loop evicts its candidates in one
+stable sort on it, highest rank first.  Any other policy is asked
+``choose_victim`` once per eviction, about
+:class:`~repro.cache.policies.CacheEntryInfo` records built from the dicts.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dag.graph import DagSnapshot, NodeId
 from repro.exceptions import InfeasibleInstanceError, ScheduleError
 from repro.bsp.schedule import BspSchedule
-from repro.cache.policies import CacheEntryInfo, ClairvoyantPolicy, EvictionPolicy
+from repro.cache.policies import (
+    CacheEntryInfo,
+    ClairvoyantPolicy,
+    EvictionPolicy,
+    victim_rank,
+)
 from repro.model.instance import MbspInstance
 from repro.model.pebbling import Operation, compute_op, delete_op
-from repro.model.schedule import MbspSchedule, ProcessorSuperstep, Superstep
+from repro.model.schedule import MbspSchedule, Superstep
 
 _INF = float("inf")
 
@@ -79,20 +87,21 @@ class _ProcessorConverter:
     ) -> None:
         self.parents = snap.parents
         self.mu = snap.mu
-        self.sources = snap.sources
         self.proc = proc
         self.sequence = sequence
-        self.placement = placement
         self.cache_size = cache_size
         self.policy = policy
-        self.required_in_slow_memory = set(required_in_slow_memory or ())
+        self.rank_of = victim_rank(policy)
+        required_in_slow_memory = set(required_in_slow_memory or ())
 
-        # the cached values, in insertion order, each with its eviction
-        # candidate info as of now
-        self.cache: Dict[NodeId, CacheEntryInfo] = {}
+        # the cached values in insertion order, each with its next local use;
+        # the last use, insertion index and rank of every value ever cached
+        # (an evicted value's stale entries are overwritten when it returns)
+        self.next_use: Dict[NodeId, float] = {}
+        self.last_use: Dict[NodeId, int] = {}
+        self.inserted: Dict[NodeId, int] = {}
+        self.rank: Dict[NodeId, tuple] = {}
         self.used = 0.0
-        self.blue_local: Set[NodeId] = set()
-        self.pending_save: Set[NodeId] = set()
 
         # positions in this processor's sequence where each value is consumed
         self.use_positions: Dict[NodeId, List[int]] = {}
@@ -107,162 +116,152 @@ class _ProcessorConverter:
             children = snap.children[node]
             needed = (
                 not children
-                or node in self.required_in_slow_memory
+                or node in required_in_slow_memory
                 or any(placement.get(child, proc) != proc for child in children)
             )
             self.needs_creation_save[node] = needed
 
-        self.segments: List[_Segment] = []
-        self.preps: List[_Prep] = []
+        # every value this processor can cache: its computes and their inputs
+        cacheable = {node for _group, node in sequence}
+        cacheable.update(self.use_positions)
+        # the values in slow memory from this processor's viewpoint: sources,
+        # values computed on another processor (creation-saved there, because
+        # this processor consumes them), and from now on the values saved here
+        self.blue: Set[NodeId] = {
+            u for u in cacheable if u in snap.sources or placement.get(u, proc) != proc
+        }
+        # the dense rank of str(node), which orders like the name
+        names = {u: str(u) for u in cacheable}
+        order = {name: i for i, name in enumerate(sorted(set(names.values())))}
+        self.name_rank = {u: order[name] for u, name in names.items()}
 
-    # ------------------------------------------------------------------
-    # cache bookkeeping helpers
-    # ------------------------------------------------------------------
-    def _is_blue(self, node: NodeId) -> bool:
-        """Whether ``node`` is in slow memory from this processor's viewpoint."""
-        if node in self.sources:
-            return True
-        if node in self.blue_local:
-            return True
-        # values computed on another processor are creation-saved there,
-        # because this processor consumes them
-        return self.placement.get(node, self.proc) != self.proc
+    def _make_room(
+        self, candidates: List[NodeId], load_mu: float, need: float
+    ) -> List[Tuple[NodeId, float]]:
+        """The make-room kernel: evict until ``load_mu`` and ``need`` more fit.
 
-    def _next_use(self, node: NodeId, position: int) -> float:
-        """Index of the next local consumption of ``node`` at or after ``position``."""
-        uses = self.use_positions.get(node)
-        if not uses:
-            return _INF
-        idx = bisect.bisect_left(uses, position)
-        return uses[idx] if idx < len(uses) else _INF
-
-    def _evict_one(self, candidates: List[CacheEntryInfo]) -> CacheEntryInfo:
-        """Let the policy pick a victim, drop it from ``candidates`` and the cache.
-
-        Nothing else changes inside a make-room loop, so the remaining
-        candidates stay valid for the next choice.
+        Returns the victims in eviction order, each with its next use, and
+        stops early when the candidates run out: the caller reads from
+        ``used`` whether the room was made.  Nothing but the evictions
+        changes the cache inside one make-room loop, so a ranked policy's
+        victims come from one stable sort, highest rank first, and equal
+        ranks go in candidate order, as ``max`` and ``min`` in repeated
+        ``choose_victim`` calls would pick them.  Any other policy is asked
+        once per eviction, about the candidates still cached.
         """
-        victim = self.policy.choose_victim(candidates)
-        entry = candidates.pop([c.node for c in candidates].index(victim))
-        self._remove(victim)
-        return entry
+        limit = self.cache_size + 1e-9
+        mu, next_use = self.mu, self.next_use
+        ranked = self.rank_of is not None
+        if ranked:
+            # reversed, so that the next victim is the last candidate
+            candidates = sorted(candidates, key=self.rank.__getitem__, reverse=True)[::-1]
+        evicted = []
+        while self.used + load_mu + need > limit and candidates:
+            if ranked:
+                victim = candidates.pop()
+            else:
+                victim = self.policy.choose_victim([
+                    CacheEntryInfo(u, mu[u], next_use[u], self.last_use[u], self.inserted[u])
+                    for u in candidates
+                ])
+                candidates.remove(victim)
+            self.used -= mu[victim]
+            evicted.append((victim, next_use.pop(victim)))
+        return evicted
 
-    def _insert(self, node: NodeId, position: int) -> None:
-        mu = self.mu[node]
-        self.cache[node] = CacheEntryInfo(
-            node, mu, self._next_use(node, position), position, position
-        )
-        self.used += mu
-
-    def _consume(self, node: NodeId, position: int) -> None:
-        """Record that the compute at ``position`` read the cached ``node``.
-
-        Every later make-room loop runs at a later position, so the next
-        use moves past ``position``.
-        """
-        entry = self.cache[node]
-        self.cache[node] = CacheEntryInfo(
-            node, entry.mu, self._next_use(node, position + 1), position, entry.insertion
-        )
-
-    def _remove(self, node: NodeId) -> None:
-        self.used -= self.cache.pop(node).mu
-
-    # ------------------------------------------------------------------
-    # segment construction
-    # ------------------------------------------------------------------
     def convert(self) -> Tuple[List[_Segment], List[_Prep]]:
-        """Split the compute sequence into segments with their I/O preparations."""
+        """Split the compute sequence into segments, each after its I/O block."""
+        sequence, parents_of, mu = self.sequence, self.parents, self.mu
+        cache, blue = self.next_use, self.blue
+        use_positions, last_use, inserted = self.use_positions, self.last_use, self.inserted
+        rank, rank_of, name_rank = self.rank, self.rank_of, self.name_rank
+        bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
+        limit = self.cache_size + 1e-9
+        segments: List[_Segment] = []
+        preps: List[_Prep] = []
         index = 0
-        n = len(self.sequence)
+        n = len(sequence)
         while index < n:
-            prep = self._prepare_for(index)
-            segment, index = self._run_segment(index)
-            self.preps.append(prep)
-            self.segments.append(segment)
-        return self.segments, self.preps
-
-    def _prepare_for(self, position: int) -> _Prep:
-        """Build the save/delete/load block enabling the compute at ``position``."""
-        group, node = self.sequence[position]
-        prep = _Prep()
-        parents = self.parents[node]
-        loads = [u for u in parents if u not in self.cache]
-        load_mu = sum(self.mu[u] for u in loads)
-        pinned = set(parents) | {node}
-        target = self.used + load_mu + self.mu[node]
-        if target > self.cache_size + 1e-9:
-            candidates = [entry for u, entry in self.cache.items() if u not in pinned]
-            while target > self.cache_size + 1e-9:
-                if not candidates:
+            # the save/delete/load block enabling the compute at ``index``
+            group, node = sequence[index]
+            prep = _Prep()
+            parents = parents_of[node]
+            loads = [u for u in parents if u not in cache]
+            load_mu = sum(mu[u] for u in loads)
+            if self.used + load_mu + mu[node] > limit:
+                pinned = set(parents) | {node}
+                candidates = [u for u in cache if u not in pinned]
+                for victim, next_use in self._make_room(candidates, load_mu, mu[node]):
+                    if victim not in blue and next_use < _INF:
+                        prep.saves.append(victim)  # write-back before eviction
+                        blue.add(victim)
+                    prep.deletes.append(victim)
+                if self.used + load_mu + mu[node] > limit:
                     raise InfeasibleInstanceError(
                         f"processor {self.proc}: cannot make room for node {node!r}; "
                         f"cache size {self.cache_size} is too small"
                     )
-                victim = self._evict_one(candidates)
-                if not self._is_blue(victim.node) and victim.next_use < _INF:
-                    prep.saves.append(victim.node)  # write-back before eviction
-                    self.blue_local.add(victim.node)
-                prep.deletes.append(victim.node)
-                target = self.used + load_mu + self.mu[node]
-        for u in loads:
-            if not self._is_blue(u):
-                raise ScheduleError(
-                    f"processor {self.proc}: value {u!r} is required but is not "
-                    f"available in slow memory (invalid BSP schedule?)"
-                )
-            prep.loads.append(u)
-            self._insert(u, position)
-        return prep
+            for u in loads:
+                if u not in blue:
+                    raise ScheduleError(
+                        f"processor {self.proc}: value {u!r} is required but is not "
+                        f"available in slow memory (invalid BSP schedule?)"
+                    )
+                prep.loads.append(u)
+                # u is an input of the compute at ``index``: its next use
+                cache[u] = last_use[u] = inserted[u] = index
+                self.used += mu[u]
+                if rank_of is not None:
+                    rank[u] = rank_of(index, mu[u], index, index, name_rank[u])
+            preps.append(prep)
 
-    def _run_segment(self, start: int) -> Tuple[_Segment, int]:
-        """Execute compute steps greedily until new I/O would be required."""
-        group = self.sequence[start][0]
-        segment = _Segment(group=group)
-        self.pending_save = set()
-        index = start
-        n = len(self.sequence)
-        while index < n and self.sequence[index][0] == group:
-            node = self.sequence[index][1]
-            parents = self.parents[node]
-            if any(u not in self.cache for u in parents):
-                break
-            if not self._make_room_in_phase(node, index, segment):
-                break
-            segment.compute_ops.append(compute_op(node))
-            self._insert(node, index)
-            for u in parents:
-                self._consume(u, index)
-            if self.needs_creation_save[node] and not self._is_blue(node):
-                segment.creation_saves.append(node)
-                self.blue_local.add(node)
-                self.pending_save.add(node)
-            index += 1
-        self.pending_save = set()
-        return segment, index
-
-    def _make_room_in_phase(self, node: NodeId, position: int, segment: _Segment) -> bool:
-        """Free space for ``node``'s output using compute-phase DELETEs only.
-
-        Only *clean* values (already in slow memory, or never needed again)
-        may be deleted inside a compute phase; dirty values would first need a
-        save, which is only possible in the save phase and therefore ends the
-        segment.  Returns False when not enough clean space can be freed.
-        """
-        need = self.mu[node]
-        if self.used + need <= self.cache_size + 1e-9:
-            return True
-        parents = set(self.parents[node])
-        candidates = [
-            entry for u, entry in self.cache.items()
-            if u not in parents and u != node and u not in self.pending_save
-            and (self._is_blue(u) or entry.next_use == _INF)
-        ]
-        while self.used + need > self.cache_size + 1e-9:
-            if not candidates:
-                return False
-            segment.compute_ops.append(delete_op(self._evict_one(candidates).node))
-        return True
+            # the segment: compute greedily until new I/O would be required
+            segment = _Segment(group=group)
+            segments.append(segment)
+            pending_save: Set[NodeId] = set()
+            while index < n and sequence[index][0] == group:
+                node = sequence[index][1]
+                parents = parents_of[node]
+                if not all(map(cache.__contains__, parents)):
+                    break
+                need = mu[node]
+                if self.used + need > limit:
+                    # only clean values (already in slow memory, or never
+                    # needed again) may be deleted inside a compute phase;
+                    # a dirty one needs a save, which ends the segment
+                    pinned = set(parents)
+                    candidates = [
+                        u for u, next_use in cache.items()
+                        if u not in pinned and u != node and u not in pending_save
+                        and (u in blue or next_use == _INF)
+                    ]
+                    for victim, _ in self._make_room(candidates, 0.0, need):
+                        segment.compute_ops.append(delete_op(victim))
+                    if self.used + need > limit:
+                        break
+                segment.compute_ops.append(compute_op(node))
+                # insert the output, then move each input's next use past
+                # ``index``: every later make-room loop runs further on
+                uses = use_positions.get(node, ())
+                k = bisect_left(uses, index)
+                next_use = cache[node] = uses[k] if k < len(uses) else _INF
+                last_use[node] = inserted[node] = index
+                self.used += need
+                if rank_of is not None:
+                    rank[node] = rank_of(next_use, need, index, index, name_rank[node])
+                for u in parents:
+                    uses = use_positions[u]
+                    k = bisect_right(uses, index)
+                    next_use = cache[u] = uses[k] if k < len(uses) else _INF
+                    last_use[u] = index
+                    if rank_of is not None:
+                        rank[u] = rank_of(next_use, mu[u], index, inserted[u], name_rank[u])
+                if self.needs_creation_save[node] and node not in blue:
+                    segment.creation_saves.append(node)
+                    blue.add(node)
+                    pending_save.add(node)
+                index += 1
+        return segments, preps
 
 
 class TwoStageConverter:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import NamedTuple, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from repro.dag.graph import NodeId
 
@@ -126,6 +126,36 @@ class RandomPolicy(EvictionPolicy):
             raise ValueError("no eviction candidates")
         ordered = sorted(candidates, key=lambda e: str(e.node))
         return self._rng.choice(ordered).node
+
+
+#: A victim order: the rank of one cached value from its next use, memory
+#: weight, last use, insertion index and name rank (the dense rank of
+#: ``str(node)`` among the values ranked together, so it orders like the
+#: name).  The candidate of highest rank is the victim.
+Rank = Callable[[float, float, float, float, int], tuple]
+
+_RANKS: Dict[Callable, Rank] = {
+    ClairvoyantPolicy.choose_victim:
+        lambda next_use, mu, last_use, insertion, name: (next_use, mu, name),
+    LargestFirstPolicy.choose_victim:
+        lambda next_use, mu, last_use, insertion, name: (mu, next_use, name),
+    LruPolicy.choose_victim:
+        lambda next_use, mu, last_use, insertion, name: (-last_use, -name),
+    FifoPolicy.choose_victim:
+        lambda next_use, mu, last_use, insertion, name: (-insertion, -name),
+}
+
+
+def victim_rank(policy: EvictionPolicy) -> Optional[Rank]:
+    """The rank whose highest value ``policy.choose_victim`` picks, or None.
+
+    Each built-in policy with a total order has one: ``max`` and ``min``
+    keep the first of equal keys, so among equal ranks the victim is the
+    first candidate.  The rank is looked up by the function behind
+    ``policy.choose_victim``, so a policy that overrides it, like
+    :class:`RandomPolicy` and any third-party policy, has none.
+    """
+    return _RANKS.get(getattr(policy.choose_victim, "__func__", None))
 
 
 _POLICIES = {

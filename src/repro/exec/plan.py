@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
+from repro.dag.io import dag_to_dict
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,6 +114,13 @@ def pipeline_job(
     only when the pipeline has a prunable stage, keeping the other jobs'
     cache keys independent of the knob.
     """
+    return _job(dag_to_dict(dag), spec, config, prune_gap)
+
+
+def _job(
+    dag_data: dict, spec: str, config: "ExperimentConfig", prune_gap: Optional[float]
+) -> "ExperimentJob":
+    """:func:`pipeline_job` on a DAG already in its plain-dict form."""
     from repro.experiments.parallel import ExperimentJob
     from repro.portfolio.members import is_prunable_member, resolve_member
 
@@ -120,7 +128,7 @@ def pipeline_job(
     params = {"member": canonical}
     if prune_gap is not None and is_prunable_member(canonical):
         params["prune_gap"] = prune_gap
-    return ExperimentJob.make(dag, config, **params)
+    return ExperimentJob(dag_data=dag_data, config=config, params=tuple(sorted(params.items())))
 
 
 def plan_pipelines(
@@ -132,10 +140,12 @@ def plan_pipelines(
     """The ``specs x dags`` fan-out plan (instance-major, like the portfolio).
 
     Every node is a :func:`pipeline_job`; see there for the canonical
-    hashing and the ``prune_gap`` attachment.
+    hashing and the ``prune_gap`` attachment.  Each DAG is serialized once
+    and its plain-dict form shared by its jobs, which never mutate it.
     """
     plan = RunPlan()
     for dag in dags:
+        dag_data = dag_to_dict(dag)
         for spec in specs:
-            plan.add(pipeline_job(dag, spec, config, prune_gap))
+            plan.add(_job(dag_data, spec, config, prune_gap))
     return plan

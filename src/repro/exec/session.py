@@ -212,7 +212,9 @@ class Session:
         from repro.experiments.runner import InstanceResult
 
         nodes = plan.nodes
-        with self._run_span(plan) as parent:
+        # the log's append handle is released however the run ends: done,
+        # failed or abandoned (the next append reopens it)
+        with self.log, self._run_span(plan) as parent:
             self.stats.total += len(nodes)
             keys = [node.job.key() for node in nodes]
             # always index an existing results file (not only under

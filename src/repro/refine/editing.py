@@ -35,12 +35,12 @@ class IncrementalCost:
     """Synchronous-cost state of a schedule, maintained under edits.
 
     The synchronous cost is ``sum_s [max_p comp(s,p) + max_p save(s,p) +
-    max_p load(s,p) + L]`` over non-empty supersteps.  The per-cell sums are
-    kept explicitly; editing one cell refreshes only that superstep's
-    contribution.  Construction reads the weights through the DAG's
-    validated accessors (an unknown node raises
-    :class:`~repro.exceptions.GraphError`); edits read them from ``snap``,
-    a :class:`~repro.dag.graph.DagSnapshot` taken at construction.
+    max_p load(s,p) + L]`` over non-empty supersteps.  The per-cell sums
+    and each superstep's operation count are kept explicitly; editing one
+    cell refreshes only that superstep's contribution.  Construction reads
+    the weights through the DAG's validated accessors (an unknown node
+    raises :class:`~repro.exceptions.GraphError`); edits read them from
+    ``snap``, a :class:`~repro.dag.graph.DagSnapshot` taken at construction.
     """
 
     def __init__(self, schedule: MbspSchedule) -> None:
@@ -53,9 +53,11 @@ class IncrementalCost:
         self.comp: List[List[float]] = []
         self.save: List[List[float]] = []
         self.load: List[List[float]] = []
-        self.ops: List[List[int]] = []
+        self.ops: List[int] = []
         self.contrib: List[float] = []
         self.total = 0.0
+        #: the per-cell sums a node-list phase edits (a DELETE costs nothing)
+        self.phase_cells = {"save": self.save, "delete": None, "load": self.load}
         for step in schedule.supersteps:
             self.append_step(step)
 
@@ -73,18 +75,18 @@ class IncrementalCost:
             [g * sum(dag.mu(v) for v in ps.load_phase) for ps in step]
         )
         self.ops.append(
-            [
+            sum(
                 len(ps.compute_phase) + len(ps.save_phase)
                 + len(ps.delete_phase) + len(ps.load_phase)
                 for ps in step
-            ]
+            )
         )
         self.contrib.append(0.0)
         self._refresh(len(self.contrib) - 1)
 
     def _refresh(self, s: int) -> None:
         """Recompute superstep ``s``'s contribution after a cell change."""
-        if any(self.ops[s]):
+        if self.ops[s]:
             new = max(self.comp[s]) + max(self.save[s]) + max(self.load[s]) + self.L
         else:
             new = 0.0  # completely empty supersteps do not count
@@ -93,19 +95,18 @@ class IncrementalCost:
 
     # ------------------------------------------------------------------
     def update_cell(
-        self,
-        s: int,
-        p: int,
-        d_comp: float = 0.0,
-        d_save: float = 0.0,
-        d_load: float = 0.0,
-        d_ops: int = 0,
+        self, s: int, p: int, cells: Optional[List[List[float]]], delta: float, d_ops: int
     ) -> None:
-        """Apply a delta to cell ``(s, p)`` and refresh the step contribution."""
-        self.comp[s][p] += d_comp
-        self.save[s][p] += d_save
-        self.load[s][p] += d_load
-        self.ops[s][p] += d_ops
+        """Add ``delta`` to cell ``(s, p)`` of one phase and refresh the step.
+
+        ``cells`` is the edited phase's sums (:attr:`comp`, :attr:`save` or
+        :attr:`load`), or None for a DELETE, which costs nothing; the other
+        phases' cells are left as they are.  ``d_ops`` is the change in the
+        superstep's operation count.
+        """
+        if cells is not None:
+            cells[s][p] += delta
+        self.ops[s] += d_ops
         self._refresh(s)
 
     def insert_step(self, s: int) -> None:
@@ -114,18 +115,13 @@ class IncrementalCost:
         self.comp.insert(s, [0.0] * P)
         self.save.insert(s, [0.0] * P)
         self.load.insert(s, [0.0] * P)
-        self.ops.insert(s, [0] * P)
+        self.ops.insert(s, 0)
         self.contrib.insert(s, 0.0)
 
     def remove_step(self, s: int) -> None:
         """Remove superstep ``s`` (its contribution leaves the total)."""
         self.total -= self.contrib[s]
         del self.comp[s], self.save[s], self.load[s], self.ops[s], self.contrib[s]
-
-    # ------------------------------------------------------------------
-    def recomputed_total(self, schedule: MbspSchedule) -> float:
-        """Reference total rebuilt from scratch (tests compare it to ``total``)."""
-        return IncrementalCost(schedule).total
 
 
 class ScheduleEditor:
@@ -179,7 +175,7 @@ class ScheduleEditor:
     def pop_compute_op(self, s: int, p: int, index: int) -> Operation:
         """Remove and return the ``index``-th compute-phase operation of ``(s, p)``."""
         op = self.schedule.supersteps[s][p].compute_phase.pop(index)
-        self.cost.update_cell(s, p, d_comp=-self._compute_delta(op), d_ops=-1)
+        self.cost.update_cell(s, p, self.cost.comp, -self._compute_delta(op), -1)
         self._touch(s)
         self._undo.append(lambda: self._raw_insert_compute(s, p, index, op))
         return op
@@ -192,11 +188,11 @@ class ScheduleEditor:
 
     def _raw_insert_compute(self, s: int, p: int, index: int, op: Operation) -> None:
         self.schedule.supersteps[s][p].compute_phase.insert(index, op)
-        self.cost.update_cell(s, p, d_comp=self._compute_delta(op), d_ops=1)
+        self.cost.update_cell(s, p, self.cost.comp, self._compute_delta(op), 1)
 
     def _raw_pop_compute(self, s: int, p: int, index: int) -> None:
         op = self.schedule.supersteps[s][p].compute_phase.pop(index)
-        self.cost.update_cell(s, p, d_comp=-self._compute_delta(op), d_ops=-1)
+        self.cost.update_cell(s, p, self.cost.comp, -self._compute_delta(op), -1)
 
     # ------------------------------------------------------------------
     # save / delete / load phase primitives
@@ -217,13 +213,8 @@ class ScheduleEditor:
     def remove_phase_node(self, s: int, p: int, phase: str, index: int) -> NodeId:
         """Remove and return the ``index``-th node of a save/delete/load phase."""
         node = self._phase_list(s, p, phase).pop(index)
-        delta = self._phase_delta(phase, node)
-        self.cost.update_cell(
-            s, p,
-            d_save=-delta if phase == "save" else 0.0,
-            d_load=-delta if phase == "load" else 0.0,
-            d_ops=-1,
-        )
+        cost = self.cost
+        cost.update_cell(s, p, cost.phase_cells[phase], -self._phase_delta(phase, node), -1)
         self._touch(s)
         self._undo.append(lambda: self._raw_insert_phase(s, p, phase, index, node))
         return node
@@ -236,23 +227,13 @@ class ScheduleEditor:
 
     def _raw_insert_phase(self, s: int, p: int, phase: str, index: int, node: NodeId) -> None:
         self._phase_list(s, p, phase).insert(index, node)
-        delta = self._phase_delta(phase, node)
-        self.cost.update_cell(
-            s, p,
-            d_save=delta if phase == "save" else 0.0,
-            d_load=delta if phase == "load" else 0.0,
-            d_ops=1,
-        )
+        cost = self.cost
+        cost.update_cell(s, p, cost.phase_cells[phase], self._phase_delta(phase, node), 1)
 
     def _raw_pop_phase(self, s: int, p: int, phase: str, index: int) -> None:
         node = self._phase_list(s, p, phase).pop(index)
-        delta = self._phase_delta(phase, node)
-        self.cost.update_cell(
-            s, p,
-            d_save=-delta if phase == "save" else 0.0,
-            d_load=-delta if phase == "load" else 0.0,
-            d_ops=-1,
-        )
+        cost = self.cost
+        cost.update_cell(s, p, cost.phase_cells[phase], -self._phase_delta(phase, node), -1)
 
     # ------------------------------------------------------------------
     # structural primitives

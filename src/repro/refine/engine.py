@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.model.cost import asynchronous_cost, synchronous_cost
+from repro.model.cost import asynchronous_cost, schedule_cost
 from repro.model.schedule import MbspSchedule
 from repro.refine.editing import ScheduleEditor
 from repro.refine.moves import MOVE_FAMILIES, generate_moves
@@ -92,7 +92,11 @@ class RefineConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One accepted move: its proposal index, family, delta and new cost."""
+    """One accepted move: its proposal index, family, delta and new cost.
+
+    Delta and cost are in the search's objective: the editor's running
+    total under the synchronous model, the exact makespan otherwise.
+    """
 
     proposal: int
     move: str
@@ -102,7 +106,11 @@ class TraceEntry:
 
 @dataclass
 class RefineResult:
-    """Outcome of one :meth:`Refiner.refine` call."""
+    """Outcome of one :meth:`Refiner.refine` call.
+
+    ``initial_cost`` and ``final_cost`` are the ``schedule_cost`` of the
+    input and of the returned schedule.
+    """
 
     schedule: MbspSchedule
     initial_cost: float
@@ -208,8 +216,12 @@ class Refiner:
 
         editor = ScheduleEditor(work)
         validator = IncrementalValidator(work)
-        initial_sync = editor.cost.total
-        initial_cost = initial_sync if synchronous else asynchronous_cost(work)
+        # the search runs on the objective it can track: under the
+        # synchronous model the editor's running total, a per-step sum that
+        # drifts from schedule_cost in the last bits on fractional weights.
+        # The result reports schedule_cost of the schedules themselves
+        initial_cost = schedule_cost(work, synchronous)
+        search_cost = editor.cost.total if synchronous else initial_cost
 
         result = RefineResult(
             schedule=work, initial_cost=initial_cost, final_cost=initial_cost
@@ -231,8 +243,8 @@ class Refiner:
             families = tuple(f for f in families if f not in ("split", "reorder"))
         deadline = None if config.max_time is None else start + config.max_time
 
-        current_cost = initial_cost     # objective actually reported
-        best_cost = initial_cost
+        current_cost = search_cost
+        best_cost = search_cost
         # annealing walks uphill, so the best-seen schedule must be kept
         # (starting with the input itself); hill climbing is monotone
         best_snapshot: Optional[MbspSchedule] = work.copy() if anneal else None
@@ -250,16 +262,17 @@ class Refiner:
         out_of_budget = False
         while not out_of_budget:
             result.rounds += 1
-            moves = generate_moves(work, families)
-            rng.shuffle(moves)
+            candidates = generate_moves(work, families)
+            rng.shuffle(candidates)
             accepted_this_round = 0
-            for move in moves:
+            for move_class, args in candidates:
                 if result.proposals >= budget or (
                     deadline is not None and time.perf_counter() > deadline
                 ):
                     out_of_budget = True
                     break
                 result.proposals += 1
+                move = move_class(*args)
                 sync_before = editor.cost.total
                 editor.begin()
                 if not move.apply(editor):
@@ -323,10 +336,8 @@ class Refiner:
         # annealing may end uphill: fall back to the best-seen snapshot
         if anneal and best_snapshot is not None and current_cost > best_cost + _EPS:
             work = best_snapshot
-            current_cost = best_cost
-        final = work.drop_empty_supersteps()
-        result.schedule = final
-        result.final_cost = min(current_cost, best_cost)
+        result.schedule = work.drop_empty_supersteps()
+        result.final_cost = schedule_cost(result.schedule, synchronous)
         if result.final_cost > initial_cost:
             # belt and braces: the contract is "never worse"
             result.schedule = schedule.copy().drop_empty_supersteps()

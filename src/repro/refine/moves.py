@@ -46,7 +46,7 @@ Move families (selectable through ``RefineConfig.moves``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Type
 
 from repro.model.pebbling import OpType, compute_op
 from repro.model.schedule import MbspSchedule
@@ -420,11 +420,13 @@ class RecomputeInsteadOfLoad(Move):
 # ----------------------------------------------------------------------
 def generate_moves(
     schedule: MbspSchedule, families: Sequence[str] = MOVE_FAMILIES
-) -> List[Move]:
+) -> List[Tuple[Type[Move], tuple]]:
     """All candidate moves of the enabled families for the current schedule.
 
-    The list is generated in a deterministic structural order; the engine
-    shuffles it with its seeded RNG.  Indices refer to the schedule *now* —
+    Each candidate is a ``(move class, arguments)`` pair; ``cls(*args)``
+    is the move.  The engine shuffles the list with its seeded RNG and
+    builds only the moves it proposes.  The list is generated in a
+    deterministic structural order.  Indices refer to the schedule *now*;
     after any accepted move the engine regenerates stale candidates lazily
     (every move re-checks its bounds in ``apply``).
     """
@@ -434,12 +436,12 @@ def generate_moves(
         raise ValueError(
             f"unknown move families {sorted(unknown)!r}; available: {MOVE_FAMILIES}"
         )
-    moves: List[Move] = []
+    moves: List[Tuple[Type[Move], tuple]] = []
     steps = schedule.supersteps
     P = schedule.instance.num_processors
     for s, step in enumerate(steps):
         if "merge" in enabled and s + 1 < len(steps):
-            moves.append(MergeSupersteps(s))
+            moves.append((MergeSupersteps, (s,)))
         for p in range(P):
             ps = step[p]
             ncomp = len(ps.compute_phase)
@@ -448,25 +450,25 @@ def generate_moves(
                     if op.op_type is OpType.COMPUTE:
                         for q in range(P):
                             if q != p:
-                                moves.append(ReassignCompute(s, p, q, index))
+                                moves.append((ReassignCompute, (s, p, q, index)))
             if "split" in enabled and ncomp >= 2:
-                moves.append(SplitSuperstep(s, p, ncomp // 2))
+                moves.append((SplitSuperstep, (s, p, ncomp // 2)))
             if "reorder" in enabled:
                 for index in range(ncomp - 1):
-                    moves.append(ReorderCompute(s, p, index))
+                    moves.append((ReorderCompute, (s, p, index)))
             if "load" in enabled:
                 for index in range(len(ps.load_phase)):
-                    moves.append(RemoveLoad(s, p, index))
+                    moves.append((RemoveLoad, (s, p, index)))
                     for t in range(s):
-                        moves.append(MoveLoad(s, p, index, t))
+                        moves.append((MoveLoad, (s, p, index, t)))
             if "save" in enabled:
                 for index in range(len(ps.save_phase)):
-                    moves.append(RemoveSave(s, p, index))
+                    moves.append((RemoveSave, (s, p, index)))
                     for t in range(len(steps)):
                         if t != s:
-                            moves.append(MoveSave(s, p, index, t))
+                            moves.append((MoveSave, (s, p, index, t)))
             if "recompute" in enabled:
                 for index in range(len(ps.load_phase)):
-                    moves.append(RecomputeInsteadOfLoad(s, p, index, "here"))
-                    moves.append(RecomputeInsteadOfLoad(s, p, index, "next"))
+                    moves.append((RecomputeInsteadOfLoad, (s, p, index, "here")))
+                    moves.append((RecomputeInsteadOfLoad, (s, p, index, "next")))
     return moves

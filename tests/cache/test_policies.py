@@ -1,6 +1,7 @@
 """Unit tests for the cache eviction policies."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.policies import (
     CacheEntryInfo,
@@ -10,6 +11,7 @@ from repro.cache.policies import (
     LruPolicy,
     RandomPolicy,
     make_policy,
+    victim_rank,
 )
 
 INF = float("inf")
@@ -97,3 +99,64 @@ class TestFactory:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             make_policy("magic")
+
+
+class TestVictimRank:
+    """A ranked policy's victims, in one stable sort on the rank with the
+    highest first, are the ones repeated ``choose_victim`` calls pick."""
+
+    RANKED = (ClairvoyantPolicy, LargestFirstPolicy, LruPolicy, FifoPolicy)
+
+    @staticmethod
+    def ranked_order(policy, candidates):
+        names = sorted({str(e.node) for e in candidates})
+        rank_of = victim_rank(policy)
+        rank = {
+            e.node: rank_of(e.next_use, e.mu, e.last_use, e.insertion, names.index(str(e.node)))
+            for e in candidates
+        }
+        return sorted((e.node for e in candidates), key=rank.__getitem__, reverse=True)
+
+    @staticmethod
+    def chosen_order(policy, candidates):
+        remaining, order = list(candidates), []
+        while remaining:
+            victim = policy.choose_victim(remaining)
+            order.append(victim)
+            remaining = [e for e in remaining if e.node != victim]
+        return order
+
+    @given(
+        st.lists(
+            st.tuples(
+                # 1 and "1" are distinct nodes with one name
+                st.sampled_from([0, 1, 2, "0", "1", "2", "a", ("t", 1)]),
+                st.sampled_from([0.0, 1.0, 2.5]),
+                st.sampled_from([0, 1, 2, INF]),
+                st.integers(0, 2),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=8,
+            unique_by=lambda row: row[0],
+        ),
+        st.sampled_from(RANKED),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rank_order_is_repeated_choose_victim(self, rows, policy_cls):
+        candidates = [entry(node, mu, next_use, last_use, insertion)
+                      for node, mu, next_use, last_use, insertion in rows]
+        policy = policy_cls()
+        assert self.ranked_order(policy, candidates) == self.chosen_order(policy, candidates)
+
+    def test_unranked_policies(self):
+        class Custom(LruPolicy):
+            def choose_victim(self, candidates):
+                return candidates[-1].node
+
+        patched = LruPolicy()
+        patched.choose_victim = lambda candidates: candidates[-1].node
+        assert victim_rank(RandomPolicy()) is None
+        assert victim_rank(Custom()) is None
+        assert victim_rank(patched) is None
+        assert victim_rank(make_policy("belady")) is victim_rank(ClairvoyantPolicy())

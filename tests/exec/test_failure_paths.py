@@ -284,3 +284,47 @@ class TestResultLogHandle:
         log.append("k1", job, _fake_result(job))
         assert log._handle is None
         log.close()  # must not raise
+
+
+class TestSessionReleasesTheLog:
+    """A session closes its JSONL append handle when a run ends, fails or is
+    abandoned; the next append reopens it."""
+
+    @pytest.fixture
+    def fake_jobs(self, monkeypatch):
+        monkeypatch.setattr("repro.experiments.parallel.execute_job", _fake_result)
+        return _jobs(3)
+
+    def test_run_closes_the_handle(self, tmp_path, fake_jobs):
+        session = Session(results_path=tmp_path / "r.jsonl")
+        session.run(RunPlan.from_jobs(fake_jobs[:2]))
+        assert session.log._handle is None
+        # the next run reopens the file and appends after the first run
+        session.run(RunPlan.from_jobs(fake_jobs))
+        assert session.log._handle is None
+        session.log.close()  # a second close is harmless
+        keys = [r["key"] for r in iter_jsonl_records(tmp_path / "r.jsonl")]
+        assert keys == [job.key() for job in fake_jobs]
+
+    def test_abandoned_stream_closes_the_handle(self, tmp_path, fake_jobs):
+        session = Session(results_path=tmp_path / "r.jsonl")
+        for _event in session.stream(RunPlan.from_jobs(fake_jobs)):
+            assert session.log._handle is not None
+            break
+        assert session.log._handle is None
+        keys = [r["key"] for r in iter_jsonl_records(tmp_path / "r.jsonl")]
+        assert keys == [fake_jobs[0].key()]
+
+    def test_failed_run_closes_the_handle(self, tmp_path, monkeypatch):
+        jobs = _jobs(2)
+
+        def fail_second(job):
+            if job is jobs[1]:
+                raise RuntimeError("boom")
+            return _fake_result(job)
+
+        monkeypatch.setattr("repro.experiments.parallel.execute_job", fail_second)
+        session = Session(results_path=tmp_path / "r.jsonl")
+        with pytest.raises(RuntimeError, match="boom"):
+            session.run(RunPlan.from_jobs(jobs))
+        assert session.log._handle is None

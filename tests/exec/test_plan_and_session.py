@@ -19,6 +19,7 @@ from repro.exec import (
     Session,
     as_plan,
     branch_slots,
+    pipeline_job,
     plan_pipelines,
     slot_scope,
 )
@@ -73,6 +74,19 @@ class TestRunPlan:
         plan = plan_pipelines(["bspg+clairvoyant", "cilk+lru"], dags, CFG)
         names = [node.job.instance_name for node in plan]
         assert names == ["spmv_1", "spmv_1", "spmv_2", "spmv_2"]
+
+    @pytest.mark.parametrize("prune_gap", [None, 0.0, 0.05])
+    def test_plan_pipelines_builds_pipeline_jobs(self, prune_gap):
+        dags = _dags(2)
+        specs = ["bspg+clairvoyant", "cilk+lru|refine", "bspg+clairvoyant|refine|ilp"]
+        plan = plan_pipelines(specs, dags, CFG, prune_gap)
+        expected = [
+            pipeline_job(dag, spec, CFG, prune_gap).key() for dag in dags for spec in specs
+        ]
+        assert [node.job.key() for node in plan] == expected
+        # each DAG is serialized once, its jobs share the plain-dict form
+        first, *rest = [node.job for node in plan][: len(specs)]
+        assert all(job.dag_data is first.dag_data for job in rest)
 
 
 class TestSession:

@@ -8,7 +8,9 @@ as the reference implementation:
 * the greedy BSP scheduler's scan loop and its helpers (``_ready_nodes``,
   ``_blocked_exists``, ``_allowed_processors``, ``_best_processor``);
 * ``etf_placement``, which evaluated every (ready node, processor) pair's
-  earliest start from scratch at every step;
+  earliest start from scratch at every step, and its successor, which
+  scanned the ready nodes' data-ready rows at every step
+  (``scan_etf_placement``) and is now a lazy start-time heap;
 * the converter's ``_prepare_for`` and ``_make_room_in_phase`` (with the
   ``_entry_info`` helper they call), which rebuilt the eviction candidates
   before every single eviction, together with the rest of the per-processor
@@ -18,10 +20,15 @@ as the reference implementation:
 * ``TwoStageConverter._assemble``, which deep-copied its supersteps through
   ``drop_empty_supersteps``.
 
+The converter now evicts by one stable sort on a rank per cached value
+instead of a policy call per eviction.
+
 Hypothesis draws small DAGs whose weights repeat and include zeros, so ties
-in bottom levels, start times and eviction keys are common.  Every case must
-agree on the BSP ``(processor, superstep, order)`` triples, the MBSP
-``schedule_digest`` and both cost models, or fail with the same error.
+in bottom levels, start times and eviction keys are common, and DAGs whose
+node ids collide under ``str`` (``1`` and ``"1"``), so that two candidates
+share a name.  Every case must agree on the BSP ``(processor, superstep,
+order)`` triples, the MBSP ``schedule_digest`` and both cost models, or fail
+with the same error.
 """
 
 from __future__ import annotations
@@ -264,6 +271,69 @@ def reference_etf_placement(
                 pending[child] -= 1
                 if pending[child] == 0:
                     ready.add(child)
+
+    makespan = max(finish_time.values()) if finish_time else 0.0
+    return EtfPlacement(
+        placement=placement,
+        order=order,
+        start_time=start_time,
+        finish_time=finish_time,
+        makespan=makespan,
+    )
+
+
+def scan_etf_placement(
+    dag: ComputationalDag,
+    num_processors: int,
+    g: float = 1.0,
+) -> EtfPlacement:
+    """Compute an ETF placement of the non-source nodes of ``dag``."""
+    if num_processors < 1:
+        raise ValueError("num_processors must be at least 1")
+    snap = dag.snapshot()
+    computable = [v for v in dag.nodes if v not in snap.sources]
+    inputs = {v: [u for u in snap.parents[v] if u not in snap.sources] for v in computable}
+    pending = {v: len(inputs[v]) for v in computable}
+
+    proc_free = [0.0] * num_processors
+    placement: Dict[NodeId, int] = {}
+    start_time: Dict[NodeId, float] = {}
+    finish_time: Dict[NodeId, float] = {}
+    order: List[NodeId] = []
+
+    def data_ready(v: NodeId) -> List[float]:
+        """When all inputs of ``v`` can be on each processor (fixed once ``v`` is ready)."""
+        row = [0.0] * num_processors
+        for u in inputs[v]:
+            local = finish_time[u]
+            remote = local + g * snap.mu[u]   # value must be communicated
+            q = placement[u]
+            row = [max(r, local if p == q else remote) for p, r in enumerate(row)]
+        return row
+
+    name = {v: str(v) for v in computable}
+    # ready node -> its data-ready row
+    ready = {v: data_ready(v) for v in computable if pending[v] == 0}
+    while ready:
+        # pick the (task, processor) pair with the globally earliest start;
+        # ties are broken deterministically by node id, then lowest processor
+        best: Optional[Tuple[Tuple[float, str], NodeId]] = None
+        for v, row in ready.items():
+            key = (min(map(max, proc_free, row)), name[v])
+            if best is None or key < best[0]:
+                best = (key, v)
+        assert best is not None
+        (start, _), v = best
+        p = list(map(max, proc_free, ready.pop(v))).index(start)
+        placement[v] = p
+        start_time[v] = start
+        finish_time[v] = start + snap.omega[v]
+        proc_free[p] = finish_time[v]
+        order.append(v)
+        for child in snap.children[v]:
+            pending[child] -= 1
+            if pending[child] == 0:
+                ready[child] = data_ready(child)
 
     makespan = max(finish_time.values()) if finish_time else 0.0
     return EtfPlacement(
@@ -557,6 +627,20 @@ def tie_heavy_dags(draw):
     return dag
 
 
+@st.composite
+def colliding_dags(draw):
+    """Tie-heavy DAGs whose node ids collide under ``str``: node ``2k`` is
+    the int ``k`` and node ``2k + 1`` the string ``"k"``."""
+    base = draw(tie_heavy_dags())
+    ids = {v: v // 2 if v % 2 == 0 else str(v // 2) for v in base.nodes}
+    dag = ComputationalDag("colliding")
+    for v in base.nodes:
+        dag.add_node(ids[v], omega=base.omega(v), mu=base.mu(v))
+    for u, v in base.edges():
+        dag.add_edge(ids[u], ids[v])
+    return dag
+
+
 machines = st.tuples(
     st.sampled_from([1, 2, 3, 8]),        # processors
     st.sampled_from([0.0, 1.0]),          # g
@@ -595,6 +679,12 @@ class TestFirstStagesMatchReference:
             reference_etf_bsp_schedule(dag, P, g=g)
         )
 
+    @given(st.one_of(tie_heavy_dags(), colliding_dags()), machines)
+    @settings(max_examples=200, deadline=None)
+    def test_etf_heap_matches_the_scan(self, dag, machine):
+        P, g, _ = machine
+        assert etf_placement(dag, P, g=g) == scan_etf_placement(dag, P, g=g)
+
 
 class TestTwoStageMatchesReference:
     @given(tie_heavy_dags(), machines)
@@ -617,3 +707,27 @@ class TestTwoStageMatchesReference:
                         lambda: two_stage_schedule(reference_bsp, instance, make_policy(policy))
                     )
                 assert actual == expected, (name, policy)
+
+    @given(colliding_dags(), machines)
+    @settings(max_examples=150, deadline=None)
+    def test_names_that_collide(self, dag, machine):
+        """Equal names rank equal: the victim is the first such candidate.
+
+        The original first stages iterate sets, whose order decides their
+        ties between equal names, so both conversions start from the
+        schedules of today's first stages.
+        """
+        P, g, factor = machine
+        instance = make_instance(dag, num_processors=P, cache_factor=factor, g=g, L=10.0)
+        for bsp in (
+            greedy_bsp_schedule(dag, P, g=g),
+            etf_bsp_schedule(dag, P, g=g),
+            cilk_bsp_schedule(dag, P),
+        ):
+            for policy in POLICIES:
+                actual = outcome(lambda: two_stage_schedule(bsp, instance, make_policy(policy)))
+                with reference_conversion(dag):
+                    expected = outcome(
+                        lambda: two_stage_schedule(bsp, instance, make_policy(policy))
+                    )
+                assert actual == expected, policy

@@ -1,18 +1,24 @@
 """Unit and integration tests of the refinement engine."""
 
+import random
+
 import pytest
 
 from repro.core.two_stage import baseline_schedule, run_two_stage
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import fork_join_dag, iterated_spmv, spmv
 from repro.exceptions import InvalidScheduleError
-from repro.model.cost import asynchronous_cost, synchronous_cost
+from repro.experiments.datasets import tiny_dataset
+from repro.experiments.runner import ExperimentConfig
+from repro.model.cost import asynchronous_cost, schedule_cost, synchronous_cost
 from repro.model.instance import make_instance
 from repro.model.validation import validate_schedule
+from repro.pipeline import Pipeline
 from repro.portfolio.members import schedule_digest
 from repro.refine import (
     MOVE_FAMILIES,
     IncrementalValidator,
+    Move,
     RefineConfig,
     Refiner,
     generate_moves,
@@ -137,11 +143,51 @@ class TestRefiner:
         assert "refine:" in text and "accepted" in text
 
 
+class TestReportedCost:
+    """Refine reports ``schedule_cost`` of the schedules it takes and
+    returns.  Its search follows the editor's running total, a per-step sum
+    that drifts from ``schedule_cost`` in the last bits on fractional
+    weights (66.00000000000001 against 66.0)."""
+
+    @staticmethod
+    def fractional_dags(seed):
+        """The tiny dataset with one-decimal compute and memory weights."""
+        for dag in tiny_dataset():
+            rng = random.Random(f"{dag.name}:{seed}")
+            for v in dag.nodes:
+                dag.set_omega(v, rng.randint(1, 30) / 10)
+                dag.set_mu(v, rng.randint(1, 30) / 10)
+            yield dag
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pipeline_cost_is_the_schedule_cost(self, seed):
+        config = ExperimentConfig(name="refine-cost", num_processors=4)
+        for dag in self.fractional_dags(seed):
+            result = Pipeline("bspg+clairvoyant|refine").run(dag, config)
+            assert result.cost == schedule_cost(result.schedule), dag.name
+
+    @pytest.mark.parametrize("strategy", ["hill", "anneal"])
+    @pytest.mark.parametrize("synchronous", [True, False])
+    def test_refine_result_costs(self, strategy, synchronous):
+        config = RefineConfig(strategy=strategy, budget=400, seed=5)
+        for dag in list(self.fractional_dags(2))[:6]:
+            instance = make_instance(dag, num_processors=4, cache_factor=3.0, g=1.0, L=10.0)
+            schedule = baseline_schedule(instance, synchronous=synchronous, seed=0).mbsp_schedule
+            result = Refiner(config).refine(schedule, synchronous=synchronous)
+            assert result.initial_cost == schedule_cost(schedule, synchronous), dag.name
+            assert result.final_cost == schedule_cost(result.schedule, synchronous), dag.name
+            assert result.final_cost <= result.initial_cost
+
+
 class TestMoveGeneration:
     def test_families_cover_known_names(self, baseline):
         moves = generate_moves(baseline.mbsp_schedule)
         assert moves
-        assert {m.name for m in moves} <= set(MOVE_FAMILIES)
+        assert {move_class.name for move_class, _ in moves} <= set(MOVE_FAMILIES)
+
+    def test_candidates_build_their_moves(self, baseline):
+        for move_class, args in generate_moves(baseline.mbsp_schedule):
+            assert isinstance(move_class(*args), Move)
 
     def test_unknown_family_rejected(self, baseline):
         with pytest.raises(ValueError):
@@ -150,7 +196,7 @@ class TestMoveGeneration:
     def test_family_filter_restricts_neighborhood(self, baseline):
         merges = generate_moves(baseline.mbsp_schedule, families=("merge",))
         assert merges
-        assert all(m.name == "merge" for m in merges)
+        assert all(move_class.name == "merge" for move_class, _ in merges)
 
 
 class TestIncrementalValidator:
