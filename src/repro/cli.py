@@ -926,6 +926,7 @@ def _cmd_exec_merge(args: argparse.Namespace) -> int:
     then print the portfolio reduction of the merged results."""
     from repro.exceptions import ConfigurationError
     from repro.exec import merge_shard_logs
+    from repro.experiments.parallel import job_keys
     from repro.experiments.reporting import iter_jsonl_records
     from repro.experiments.runner import InstanceResult
     from repro.portfolio import format_portfolio_table, reduce_to_portfolio_rows
@@ -944,7 +945,8 @@ def _cmd_exec_merge(args: argparse.Namespace) -> int:
         for record in iter_jsonl_records(target)
     }
     results = [
-        InstanceResult.from_dict(recorded[node.job.key()]) for node in plan
+        InstanceResult.from_dict(recorded[key])
+        for key in job_keys([node.job for node in plan])
     ]
     print()
     print(format_portfolio_table(reduce_to_portfolio_rows(members, dags, results)))

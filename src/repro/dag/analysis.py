@@ -22,17 +22,11 @@ def minimum_cache_size(dag: ComputationalDag) -> float:
     schedule needs at least ``mu(v) + sum(mu(parents))`` capacity for the most
     demanding node.  Source nodes are never computed but must be loadable,
     requiring at least ``mu(v)``.
+
+    Computed once per DAG state, with the DAG's memoized
+    :class:`~repro.dag.graph.DagSnapshot`.
     """
-    snap = dag.snapshot()
-    mu = snap.mu
-    best = 0.0
-    for v, parents in snap.parents.items():
-        if not parents:
-            best = max(best, mu[v])
-        else:
-            need = mu[v] + sum(mu[u] for u in parents)
-            best = max(best, need)
-    return best
+    return dag.snapshot().r0
 
 
 def node_levels(dag: ComputationalDag) -> Dict[NodeId, int]:

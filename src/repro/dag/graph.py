@@ -51,8 +51,12 @@ class DagSnapshot(NamedTuple):
 
     The :class:`ComputationalDag` accessors validate their argument and copy
     the adjacency list on every call; a scheduling kernel that reads the same
-    nodes thousands of times takes one snapshot instead.  A snapshot does not
+    nodes thousands of times reads a snapshot instead.  A snapshot does not
     follow later changes to the DAG.
+
+    :meth:`ComputationalDag.snapshot` hands the same snapshot to every
+    caller until the DAG changes, so its dicts are shared: consumers read
+    a snapshot and never mutate it.
     """
 
     parents: Dict[NodeId, Tuple[NodeId, ...]]
@@ -60,6 +64,9 @@ class DagSnapshot(NamedTuple):
     omega: Dict[NodeId, float]
     mu: Dict[NodeId, float]
     sources: FrozenSet[NodeId]
+    #: the minimal fast-memory capacity ``r0`` admitting a valid schedule
+    #: (see :func:`repro.dag.analysis.minimum_cache_size`)
+    r0: float
 
 
 class ComputationalDag:
@@ -81,6 +88,13 @@ class ComputationalDag:
         self._pred: Dict[NodeId, List[NodeId]] = {}
         self._data: Dict[NodeId, NodeData] = {}
         self._topo_cache: Optional[List[NodeId]] = None
+        self._snapshot: Optional[DagSnapshot] = None
+
+    def _changed(self) -> None:
+        """Drop the memos a structural change invalidates (a weight change
+        drops only the snapshot)."""
+        self._topo_cache = None
+        self._snapshot = None
 
     # ------------------------------------------------------------------
     # construction
@@ -91,7 +105,7 @@ class ComputationalDag:
             self._succ[node] = []
             self._pred[node] = []
         self._data[node] = NodeData(omega=float(omega), mu=float(mu))
-        self._topo_cache = None
+        self._changed()
         return node
 
     def add_edge(self, u: NodeId, v: NodeId) -> None:
@@ -106,14 +120,14 @@ class ComputationalDag:
             return
         self._succ[u].append(v)
         self._pred[v].append(u)
-        self._topo_cache = None
+        self._changed()
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
         """Remove the edge ``u -> v`` if present."""
         if u in self._succ and v in self._succ[u]:
             self._succ[u].remove(v)
             self._pred[v].remove(u)
-            self._topo_cache = None
+            self._changed()
 
     # ------------------------------------------------------------------
     # basic queries
@@ -181,20 +195,42 @@ class ComputationalDag:
     def set_omega(self, node: NodeId, omega: float) -> None:
         self._check_node(node)
         self._data[node] = NodeData(omega=float(omega), mu=self._data[node].mu)
+        self._snapshot = None
 
     def set_mu(self, node: NodeId, mu: float) -> None:
         self._check_node(node)
         self._data[node] = NodeData(omega=self._data[node].omega, mu=float(mu))
+        self._snapshot = None
 
     def snapshot(self) -> DagSnapshot:
-        """The current adjacency and weights as one :class:`DagSnapshot`."""
-        return DagSnapshot(
-            parents={v: tuple(p) for v, p in self._pred.items()},
-            children={v: tuple(c) for v, c in self._succ.items()},
-            omega={v: d.omega for v, d in self._data.items()},
-            mu={v: d.mu for v, d in self._data.items()},
-            sources=frozenset(v for v, p in self._pred.items() if not p),
-        )
+        """The current adjacency and weights as one :class:`DagSnapshot`.
+
+        Memoized: every call returns the same object until the next
+        :meth:`add_node`, :meth:`add_edge`, :meth:`remove_edge`,
+        :meth:`set_omega` or :meth:`set_mu`, after which the next call
+        builds a new one.  A snapshot taken before a change keeps its
+        content.
+        """
+        if self._snapshot is None:
+            parents = {v: tuple(p) for v, p in self._pred.items()}
+            mu = {v: d.mu for v, d in self._data.items()}
+            # a computed node needs its own value and all its inputs in one
+            # cache at once; a source only needs to be loadable
+            r0 = 0.0
+            for v, inputs in parents.items():
+                if not inputs:
+                    r0 = max(r0, mu[v])
+                else:
+                    r0 = max(r0, mu[v] + sum(mu[u] for u in inputs))
+            self._snapshot = DagSnapshot(
+                parents=parents,
+                children={v: tuple(c) for v, c in self._succ.items()},
+                omega={v: d.omega for v, d in self._data.items()},
+                mu=mu,
+                sources=frozenset(v for v, p in parents.items() if not p),
+                r0=r0,
+            )
+        return self._snapshot
 
     def _check_node(self, node: NodeId) -> None:
         if node not in self._data:

@@ -32,12 +32,14 @@ loop or not.
 
 from __future__ import annotations
 
+import gc
 import time
 import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro import obs
@@ -47,6 +49,10 @@ from repro.exec.store import PathLike, ResultCache, ResultLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
     from repro.experiments.runner import InstanceResult
+
+#: pool jobs in flight per worker: the one it runs and one queued behind
+#: it, which it takes from the pool's call queue as soon as it is free
+JOBS_PER_WORKER = 2
 
 
 @dataclass
@@ -94,15 +100,20 @@ class Session:
         process (pipelines still receive the slot count, so a lone
         ``workers=4`` job can race branches over 4 threads); with more
         workers and more than one pending node, nodes fan out over a
-        process pool.
+        process pool of ``workers`` processes, each with one job running
+        and one queued behind it.
     cache_dir / results_path / resume:
         The content-hash result cache, the JSONL result stream and resume —
         see :mod:`repro.exec.store`.
     job_timeout:
         Optional bound, in seconds, on each node executing on the process
-        pool (a liveness guard for parallel runs: exceeding it raises
-        :class:`TimeoutError` without killing the stuck worker process).
-        It does not apply to inline execution — a thread cannot be
+        pool (a liveness guard for parallel runs).  A job's clock starts
+        once it is one of the ``workers`` oldest jobs in flight, so a job
+        queued behind a running one is not timed while it waits.
+        Exceeding the bound stores every finished result, terminates the
+        pool's worker processes (a stuck job would otherwise keep the
+        interpreter from exiting) and raises :class:`TimeoutError`.  It
+        does not apply to inline execution — a thread cannot be
         interrupted — and it never truncates a completed result.
     """
 
@@ -142,9 +153,9 @@ class Session:
     def stream(self, plan) -> Iterator[ResultEvent]:
         """Execute ``plan``, yielding a :class:`ResultEvent` per completion.
 
-        Abandoning the iterator stops the run: no further job starts,
-        queued pool jobs are cancelled, and every result that already
-        finished is stored.
+        Abandoning the iterator stops the run: the jobs already handed to
+        the pool (at most two per worker) may still run, no other job
+        starts, and every result that already finished is stored.
         """
         return self._events(as_plan(plan))
 
@@ -202,13 +213,13 @@ class Session:
         Nodes whose result comes from the resume log or the cache resolve
         first, in plan order, without consuming worker slots.  Pending
         nodes then run inline in the calling thread (``workers == 1`` or a
-        single pending node), or at most ``workers`` at a time on the
-        pool, submitted in plan order, their events arriving in completion
-        order.  Cache and JSONL writes always happen in plan order, so the
-        stores are byte-stable across worker counts.
+        single pending node), or on the pool, submitted in plan order with
+        up to :data:`JOBS_PER_WORKER` ``* workers`` in flight, their events
+        arriving in completion order.  Cache and JSONL writes always happen
+        in plan order, so the stores are byte-stable across worker counts.
         """
         # looked up per run: benchmark harnesses and tests rebind it
-        from repro.experiments.parallel import execute_job
+        from repro.experiments.parallel import execute_job, job_keys
         from repro.experiments.runner import InstanceResult
 
         nodes = plan.nodes
@@ -216,7 +227,7 @@ class Session:
         # failed or abandoned (the next append reopens it)
         with self.log, self._run_span(plan) as parent:
             self.stats.total += len(nodes)
-            keys = [node.job.key() for node in nodes]
+            keys = job_keys([node.job for node in nodes])
             # always index an existing results file (not only under
             # resume): appends must skip keys the file already holds, or a
             # cache-served re-run would double-count every instance
@@ -264,40 +275,52 @@ class Session:
             executor = self._make_executor(len(pending))
             waiting = deque(pending)  # not yet submitted, in plan order
             unpersisted = deque(pending)  # not yet in the stores, in plan order
-            # future -> (plan index, submission time, job span); insertion
-            # order is submission order, so the first entry is the oldest
+            # future -> (plan index, job span); insertion order is
+            # submission order, so the first entry is the oldest
             running: dict = {}
+            clocks: dict = {}  # future -> start of its job_timeout clock
             finished: dict = {}
             limit = self.job_timeout
+            timed_out = False
 
             def fill() -> None:
-                while waiting and len(running) < self.workers:
+                while waiting and len(running) < JOBS_PER_WORKER * self.workers:
                     i = waiting.popleft()
                     job_span = self._job_span(
-                        nodes[i], parent, started, len(running) + 1
+                        nodes[i], parent, started,
+                        min(len(running) + 1, self.workers),
                     )
                     job_span.__enter__()
                     future = executor.submit(execute_job, nodes[i].job)
-                    running[future] = (i, time.monotonic(), job_span)
+                    running[future] = (i, job_span)
+                # a job can have started once it is one of the `workers`
+                # oldest in flight; clocks start in submission order, so the
+                # oldest job always has the nearest deadline
+                now = time.monotonic()
+                for future in islice(running, self.workers):
+                    clocks.setdefault(future, now)
 
             try:
                 fill()
                 while running:
                     timeout = None
                     if limit is not None:
-                        oldest, submitted, _ = next(iter(running.values()))
-                        timeout = max(0.0, submitted + limit - time.monotonic())
+                        oldest = next(iter(running))
+                        timeout = max(0.0, clocks[oldest] + limit - time.monotonic())
                     done, _ = wait(
                         running, timeout=timeout, return_when=FIRST_COMPLETED
                     )
                     if not done:  # the oldest job's deadline passed
+                        timed_out = True
                         raise TimeoutError(
-                            f"job {nodes[oldest].id!r} exceeded the session "
-                            f"job_timeout of {limit:g}s"
+                            f"job {nodes[running[oldest][0]].id!r} exceeded "
+                            f"the session job_timeout of {limit:g}s"
                         )
                     ready: List[int] = []
                     for future in sorted(done, key=lambda f: running[f][0]):
-                        i, _, job_span = running.pop(future)
+                        i, job_span = running.pop(future)
+                        # a queued job may finish before its clock started
+                        clocks.pop(future, None)
                         error = future.exception()
                         job_span.__exit__(
                             None if error is None else type(error), error, None
@@ -317,11 +340,11 @@ class Session:
                         yield self._emit(plan, i, keys[i], finished[i], "executed")
             except BaseException as exc:
                 # on a failure, a timeout or an abandoned iterator the pool
-                # is left without waiting (queued jobs cancelled, a stuck
-                # worker orphaned) so the caller is actually unblocked.
-                # Jobs that already completed must not be re-executed by a
-                # resumed run, so every finished result is stored
-                for future, (i, _, job_span) in running.items():
+                # is left without waiting (jobs not yet handed to a worker
+                # cancelled) so the caller is actually unblocked.  Jobs that
+                # already completed must not be re-executed by a resumed
+                # run, so every finished result is stored
+                for future, (i, job_span) in running.items():
                     future.cancel()
                     if (
                         future.done()
@@ -341,7 +364,12 @@ class Session:
                     if j in finished:
                         self.stats.executed += 1
                         self.cache.store(keys[j], finished[j])
+                # the executor forgets its processes on shutdown, and a
+                # stuck job would keep the interpreter from exiting
+                stuck = _worker_processes(executor) if timed_out else []
                 executor.shutdown(wait=False, cancel_futures=True)
+                for process in stuck:
+                    process.terminate()
                 raise
             executor.shutdown(wait=True)
 
@@ -372,7 +400,8 @@ class Session:
 
         It chains to the ``session.run`` span explicitly: several pool jobs
         are open at once in this thread, so the thread's span stack cannot
-        order them.
+        order them.  A pool job's span opens at submission, so a job queued
+        behind a worker's running one counts its time in the queue.
         """
         if parent is None:
             return obs.NULL_SCOPE
@@ -415,5 +444,18 @@ class Session:
     def _make_executor(self, pending_count: int):
         """The worker pool for non-inline execution (a seam for tests, which
         substitute a thread pool to exercise the pool failure paths without
-        real processes)."""
-        return ProcessPoolExecutor(max_workers=min(self.workers, pending_count))
+        real processes).
+
+        Each worker process starts with :func:`gc.freeze`: its collections
+        then skip every object inherited from this process, and no longer
+        write to (and so copy) the pages those objects share with it.
+        """
+        return ProcessPoolExecutor(
+            max_workers=min(self.workers, pending_count), initializer=gc.freeze
+        )
+
+
+def _worker_processes(executor) -> list:
+    """The live worker processes of a process pool (none for a thread
+    pool); ``concurrent.futures`` has no public accessor before 3.14."""
+    return list((getattr(executor, "_processes", None) or {}).values())

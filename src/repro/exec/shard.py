@@ -121,6 +121,8 @@ def merge_shard_logs(
     shard's file (interrupted worker, wrong ``--shards`` count) raises a
     clear :class:`ConfigurationError` naming the shard file to re-run.
     """
+    from repro.experiments.parallel import job_keys
+
     plan = as_plan(plan)
     assignment = shard_assignment(plan, shards)
     shard_lines: List[dict] = []
@@ -142,8 +144,8 @@ def merge_shard_logs(
 
     merged: List[str] = []
     emitted: set = set()
-    for i, node in enumerate(plan.nodes):
-        key = node.job.key()
+    keys = job_keys([node.job for node in plan.nodes])
+    for i, (node, key) in enumerate(zip(plan.nodes, keys)):
         if key in emitted:
             continue
         line = shard_lines[assignment[i]].get(key)

@@ -8,6 +8,8 @@
   configuration — including the per-job ILP solver backend
   (``ExperimentConfig.ilp_backend``), so sweeps over different backends
   never collide in the result cache.
+* :func:`job_keys` — the keys of many jobs at once, each DAG and config
+  encoded once; :meth:`ExperimentJob.key` is its one-job case.
 * :func:`execute_job` — runs one job to completion; this is the function
   :class:`repro.exec.Session` calls inline or in its worker processes.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import ClassVar, Tuple
+from typing import ClassVar, Iterable, List, Tuple
 
 from repro.dag.graph import ComputationalDag
 from repro.dag.io import dag_from_dict, dag_to_dict
@@ -80,15 +82,49 @@ class ExperimentJob:
         return str(self.dag_data.get("name", "dag"))
 
     def key(self) -> str:
-        """Stable content hash of the job (DAG + config + params)."""
-        payload = {
-            "kind": self.kind,
-            "dag": self.dag_data,
-            "config": asdict(self.config),
-            "params": [[k, v] for k, v in self.params],
-        }
-        blob = json.dumps(payload, sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """Stable content hash of the job (DAG + config + params); see
+        :func:`job_keys`."""
+        return job_keys([self])[0]
+
+
+def _dumps(value) -> str:
+    # the keys' encoding; DAG dicts, config dicts and param lists are plain
+    # acyclic data, so the circular-reference check is skipped
+    return json.dumps(value, sort_keys=True, default=repr, check_circular=False)
+
+
+def job_keys(jobs: Iterable[ExperimentJob]) -> List[str]:
+    """The content hash of each job, in order.
+
+    A key is the sha256 of ``json.dumps(payload, sort_keys=True,
+    default=repr)`` over the payload ``{"kind": job.kind, "dag":
+    job.dag_data, "config": asdict(job.config), "params": [[k, v], ...]}``.
+    Sorted, the config and the DAG come first, so the hash state after
+    them is computed once per (config object, DAG dict object) pair in
+    ``jobs`` and copied for each job of the pair, which adds its own kind
+    and params: a plan's jobs share one DAG dict per instance.  A job of
+    another type (the stores and the shard merge need only a ``key()``)
+    keys itself.
+    """
+    jobs = list(jobs)  # held, so no id below is reused during the call
+    prefixes: dict = {}
+    keys = []
+    for job in jobs:
+        if not isinstance(job, ExperimentJob):
+            keys.append(job.key())
+            continue
+        pair = (id(job.config), id(job.dag_data))
+        prefix = prefixes.get(pair)
+        if prefix is None:
+            config = _dumps(asdict(job.config))
+            head = f'{{"config": {config}, "dag": {_dumps(job.dag_data)}'
+            prefix = prefixes[pair] = hashlib.sha256(head.encode("utf-8"))
+        params = [[k, v] for k, v in job.params]
+        tail = f', "kind": {_dumps(job.kind)}, "params": {_dumps(params)}}}'
+        digest = prefix.copy()
+        digest.update(tail.encode("utf-8"))
+        keys.append(digest.hexdigest())
+    return keys
 
 
 def execute_job(job: ExperimentJob) -> InstanceResult:

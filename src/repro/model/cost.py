@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.dag.graph import NodeId
+from repro.exceptions import GraphError
 from repro.model.pebbling import OpType
 from repro.model.schedule import MbspSchedule
 
@@ -49,18 +50,31 @@ def synchronous_cost_breakdown(schedule: MbspSchedule, count_empty: bool = False
 
     Completely empty supersteps are skipped unless ``count_empty`` is set;
     well-formed schedules produced by this library never contain them.
+    Weights are read from the DAG's snapshot, summed in the order of
+    :meth:`~repro.model.schedule.ProcessorSuperstep.compute_cost`,
+    ``save_cost`` and ``load_cost``; a node the DAG does not have raises
+    :class:`~repro.exceptions.GraphError`.
     """
     instance = schedule.instance
-    dag = instance.dag
+    snap = instance.dag.snapshot()
+    omega, mu = snap.omega, snap.mu
     g, L = instance.g, instance.L
+    compute = OpType.COMPUTE
     comp_total = save_total = load_total = sync_total = 0.0
-    for step in schedule.supersteps:
-        if step.is_empty() and not count_empty:
-            continue
-        comp_total += max(ps.compute_cost(dag) for ps in step.processor_steps)
-        save_total += max(ps.save_cost(dag, g) for ps in step.processor_steps)
-        load_total += max(ps.load_cost(dag, g) for ps in step.processor_steps)
-        sync_total += L
+    try:
+        for step in schedule.supersteps:
+            if step.is_empty() and not count_empty:
+                continue
+            procs = step.processor_steps
+            comp_total += max(
+                sum(omega[op.node] for op in ps.compute_phase if op.op_type is compute)
+                for ps in procs
+            )
+            save_total += max(g * sum(mu[v] for v in ps.save_phase) for ps in procs)
+            load_total += max(g * sum(mu[v] for v in ps.load_phase) for ps in procs)
+            sync_total += L
+    except KeyError as missing:
+        raise GraphError(f"unknown node {missing.args[0]!r}") from None
     return CostBreakdown(
         compute=comp_total, save=save_total, load=load_total, synchronization=sync_total
     )

@@ -35,7 +35,9 @@ def schedule_digest(schedule: MbspSchedule) -> str:
     """Short stable digest of a schedule's exact superstep structure."""
     from repro.model.serialization import schedule_to_dict
 
-    blob = json.dumps(schedule_to_dict(schedule), sort_keys=True, default=repr)
+    blob = json.dumps(
+        schedule_to_dict(schedule), sort_keys=True, default=repr, check_circular=False
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 

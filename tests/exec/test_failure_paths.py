@@ -15,14 +15,23 @@ the same PR):
   context-manager support.
 
 An abandoned pool stream must stop the run: breaking out of
-``Session.stream`` cancels the queued jobs and stores every result that
-already finished.
+``Session.stream`` starts no job beyond those already handed to the pool
+and stores every result that already finished.
+
+The pool keeps two jobs per worker in flight; a job's ``job_timeout`` clock
+starts only once a worker can have taken it, and a timeout terminates the
+pool's worker processes, so a stuck job cannot hold the interpreter's exit.
 
 The pool tests substitute a thread pool for the process pool (the
 ``Session._make_executor`` seam), so a monkeypatched ``execute_job`` is
 visible to the "workers" and failures are deterministic.
 """
 
+import gc
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -229,12 +238,150 @@ class TestAbandonedPoolStream:
                 done_before_break = list(completed)
             break
         time.sleep(1.0)  # give an (incorrect) runaway time to show
-        # the two jobs in flight at the first event, and at most the two
-        # that refilled the window before it was yielded
+        # at most the window of two jobs per worker: the jobs already
+        # handed to the pool when the consumer broke off may still run
         assert len(started) <= 4
         assert done_before_break
         for key in done_before_break:
             assert session.cache.load(key) is not None
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A thread pool that records how many submitted jobs have not finished."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.lock = threading.Lock()
+        self.submitted = 0
+        self.in_flight = 0
+        self.peak = 0
+
+    def submit(self, fn, *args, **kwargs):
+        with self.lock:
+            self.submitted += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        future = super().submit(fn, *args, **kwargs)
+        future.add_done_callback(self._finished)
+        return future
+
+    def _finished(self, _future):
+        with self.lock:
+            self.in_flight -= 1
+
+
+class TestPoolWindow:
+    """Each worker has a job queued behind the one it runs, so it never
+    waits for this thread to see a result before its next job."""
+
+    def test_a_third_job_is_queued_before_the_first_two_finish(self, monkeypatch):
+        pools = []
+
+        class CountingSession(Session):
+            def _make_executor(self, pending_count):
+                pools.append(_CountingPool(min(self.workers, pending_count)))
+                return pools[-1]
+
+        def gated_execute(job):
+            # finish only once a third job was submitted (or give up)
+            deadline = time.monotonic() + 5.0
+            while pools[0].submitted < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.05)
+            return _fake_result(job)
+
+        monkeypatch.setattr("repro.experiments.parallel.execute_job", gated_execute)
+        jobs = _jobs(7)
+        started = time.monotonic()
+        results = CountingSession(workers=2).run(RunPlan.from_jobs(jobs))
+        assert [r.instance_name for r in results] == [j.instance_name for j in jobs]
+        # the first two jobs were not held until the 5 s give-up
+        assert time.monotonic() - started < 4.0
+        assert pools[0].submitted == 7
+        assert pools[0].peak == 4
+
+    def test_a_queued_job_is_not_timed_while_it_waits(self, monkeypatch):
+        """Jobs 3 and 4 wait 0.3 s behind jobs 1 and 2 and run 0.3 s: a
+        clock started at submission would time job 3 out at 0.5 s."""
+
+        def slow_execute(job):
+            time.sleep(0.3)
+            return _fake_result(job)
+
+        monkeypatch.setattr("repro.experiments.parallel.execute_job", slow_execute)
+        jobs = _jobs(4)
+        results = ThreadedSession(workers=2, job_timeout=0.5).run(RunPlan.from_jobs(jobs))
+        assert [r.instance_name for r in results] == [j.instance_name for j in jobs]
+
+    def test_a_queued_job_may_finish_before_its_clock_starts(self, monkeypatch):
+        """A queued job can finish before this thread sees an older job
+        finish, so its clock never started.  A pool wider than the session's
+        workers makes that certain: job 3 finishes while jobs 1 and 2 run."""
+        jobs = _jobs(4)
+        third_done = threading.Event()
+
+        class WidePoolSession(Session):
+            def _make_executor(self, pending_count):
+                return ThreadPoolExecutor(max_workers=3)
+
+        def execute(job):
+            if job is jobs[2]:
+                third_done.set()
+            else:
+                third_done.wait(timeout=5.0)
+            return _fake_result(job)
+
+        monkeypatch.setattr("repro.experiments.parallel.execute_job", execute)
+        session = WidePoolSession(workers=2, job_timeout=30.0)
+        results = session.run(RunPlan.from_jobs(jobs))
+        assert [r.instance_name for r in results] == [j.instance_name for j in jobs]
+
+
+STUCK_SCRIPT = textwrap.dedent("""
+    import time
+
+    import repro.experiments.parallel as parallel
+    from repro.dag.generators import spmv
+    from repro.exec import RunPlan, Session
+    from repro.experiments.parallel import ExperimentJob
+    from repro.experiments.runner import ExperimentConfig
+
+
+    def stuck(job):
+        time.sleep(60)
+
+
+    if __name__ == "__main__":
+        config = ExperimentConfig(name="stuck", num_processors=2, ilp_time_limit=1.0)
+        jobs = [
+            ExperimentJob.make(spmv(3, seed=seed), config, member="bspg+clairvoyant")
+            for seed in (1, 2, 3)
+        ]
+        parallel.execute_job = stuck
+        try:
+            Session(workers=2, job_timeout=1).run(RunPlan.from_jobs(jobs))
+        except TimeoutError as exc:
+            print("timed out:", exc)
+""")
+
+
+class TestPoolWorkers:
+    def test_workers_freeze_the_inherited_heap(self):
+        with Session(workers=2)._make_executor(2) as pool:
+            assert pool.submit(gc.get_freeze_count).result(timeout=60) > 0
+
+    def test_a_timed_out_stuck_job_does_not_hold_the_exit(self, tmp_path):
+        script = tmp_path / "stuck.py"
+        script.write_text(STUCK_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert time.monotonic() - started < 20
+        assert proc.returncode == 0, proc.stderr
+        assert "exceeded the session job_timeout of 1s" in proc.stdout
 
 
 class TestResultLogHandle:

@@ -7,6 +7,9 @@ test runs the same 100 jobs inline at seed 3 and pins the sha256 of their
 ``(instance, member, fingerprint, cost)`` rows, captured before the
 converter, ETF and refine kernels were made incremental: any change to a
 first stage, an eviction order or a refine proposal moves it.
+
+A second pin holds the 100 plan keys, captured while each job was still
+hashed on its own: the keys name every cache entry and JSONL record.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import zlib
 from repro.dag.analysis import assign_random_memory_weights
 from repro.exec import Session, plan_pipelines
 from repro.experiments.datasets import small_dataset_specs
+from repro.experiments.parallel import job_keys
 from repro.experiments.runner import ExperimentConfig
 from repro.refine import RefineConfig
 
@@ -27,6 +31,16 @@ MEMBERS = [
 
 #: sha256 of the JSON list of the 100 rows at seed 3
 SWEEP_ROWS_SHA256 = "3eca69ecc5866b8ea719d8f600b29adc643a962ccb640ab7c0f4e1f3ef9ff0c5"
+#: sha256 of the JSON list of the 100 plan keys at seed 3
+SWEEP_KEYS_SHA256 = "da7c08c5b78fc15055b0990e44118b0327388832294b1b043bf2b5bd81f05a18"
+
+CONFIG = ExperimentConfig(
+    name="portfolio",
+    num_processors=4,
+    ilp_time_limit=5.0,
+    ilp_backend="scipy",
+    refine=RefineConfig(enabled=False),
+)
 
 
 def sweep_dags(seed: int):
@@ -40,15 +54,17 @@ def sweep_dags(seed: int):
     return dags
 
 
+def test_sweep_plan_keys_are_pinned():
+    plan = plan_pipelines(MEMBERS, sweep_dags(3), CONFIG, prune_gap=0.0)
+    keys = job_keys([node.job for node in plan])
+    assert keys == [node.job.key() for node in plan]
+    assert len(set(keys)) == 100
+    digest = hashlib.sha256(json.dumps(keys).encode("utf-8")).hexdigest()
+    assert digest == SWEEP_KEYS_SHA256
+
+
 def test_sweep_rows_are_pinned():
-    config = ExperimentConfig(
-        name="portfolio",
-        num_processors=4,
-        ilp_time_limit=5.0,
-        ilp_backend="scipy",
-        refine=RefineConfig(enabled=False),
-    )
-    plan = plan_pipelines(MEMBERS, sweep_dags(3), config, prune_gap=0.0)
+    plan = plan_pipelines(MEMBERS, sweep_dags(3), CONFIG, prune_gap=0.0)
     rows = []
     for event in sorted(Session(workers=1).stream(plan), key=lambda e: e.index):
         result = event.result
