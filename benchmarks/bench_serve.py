@@ -1,15 +1,23 @@
 """Benchmark of the online scheduling service (`repro.serve`).
 
-Replays the pinned 10^5-request serve bench trace — a seeded Poisson
+Replays two pinned 10^5-request serve bench traces — a seeded Poisson
 arrival process over the first 6 tiny-dataset templates, answered by the
 load-adaptive policy with repeats served from the content-hash cache — and
-checks the JSON SLO summary against the checked-in trajectory
-``benchmarks/BENCH_serve.json`` **byte for byte**.
+checks each JSON SLO summary against its checked-in trajectory **byte for
+byte**:
 
-The summary contains no wall-clock values (the service timeline is
+* ``benchmarks/BENCH_serve.json`` at rate 4 on 2 servers, where about 2 %
+  of the requests wait for a server;
+* ``benchmarks/BENCH_serve_load.json`` at rate 30, where about 64 % wait,
+  queues reach about 50 and all three policy tiers answer: the event
+  loop's block kernel walks long runs of waiting requests there, and the
+  loop body's requests fall between its blocks.
+
+The summaries contain no wall-clock values (the service timeline is
 virtual), so the comparison is exact on any machine: a mismatch means the
 arrival process, the policy, the virtual cost model or the SLO computation
-changed behaviour, and the trajectory file must be regenerated on purpose:
+changed behaviour, and the trajectory files must be regenerated on
+purpose:
 
     PYTHONPATH=src python benchmarks/bench_serve.py --regenerate
 
@@ -23,11 +31,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.serve import run_serve_bench
 
 from helpers import record_text, env_workers, env_backend
 
 TRAJECTORY = Path(__file__).parent / "BENCH_serve.json"
+LOAD_TRAJECTORY = Path(__file__).parent / "BENCH_serve_load.json"
 
 #: The pinned bench configuration (changing it invalidates the trajectory).
 BENCH_KWARGS = dict(
@@ -40,22 +51,29 @@ BENCH_KWARGS = dict(
     limit=6,
 )
 
+#: The same trace under heavy load (pinned in ``LOAD_TRAJECTORY``).
+LOAD_KWARGS = dict(BENCH_KWARGS, rate=30.0)
 
-def run_bench() -> str:
-    """The byte-stable JSON rendering of the pinned serve bench."""
+#: each trajectory file and the bench configuration it pins
+PINS = {TRAJECTORY: BENCH_KWARGS, LOAD_TRAJECTORY: LOAD_KWARGS}
+
+
+def run_bench(kwargs=BENCH_KWARGS) -> str:
+    """The byte-stable JSON rendering of one pinned serve bench."""
     from repro.experiments.runner import env_cache_dir
 
     summary = run_serve_bench(
-        workers=env_workers(), cache_dir=env_cache_dir(), **BENCH_KWARGS
+        workers=env_workers(), cache_dir=env_cache_dir(), **kwargs
     )
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
-def test_serve_bench_matches_trajectory(benchmark):
-    text = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+@pytest.mark.parametrize("trajectory", list(PINS), ids=lambda path: path.stem)
+def test_serve_bench_matches_trajectory(benchmark, trajectory):
+    text = benchmark.pedantic(run_bench, args=(PINS[trajectory],), rounds=1, iterations=1)
     summary = json.loads(text)
     record_text(
-        "serve_bench",
+        "serve_bench" + trajectory.stem.removeprefix("BENCH_serve"),
         text,
         benchmark=benchmark,
         requests=summary["slo"]["requests"],
@@ -64,9 +82,9 @@ def test_serve_bench_matches_trajectory(benchmark):
         trace_digest=summary["trace_digest"],
         ilp_backend=env_backend(),
     )
-    expected = TRAJECTORY.read_text()
+    expected = trajectory.read_text()
     assert text == expected, (
-        "serve bench summary diverged from benchmarks/BENCH_serve.json; "
+        f"serve bench summary diverged from benchmarks/{trajectory.name}; "
         "if the change is intentional, regenerate with "
         "'PYTHONPATH=src python benchmarks/bench_serve.py --regenerate'"
     )
@@ -75,10 +93,13 @@ def test_serve_bench_matches_trajectory(benchmark):
 if __name__ == "__main__":
     import sys
 
-    text = run_bench()
-    if "--regenerate" in sys.argv:
-        TRAJECTORY.write_text(text)
-        print(f"wrote {TRAJECTORY}")
-    else:
-        print(text, end="")
-        sys.exit(0 if text == TRAJECTORY.read_text() else 1)
+    matches = True
+    for trajectory, kwargs in PINS.items():
+        text = run_bench(kwargs)
+        if "--regenerate" in sys.argv:
+            trajectory.write_text(text)
+            print(f"wrote {trajectory}")
+        else:
+            print(text, end="")
+            matches = matches and text == trajectory.read_text()
+    sys.exit(0 if matches else 1)

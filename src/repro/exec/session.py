@@ -33,6 +33,10 @@ loop or not.
 from __future__ import annotations
 
 import gc
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
 import time
 import warnings
 from collections import deque
@@ -446,13 +450,37 @@ class Session:
         substitute a thread pool to exercise the pool failure paths without
         real processes).
 
-        Each worker process starts with :func:`gc.freeze`: its collections
-        then skip every object inherited from this process, and no longer
-        write to (and so copy) the pages those objects share with it.
+        Each worker process starts with :func:`_start_worker`.
         """
         return ProcessPoolExecutor(
-            max_workers=min(self.workers, pending_count), initializer=gc.freeze
+            max_workers=min(self.workers, pending_count), initializer=_start_worker
         )
+
+
+def _start_worker() -> None:
+    """Prepare a pool worker process: freeze its inherited heap, and end
+    it when this process's parent dies.
+
+    After :func:`gc.freeze` the worker's collections skip every object
+    inherited from the parent, and no longer write to (and so copy) the
+    pages those objects share with it.  Nothing in the pool ends a worker
+    whose parent was killed: one running a job finishes it, and one
+    waiting for its next job stays blocked.  A daemon thread waits on the
+    parent's sentinel instead and exits the process, so killing the
+    coordinator leaves no worker behind.
+    """
+    gc.freeze()
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with, args=(parent.sentinel,), daemon=True
+        ).start()
+
+
+def _exit_with(sentinel) -> None:
+    """Exit this process once ``sentinel`` (a parent's) is ready."""
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 def _worker_processes(executor) -> list:

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,6 +101,35 @@ class AdaptivePolicy:
         if queue_depth <= cfg.idle_depth:
             return self.rich
         return self.steady
+
+    def choose_many(self, queue_depths: np.ndarray, slacks: np.ndarray) -> np.ndarray:
+        """The tiers of a block of requests, as indices into :attr:`specs`.
+
+        Element ``k`` is the index of ``choose(queue_depths[k],
+        slacks[k])``: 0 (cheap) under pressure, else 2 (rich) when idle,
+        else 1 (steady).  ``queue_depths`` is an ``int64`` array and
+        ``slacks`` a ``float64`` array.  The comparisons are the ones
+        ``choose`` makes, exactly:
+
+        * numpy compares an ``int64`` depth with a Python int exactly, also
+          beyond the ``int64`` range, and with a float after converting
+          the depth, which is exact below ``2**53``;
+        * a float slack is at most ``tight_slack`` if and only if it is at
+          most the largest float not above ``tight_slack``; that is
+          ``float(tight_slack)``, or the float below it when the
+          conversion rounded up (an int beyond ``2**53``).
+
+        The service's block kernel calls this method only on a policy
+        whose ``choose`` is defined on the same class (see
+        ``repro.serve.service``).
+        """
+        cfg = self.config
+        tight = float(cfg.tight_slack)
+        if tight > cfg.tight_slack:
+            tight = math.nextafter(tight, -math.inf)
+        pressure = (queue_depths >= cfg.pressure_depth) | (slacks <= tight)
+        idle = queue_depths <= cfg.idle_depth
+        return np.where(pressure, 0, np.where(idle, 2, 1))
 
 
 class LearnedPolicy:

@@ -124,6 +124,12 @@ class ServiceConfig:
         for name in ("cache_hit_time", "service_time_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
+        try:
+            operator.index(self.servers)
+        except TypeError:
+            raise ConfigurationError(
+                f"servers must be an integer, got {self.servers!r}"
+            ) from None
         if self.servers < 1:
             raise ConfigurationError("service needs at least 1 virtual server")
         if self.cache_hit_time <= 0 or self.service_time_scale <= 0:
@@ -191,6 +197,12 @@ class RequestRecords(Sequence):
     per-slot lists ``instances``, ``specs``, ``keys`` and ``costs`` (a
     slot's cost is NaN until the service joins the results).  Indexing and
     iteration build records on demand; a slice is a list of them.
+
+    A new instance has empty columns to append to.  The service instead
+    sets them to the trace's length (``array(typecode, [0]) * n``) and
+    fills them by position: the event loop's body item by item, its block
+    kernel through numpy views that it drops before returning, so the
+    columns stay resizable (see :meth:`ScheduleService._simulate`).
     """
 
     def __init__(self, trace: RequestTrace) -> None:
@@ -518,6 +530,111 @@ class ServiceReport:
                 handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
 
 
+#: requests in the first block :func:`_advance` is given after a request
+#: went through the loop body; each block that keeps all its requests
+#: doubles the next one, up to :data:`WINDOW_MAX`
+WINDOW_MIN = 256
+#: the most requests in one block: it bounds the block's numpy arrays
+WINDOW_MAX = 16384
+
+
+def _block_chooser(policy):
+    """``policy.choose_many`` where it answers as ``policy.choose`` does,
+    else None.
+
+    A policy with ``choose_for`` is asked per request.  Otherwise the
+    nearest definitions of ``choose_many`` and ``choose``, on the instance
+    or along its class's MRO, must be on the same object: a subclass that
+    overrides ``choose`` alone keeps the per-request path.
+    """
+    if hasattr(policy, "choose_for"):
+        return None
+
+    def owner(name):
+        for scope in (policy, *type(policy).__mro__):
+            if name in getattr(scope, "__dict__", ()):
+                return scope
+        return None
+
+    scope = owner("choose_many")
+    if scope is None or scope is not owner("choose"):
+        return None
+    return policy.choose_many
+
+
+def _advance(records, first, size, free, in_system, hit_time, choose_many, table):
+    """Answer requests ``first`` to ``first + size - 1`` of ``records`` as
+    cache hits in numpy, up to the first one the loop body must take: the
+    block kernel of :meth:`ScheduleService._simulate`, whose docstring
+    gives the exactness argument (rules (a) to (f)).
+
+    ``free`` and ``in_system`` are the loop's server and in-system heaps,
+    ``table`` the job slot of each ``(template, tier)`` (-1 for none).
+    Returns the number of requests answered, whose columns are written,
+    and the two heaps after them.
+    """
+    trace = records.trace
+    block = slice(first, first + size)
+    arrival = np.frombuffer(trace.arrival, np.float64)[block]
+    servers = len(free)
+    # chain[p] is the server time request first + p waits for (rule (b)):
+    # the sorted server times, then the block's finishes
+    chain = np.empty(servers + size)
+    chain[:servers] = sorted(free)
+    np.add(arrival, hit_time, out=chain[servers:])
+    # walk each residue class from each request that waits, in Python
+    # floats; memoryviews read and write the chain without copying it
+    times, arrivals = memoryview(chain), memoryview(arrival)
+    settled = [-1] * servers  # per residue class, its last walked position
+    for position in np.flatnonzero(chain[:size] > arrival).tolist():
+        lane = position % servers
+        if position <= settled[lane]:
+            continue
+        ready = times[position]
+        while ready > arrivals[position]:
+            ready += hit_time
+            position += servers
+            times[position] = ready
+            if position >= size:
+                break
+        settled[lane] = position
+    times.release()
+    arrivals.release()
+    finish = chain[servers:]
+    drops = np.flatnonzero(finish < chain[servers - 1:-1])
+    # finish[:rising] does not decrease; the first drop is still exact
+    rising = int(drops[0]) if len(drops) else size
+    limit = min(rising + 1, size)
+    head = arrival[:limit]
+    waiting = np.sort(np.array(in_system, np.float64))
+    depth = len(waiting) - waiting.searchsorted(head, "right")
+    depth += np.maximum(
+        np.arange(limit) - finish[:rising].searchsorted(head, "right"), 0
+    )
+    tier = choose_many(depth, np.frombuffer(trace.deadline, np.float64)[block][:limit])
+    slot = table[np.frombuffer(trace.template, np.int64)[block][:limit], tier]
+    misses = np.flatnonzero(slot < 0)
+    kept = int(misses[0]) if len(misses) else limit
+    if not kept:
+        return 0, free, in_system
+    done = slice(first, first + kept)
+    np.frombuffer(records.start, np.float64)[done] = np.maximum(
+        arrival[:kept], chain[:kept]
+    )
+    np.frombuffer(records.finish, np.float64)[done] = finish[:kept]
+    np.frombuffer(records.queue_depth, np.int64)[done] = depth[:kept]
+    np.frombuffer(records.cache_hit, np.int8)[done] = 1
+    np.frombuffer(records.job, np.int64)[done] = slot[:kept]
+    free = chain[kept:kept + servers].tolist()
+    heapq.heapify(free)
+    last = arrival[kept - 1]
+    finish = finish[:kept]
+    in_system = np.sort(
+        np.concatenate((waiting[waiting > last], finish[finish > last]))
+    ).tolist()
+    return kept, free, in_system
+
+
 class ScheduleService:
     """Runs one arrival trace through the two-phase service loop."""
 
@@ -589,14 +706,65 @@ class ScheduleService:
         timeline must be a pure function of the config — byte-identical
         across repeats even when runs share a cache directory — so disk
         hits accelerate phase 2 (no solving) without touching the
-        telemetry.  The loop is per-request Python, so everything it calls
-        is bound once: the policy's ``choose``, the heap functions and
-        the column ``append`` methods.  Returns the
-        :class:`RequestRecords` (costs still NaN) and the distinct jobs by
-        key, in first-request order.
+        telemetry.  Returns the :class:`RequestRecords` (costs still NaN)
+        and the distinct jobs by key, in first-request order.
+
+        The loop body answers one request at a time, and it is the only
+        code that creates job slots, takes misses and asks a
+        ``choose_for`` policy.  Runs of cache hits are answered by
+        :func:`_advance`, a numpy kernel over a block of requests, when the
+        policy's ``choose_many`` is its ``choose`` per element
+        (:func:`_block_chooser`).  The block starting at request ``i``
+        gives every request the values the loop body would, bit for bit,
+        because, with ``c`` servers, ``h`` the hit time and ``f`` the
+        finishes:
+
+        * (a) every request of the block is a cache hit: the block ends
+          before the first request whose ``(template, tier)`` has no slot
+          yet in the slot table, which the loop body fills as it creates
+          slots (tiers with equal specs share one); that request goes
+          through the loop body, whether it misses or not;
+        * (b) with the sorted server times put in front of the block's
+          finishes, the server heap's minimum at request ``j`` is the
+          value ``c`` places before ``f_j`` for as long as that sequence
+          does not decrease, so ``f_j = max(a_j, f_{j-c}) + h``.  numpy
+          adds ``a + h`` for the whole block, and each residue class of
+          ``j`` modulo ``c`` is then walked in increasing ``j`` in Python
+          floats, from each request whose predecessor finishes after its
+          arrival: ``f_j = f_{j-c} + h``, the same IEEE addition, for as
+          long as requests wait.  The block keeps its requests up to and
+          including the first whose finish is below the one before it
+          (after a miss still holds a server, that is the first one);
+        * (c) ``start_j = max(a_j, f_{j-c})``, which is ``arrival`` on a
+          tie as in the loop;
+        * (d) the arrivals are non-decreasing and ``in_system`` keeps
+          every finish above the latest arrival, so the queue depth at
+          ``j`` is ``#{k < j : f_k > a_j}``: the earlier finishes still
+          in the system above ``a_j`` (``searchsorted`` on them, sorted)
+          plus ``max(0, j - i - s)``, with ``s`` the number of the
+          block's non-decreasing finishes up to ``a_j``, which are the
+          block's first ``s``; a finish equal to its own arrival (a hit
+          time below half an ulp of the clock) needs no special case;
+        * (e) ``choose_many`` gives each request's tier index, equal to
+          ``choose`` element by element (see
+          :meth:`~repro.serve.policy.AdaptivePolicy.choose_many`);
+        * (f) after the block the server heap is the last ``c`` values of
+          that sequence and ``in_system`` the earlier and the block's
+          finishes above the block's last arrival.
+
+        The loop body hands over to the kernel once ``c`` requests in a
+        row finished no earlier than every server time before them: the
+        server heap then holds exactly the last ``c`` finishes, in order
+        (after a miss, once its server is free again).  A block of
+        :data:`WINDOW_MIN` requests follows, and every block that keeps
+        all its requests doubles the next, up to :data:`WINDOW_MAX`.  The
+        five record columns are allocated at trace length; the loop body
+        sets their items and the kernel writes them through numpy views
+        that live only while it runs, so no buffer stays exported.
         """
         cfg = self.config
-        hit_time = cfg.cache_hit_time
+        servers = cfg.servers
+        hit_time = float(cfg.cache_hit_time)
         # feature-aware policies (duck-typed choose_for, e.g. LearnedPolicy)
         # see the instance features of the request's template; features are
         # deterministic per (dag, config), so one computation per template
@@ -607,10 +775,15 @@ class ScheduleService:
             choose = self.policy.choose
         else:
             from repro.learn.features import instance_features
+        choose_many = _block_chooser(self.policy)
+        if choose_many is not None:
+            tiers = self.policy.specs
+            # the job slot of each (template, tier), -1 until it is created
+            table = np.full((len(pool), len(tiers)), -1, np.int64)
         heappop, heappush, heapreplace = (
             heapq.heappop, heapq.heappush, heapq.heapreplace
         )
-        free = [0.0] * cfg.servers  # equal times: already a heap
+        free = [0.0] * servers  # equal times: already a heap
         in_system: List[float] = []
         # one job slot per distinct (template, spec) pair, in first-request
         # order, found by template and then spec; miss_time is a slot's
@@ -619,56 +792,95 @@ class ScheduleService:
         miss_time: List[float] = []
         jobs: Dict[str, "ExperimentJob"] = {}
         hot: set = set()
+        total = len(requests)
         records = RequestRecords(requests)
+        start_column = records.start = array("d", [0.0]) * total
+        finish_column = records.finish = array("d", [0.0]) * total
+        depth_column = records.queue_depth = array("q", [0]) * total
+        hit_column = records.cache_hit = array("b", [0]) * total
+        job_column = records.job = array("q", [0]) * total
         keys = records.keys
-        start_column, finish_column = records.start.append, records.finish.append
-        depth_column, hit_column = records.queue_depth.append, records.cache_hit.append
-        job_column = records.job.append
-        for arrival, deadline, template in zip(
+        arrivals, deadlines, templates = (
             requests.arrival, requests.deadline, requests.template
-        ):
-            while in_system and in_system[0] <= arrival:
-                heappop(in_system)
-            depth = len(in_system)
-            if chooser is None:
-                spec = choose(depth, deadline)
-            else:
-                if template not in feature_memo:
-                    feature_memo[template] = instance_features(
-                        pool[template], cfg.experiment
+        )
+        # the server heap's largest time, and how many requests in a row
+        # finished no earlier than it
+        top, run = 0.0, 0
+        window = WINDOW_MIN
+        index = 0
+        while index < total:
+            if choose_many is not None and run >= servers:
+                size = min(window, total - index)
+                kept, free, in_system = _advance(
+                    records, index, size, free, in_system, hit_time,
+                    choose_many, table,
+                )
+                index += kept
+                if kept == size:
+                    window = min(2 * window, WINDOW_MAX)
+                    continue
+                window = WINDOW_MIN
+                top, run = max(free), 0
+            for index in range(index, total):
+                arrival = arrivals[index]
+                deadline = deadlines[index]
+                template = templates[index]
+                while in_system and in_system[0] <= arrival:
+                    heappop(in_system)
+                depth = len(in_system)
+                if chooser is None:
+                    spec = choose(depth, deadline)
+                else:
+                    if template not in feature_memo:
+                        feature_memo[template] = instance_features(
+                            pool[template], cfg.experiment
+                        )
+                    spec = chooser(feature_memo[template], depth, deadline)
+                template_slots = slots[template]
+                slot = template_slots.get(spec)
+                if slot is None:
+                    job = pipeline_job(pool[template], spec, cfg.experiment)
+                    key = job.key()
+                    jobs.setdefault(key, job)
+                    slot = template_slots[spec] = len(keys)
+                    records.instances.append(job.instance_name)
+                    records.specs.append(spec)
+                    keys.append(key)
+                    records.costs.append(float("nan"))
+                    nodes = len(job.dag_data.get("nodes", ()))
+                    miss_time.append(
+                        cfg.service_time_scale * nodes * spec_weight(spec)
                     )
-                spec = chooser(feature_memo[template], depth, deadline)
-            template_slots = slots[template]
-            slot = template_slots.get(spec)
-            if slot is None:
-                job = pipeline_job(pool[template], spec, cfg.experiment)
-                key = job.key()
-                jobs.setdefault(key, job)
-                slot = template_slots[spec] = len(keys)
-                records.instances.append(job.instance_name)
-                records.specs.append(spec)
-                keys.append(key)
-                records.costs.append(float("nan"))
-                nodes = len(job.dag_data.get("nodes", ()))
-                miss_time.append(cfg.service_time_scale * nodes * spec_weight(spec))
-            key = keys[slot]
-            cache_hit = key in hot
-            if cache_hit:
-                service_time = hit_time
-            else:
-                service_time = miss_time[slot]
-                hot.add(key)
-            # max(arrival, earliest), which keeps arrival on a tie
-            earliest = free[0]
-            start = earliest if earliest > arrival else arrival
-            finish = start + service_time
-            heapreplace(free, finish)
-            heappush(in_system, finish)
-            start_column(start)
-            finish_column(finish)
-            depth_column(depth)
-            hit_column(cache_hit)
-            job_column(slot)
+                    if choose_many is not None:
+                        for tier, tier_spec in enumerate(tiers):
+                            if tier_spec == spec:
+                                table[template, tier] = slot
+                key = keys[slot]
+                cache_hit = key in hot
+                if cache_hit:
+                    service_time = hit_time
+                else:
+                    service_time = miss_time[slot]
+                    hot.add(key)
+                # max(arrival, earliest), which keeps arrival on a tie
+                earliest = free[0]
+                start = earliest if earliest > arrival else arrival
+                finish = start + service_time
+                heapreplace(free, finish)
+                heappush(in_system, finish)
+                start_column[index] = start
+                finish_column[index] = finish
+                depth_column[index] = depth
+                hit_column[index] = cache_hit
+                job_column[index] = slot
+                if finish >= top:
+                    top = finish
+                    run += 1
+                else:
+                    run = 0
+                if choose_many is not None and run >= servers:
+                    break
+            index += 1
         return records, jobs
 
     def _execute(self, jobs: Dict[str, "ExperimentJob"]):

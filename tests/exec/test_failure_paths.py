@@ -29,6 +29,7 @@ visible to the "workers" and failures are deterministic.
 
 import gc
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -365,7 +366,77 @@ STUCK_SCRIPT = textwrap.dedent("""
 """)
 
 
+ORPHAN_SCRIPT = textwrap.dedent("""
+    import os
+    import sys
+    import time
+
+    import repro.experiments.parallel as parallel
+    from repro.dag.generators import spmv
+    from repro.exec import RunPlan, Session
+    from repro.experiments.parallel import ExperimentJob
+    from repro.experiments.runner import ExperimentConfig
+
+
+    def stuck(job):
+        open(os.path.join(sys.argv[1], f"{os.getpid()}.pid"), "w").close()
+        time.sleep(60)
+
+
+    if __name__ == "__main__":
+        config = ExperimentConfig(name="orphan", num_processors=2)
+        jobs = [
+            ExperimentJob.make(spmv(3, seed=seed), config, member="bspg+clairvoyant")
+            for seed in (1, 2, 3)
+        ]
+        parallel.execute_job = stuck
+        Session(workers=2).run(RunPlan.from_jobs(jobs))
+""")
+
+
+def _alive(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie (a zombie waits
+    only to be reaped; without procfs it counts as alive)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
 class TestPoolWorkers:
+    def test_workers_exit_when_the_coordinator_is_killed(self, tmp_path):
+        script = tmp_path / "orphan.py"
+        script.write_text(ORPHAN_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(tmp_path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers: list = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [int(path.stem) for path in tmp_path.glob("*.pid")]
+            assert len(workers) == 2, "the workers never started their jobs"
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, workers))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            for pid in filter(_alive, workers):
+                os.kill(pid, signal.SIGKILL)
+
     def test_workers_freeze_the_inherited_heap(self):
         with Session(workers=2)._make_executor(2) as pool:
             assert pool.submit(gc.get_freeze_count).result(timeout=60) > 0

@@ -187,6 +187,8 @@ class TestValidation:
             {"service_time_scale": -1.0},
             {"cache_hit_time": float("nan")},
             {"service_time_scale": float("inf")},
+            {"servers": 2.5},
+            {"servers": float("nan")},
         ],
     )
     def test_invalid_service_configs_are_rejected(self, kwargs):
