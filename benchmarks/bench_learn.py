@@ -26,8 +26,8 @@ import json
 import tempfile
 from pathlib import Path
 
+from repro import obs
 from repro.experiments.runner import ExperimentConfig
-from repro.ilp.backends import solver_call_stats
 from repro.learn import mine_history
 from repro.portfolio import Portfolio
 
@@ -71,7 +71,6 @@ def run_bench() -> str:
     """The byte-stable JSON rendering of the pinned learn bench."""
     from repro.exec import Session
 
-    stats = solver_call_stats()
     config = _config()
     dags = _dataset()
     members = list(MEMBERS)
@@ -80,24 +79,24 @@ def run_bench() -> str:
         results_path = Path(scratch) / "results.jsonl"
 
         # phase 1: exhaustive ground truth (streams member-tagged records)
-        before = stats.snapshot()
         exhaustive = Portfolio(config=config)
         session = Session(workers=1, results_path=results_path)
-        rows_exhaustive = exhaustive.run(members, dags, session=session)
+        with obs.Meter() as meter:
+            rows_exhaustive = exhaustive.run(members, dags, session=session)
         session.log.close()
-        exhaustive_calls = stats.delta_since(before)["solver_calls"]
+        exhaustive_calls = float(meter.solver_calls)
 
         # phase 2: mine the history the adaptive run will consult
         history, mining = mine_history([results_path], dags, config)
 
-    # phase 3: adaptive replay (fresh session, no shared cache: the call
-    # delta measures what adaptive actually dispatches)
-    before = stats.snapshot()
+    # phase 3: adaptive replay (fresh session, no shared cache: the meter
+    # counts what adaptive actually dispatches)
     adaptive = Portfolio(
         config=config, select="adaptive", top_k=TOP_K, history=history
     )
-    rows_adaptive = adaptive.run(members, dags)
-    adaptive_calls = stats.delta_since(before)["solver_calls"]
+    with obs.Meter() as meter:
+        rows_adaptive = adaptive.run(members, dags)
+    adaptive_calls = float(meter.solver_calls)
 
     selection = adaptive.last_selection
     regret = selection.aggregate_regret()

@@ -4,8 +4,8 @@ Runs the default portfolio (two cheap two-stage pipelines plus the
 warm-started holistic ILP) over the tiny dataset twice — once with
 bound-aware pruning disabled and once with the default provable-only gap —
 and reports, per run, the per-instance winners, the number of ILP solver
-calls actually dispatched (counted at the backend registry) and the skip
-log.  Both runs must report identical best costs: at gap 0 a skip requires
+calls actually dispatched (counted by a :class:`repro.obs.Meter` around
+the run) and the skip log.  Both runs must report identical best costs: at gap 0 a skip requires
 the baseline to match the theory lower bound, in which case the warm-started
 ILP member would have returned the baseline anyway.
 
@@ -18,20 +18,20 @@ from __future__ import annotations
 
 import os
 
+from repro import obs
 from repro.experiments.datasets import tiny_dataset
 from repro.experiments.runner import ExperimentConfig, _env_float
-from repro.ilp import reset_solver_call_stats, solver_call_stats
 from repro.portfolio import DEFAULT_MEMBERS, Portfolio, format_portfolio_table
 
 from helpers import env_backend, env_limit, env_time_limit, record_text
 
 
 def _run(dags, config, prune_gap):
-    reset_solver_call_stats()
-    rows = Portfolio(config=config, prune_gap=prune_gap).run(
-        list(DEFAULT_MEMBERS), dags
-    )
-    return rows, solver_call_stats().total
+    with obs.Meter() as meter:
+        rows = Portfolio(config=config, prune_gap=prune_gap).run(
+            list(DEFAULT_MEMBERS), dags
+        )
+    return rows, meter.solver_calls
 
 
 def test_portfolio_bound_pruning(benchmark):

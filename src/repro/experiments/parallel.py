@@ -131,17 +131,16 @@ def execute_job(job: ExperimentJob) -> InstanceResult:
     """Run one job to completion (this is the function worker processes run).
 
     The result carries per-job solver telemetry (``InstanceResult.
-    solver_stats``): the number of MILP solves dispatched through the backend
-    registry while the job ran, and the wall time spent inside the solvers,
-    per backend.  The delta is computed inside the executing process, so it
-    is correct both inline and under the process pool.
+    solver_stats``): the number of MILP solves dispatched while the job ran
+    and the wall time spent inside the solvers, per backend, read from the
+    job's :class:`repro.obs.Meter`.  The meter counts in the executing
+    process, so it is correct both inline and under the process pool.
     """
     from repro import obs
-    from repro.ilp.backends import solver_call_stats
     # imported lazily: repro.portfolio.members imports this package
     from repro.portfolio.members import run_member
 
-    before = solver_call_stats().snapshot()
+    meter = obs.Meter()
     span = obs.NULL_SCOPE
     traced = obs.tracing_enabled()
     if traced:
@@ -151,7 +150,7 @@ def execute_job(job: ExperimentJob) -> InstanceResult:
             instance=job.instance_name,
         )
     try:
-        with span:
+        with meter, span:
             params = dict(job.params)
             member = str(params.pop("member"))
             result = run_member(job.dag(), job.config, member, **params)
@@ -164,9 +163,6 @@ def execute_job(job: ExperimentJob) -> InstanceResult:
             # buffer would simply be lost
             obs.flush_observability()
     # merge (not overwrite): pipeline jobs pre-populate diagnostics such as
-    # the shared-prefix reuse counters, which live next to the solver tally
-    result.solver_stats = {
-        **result.solver_stats,
-        **solver_call_stats().delta_since(before),
-    }
+    # the shared-prefix reuse counters, which live next to the solver stats
+    result.solver_stats = {**result.solver_stats, **meter.solver_stats()}
     return result

@@ -42,11 +42,8 @@ from repro.ilp.backends import (
     default_backend,
     get_backend,
     register_backend,
-    reset_solver_call_stats,
     resolve_backend_name,
-    scoped_solver_stats,
     solve_model,
-    solver_call_stats,
 )
 
 
@@ -85,7 +82,4 @@ __all__ = [
     "register_backend",
     "resolve_backend_name",
     "solve_model",
-    "scoped_solver_stats",
-    "solver_call_stats",
-    "reset_solver_call_stats",
 ]

@@ -25,19 +25,18 @@ unknown name in the environment warns and falls back to the default
 (malformed env knobs never fail hard, matching the other ``REPRO_*``
 variables), while an unknown name passed explicitly raises ``ValueError``.
 
-The module also counts solver invocations (:func:`solver_call_stats`), which
-is how tests assert that bound-aware portfolio pruning really avoids solver
-calls.  Counts are per process: jobs a session fans out to worker
-processes count there, not in the parent.
+:func:`solve_model` adds every solve, with its backend and duration, to
+each :class:`repro.obs.Meter` open in the calling context: that is how
+jobs report their ``solver_stats`` and how tests assert that bound-aware
+portfolio pruning really avoids solver calls.  Jobs a session fans out to
+worker processes count in the worker's meters, not in the parent's.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.exceptions import SolverError
@@ -204,132 +203,6 @@ def resolve_backend_name(name: Optional[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# call counting
-# ----------------------------------------------------------------------
-@dataclass
-class SolverCallStats:
-    """Per-process tally of dispatched solver calls and times, by backend name.
-
-    Updates are lock-protected: ``race(...)`` pipeline stages dispatch
-    solves from concurrent branch threads within one process.
-    """
-
-    total: int = 0
-    by_backend: Dict[str, int] = field(default_factory=dict)
-    time_total: float = 0.0
-    time_by_backend: Dict[str, float] = field(default_factory=dict)
-    _lock: "threading.Lock" = field(
-        default_factory=lambda: threading.Lock(), repr=False, compare=False
-    )
-
-    def record(self, name: str) -> None:
-        with self._lock:
-            self.total += 1
-            self.by_backend[name] = self.by_backend.get(name, 0) + 1
-
-    def record_time(self, name: str, elapsed: float) -> None:
-        with self._lock:
-            self.time_total += elapsed
-            self.time_by_backend[name] = self.time_by_backend.get(name, 0.0) + elapsed
-
-    def snapshot(self) -> "SolverCallStats":
-        """An independent copy (for before/after deltas around a job)."""
-        with self._lock:
-            return SolverCallStats(
-                total=self.total,
-                by_backend=dict(self.by_backend),
-                time_total=self.time_total,
-                time_by_backend=dict(self.time_by_backend),
-            )
-
-    def delta_since(self, before: "SolverCallStats") -> Dict[str, float]:
-        """Flat ``{metric: value}`` dict of the calls/times since ``before``.
-
-        Keys: ``solver_calls`` / ``solver_time`` totals plus
-        ``solver_calls[<backend>]`` / ``solver_time[<backend>]`` per backend
-        actually dispatched in between.  This is the per-job record the
-        session's ``execute_job`` attaches to results (JSONL rows included), so
-        sweeps can report solve counts and times per job.
-        """
-        out: Dict[str, float] = {
-            "solver_calls": float(self.total - before.total),
-            "solver_time": self.time_total - before.time_total,
-        }
-        for name, count in self.by_backend.items():
-            diff = count - before.by_backend.get(name, 0)
-            if diff:
-                out[f"solver_calls[{name}]"] = float(diff)
-        for name, elapsed in self.time_by_backend.items():
-            diff = elapsed - before.time_by_backend.get(name, 0.0)
-            if diff > 0:
-                out[f"solver_time[{name}]"] = diff
-        return out
-
-    def reset(self) -> None:
-        with self._lock:
-            self.total = 0
-            self.by_backend.clear()
-            self.time_total = 0.0
-            self.time_by_backend.clear()
-
-
-_CALL_STATS = SolverCallStats()
-
-_SCOPED_STATS = threading.local()
-
-
-def solver_call_stats() -> SolverCallStats:
-    """The process-wide solver call tally (see the module docstring caveat)."""
-    return _CALL_STATS
-
-
-def reset_solver_call_stats() -> None:
-    """Zero the process-wide solver call tally (for tests and benchmarks)."""
-    _CALL_STATS.reset()
-
-
-class scoped_solver_stats:
-    """Tally solver calls dispatched *from this thread* for a region.
-
-    The process-wide :func:`solver_call_stats` cannot attribute calls to
-    one race branch: concurrent branch threads would pollute each other's
-    before/after deltas.  A scope installs a fresh :class:`SolverCallStats`
-    in a thread-local stack; :func:`solve_model` records into every scope
-    active on the dispatching thread (scopes nest), in addition to the
-    process-wide tally.
-
-    Usage::
-
-        with scoped_solver_stats() as stats:
-            ...  # run a race branch
-        branch_calls, branch_time = stats.total, stats.time_total
-    """
-
-    def __init__(self) -> None:
-        self.stats = SolverCallStats()
-
-    def __enter__(self) -> SolverCallStats:
-        stack = getattr(_SCOPED_STATS, "stack", None)
-        if stack is None:
-            stack = []
-            _SCOPED_STATS.stack = stack
-        stack.append(self.stats)
-        return self.stats
-
-    def __exit__(self, *exc) -> bool:
-        stack = getattr(_SCOPED_STATS, "stack", [])
-        if stack and stack[-1] is self.stats:
-            stack.pop()
-        return False
-
-
-def _record_scoped(name: str, elapsed: float) -> None:
-    for stats in getattr(_SCOPED_STATS, "stack", ()):  # innermost last; all get it
-        stats.record(name)
-        stats.record_time(name, elapsed)
-
-
-# ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
 def solve_model(
@@ -340,15 +213,14 @@ def solve_model(
     """Solve ``model`` with the selected (or default) backend.
 
     This is the single dispatch point behind :func:`repro.ilp.solve`; every
-    call is counted in :func:`solver_call_stats` (and any active
-    :class:`scoped_solver_stats` on the dispatching thread), and traced as
-    an ``ilp.solve`` span when :mod:`repro.obs` tracing is on.
+    call is added to each :class:`repro.obs.Meter` open in the calling
+    context, and traced as an ``ilp.solve`` span when :mod:`repro.obs`
+    tracing is on.
     """
     from repro import obs
     from repro.ilp.cancellation import current_cancel_token
 
     impl = get_backend(resolve_backend_name(backend))
-    _CALL_STATS.record(impl.name)
     span = obs.NULL_SCOPE
     if obs.tracing_enabled():
         span = obs.trace_span(
@@ -360,21 +232,19 @@ def solve_model(
             node_limit=getattr(options, "node_limit", None),
             time_limit=getattr(options, "time_limit", None),
         )
-    start = time.perf_counter()
+    meter = obs.Meter()
     try:
-        with span:
+        with meter, span:
             solution = impl.solve(model, options)
             span.set(status=solution.status)
             return solution
     finally:
-        elapsed = time.perf_counter() - start
-        _CALL_STATS.record_time(impl.name, elapsed)
-        _record_scoped(impl.name, elapsed)
+        obs.Meter.record_solve(impl.name, meter.wall_time)
         if obs.tracing_enabled():
             token = current_cancel_token()
             if token is not None and token.cancelled():
                 span.set(cancelled=True, cancel_reason=token.cancel_reason())
-            obs.observe(f"solver.time[{impl.name}]", elapsed)
+            obs.observe(f"solver.time[{impl.name}]", meter.wall_time)
             obs.count(f"solver.calls[{impl.name}]")
 
 

@@ -8,10 +8,12 @@ One observability substrate for the whole stack:
   chaining, bounded buffer).  Zero-cost when disabled: the call returns a
   shared no-op scope, and hot sites guard attr construction behind
   :func:`tracing_enabled`.
+* **Meters** — ``with Meter() as meter:`` records a region's wall time
+  and every ILP solve dispatched in it; always on, context-local, and the
+  source of job ``solver_stats``, stage telemetry and race-branch rows.
 * **Metrics** — process-wide counters/histograms
   (:func:`count` / :func:`observe`) with nearest-rank percentiles, merged
-  across shard/worker processes via JSONL spill files (the
-  ``SolverCallStats`` pattern).
+  across shard/worker processes via JSONL spill files.
 * **Export** — Chrome trace-event JSON (Perfetto-loadable;
   ``repro obs export --format chrome-trace`` or ``--trace out.json`` on
   ``exec run`` / ``pipeline run`` / ``serve bench``) and flat metrics
@@ -55,6 +57,7 @@ from repro.obs.tracer import (
 from repro.obs.metrics import (
     HISTOGRAM_VALUE_CAP,
     Histogram,
+    Meter,
     MetricsRegistry,
     collect_metrics,
     count,
@@ -82,6 +85,7 @@ __all__ = [
     "HISTOGRAM_VALUE_CAP",
     "NULL_SCOPE",
     "Histogram",
+    "Meter",
     "MetricsRegistry",
     "ProgressRenderer",
     "Span",

@@ -1,10 +1,13 @@
-"""Counters and histograms with cross-process merge (:mod:`repro.obs`).
+"""Solve meters, counters and histograms (:mod:`repro.obs`).
+
+A :class:`Meter` is the one record of ILP solves and region wall time:
+jobs, pipeline stages, race branches, stage budgets and the solver
+dispatch itself read theirs from one.  Meters are context-local and
+always on.
 
 A process-wide :class:`MetricsRegistry` tallies counters and histogram
-observations under a lock (race-branch threads record concurrently) —
-the same shape as :class:`repro.ilp.backends.SolverCallStats`, which
-stays the authoritative solver tally; these metrics are the generic
-layer on top.
+observations under a lock (race-branch threads record concurrently);
+these metrics are the generic layer on top, recorded only while tracing.
 
 Cross-process merge follows the span spill convention: each process
 appends the *delta since its last flush* to ``metrics-<pid>.jsonl`` in
@@ -19,16 +22,90 @@ observability is disabled, keeping the instrumented hot paths free.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import threading
-from typing import Dict, List, Optional, Sequence
+import time
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import tracing_enabled
 
 HISTOGRAM_VALUE_CAP = 4096
 """Per-histogram raw-value cap; further observations keep the count/sum
 accurate but stop storing samples (``dropped`` counts them)."""
+
+
+#: The meters open in the current context, innermost last.
+_METERS = contextvars.ContextVar("repro_meters", default=())
+
+
+class Meter:
+    """Wall time and ILP solves of one region of the calling context.
+
+    ``with Meter() as meter:`` pushes the meter on a context-local stack;
+    :func:`repro.ilp.solve_model`, the single solver dispatch point, adds
+    each solve to every meter open in the calling context (meters nest),
+    and the meter records its own wall time when it closes.  A thread
+    counts into the meters of a context only when it runs in a copy of it
+    (``contextvars.copy_context().run``), as race branches do; a solve
+    outside any meter counts nowhere.  A worker process forked inside a
+    meter counts into its own copy, which dies with the worker.
+    """
+
+    __slots__ = ("solves", "wall_time", "_start", "_token")
+
+    def __init__(self) -> None:
+        #: ``(backend, seconds)`` per solve, in completion order.  Race
+        #: branch threads add to their stage's meter concurrently, which
+        #: ``list.append`` keeps safe without a lock.
+        self.solves: List[Tuple[str, float]] = []
+        #: Seconds between entering and leaving the meter.
+        self.wall_time = 0.0
+        self._start = 0.0
+        self._token = None
+
+    def __enter__(self) -> "Meter":
+        self._token = _METERS.set(_METERS.get() + (self,))
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.wall_time = time.perf_counter() - self._start
+        _METERS.reset(self._token)
+        return False
+
+    @staticmethod
+    def record_solve(backend: str, seconds: float) -> None:
+        """Add one solve to every meter open in the calling context."""
+        for meter in _METERS.get():
+            meter.solves.append((backend, seconds))
+
+    @property
+    def solver_calls(self) -> int:
+        return len(self.solves)
+
+    @property
+    def solver_time(self) -> float:
+        return sum((seconds for _, seconds in self.solves), 0.0)
+
+    def solver_stats(self) -> Dict[str, float]:
+        """The flat record of ``InstanceResult.solver_stats``.
+
+        The ``solver_calls`` and ``solver_time`` totals, plus
+        ``solver_calls[<backend>]`` and ``solver_time[<backend>]`` for
+        each backend solved with.  Every value is a float, so a zero-solve
+        job writes ``0.0`` as a cache replay of it does.
+        """
+        out = {
+            "solver_calls": float(self.solver_calls),
+            "solver_time": self.solver_time,
+        }
+        for backend, seconds in self.solves:
+            calls, spent = f"solver_calls[{backend}]", f"solver_time[{backend}]"
+            out[calls] = out.get(calls, 0.0) + 1.0
+            out[spent] = out.get(spent, 0.0) + seconds
+        return out
 
 
 def nearest_rank_percentile(sorted_values: Sequence[float], q: float) -> float:

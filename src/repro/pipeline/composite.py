@@ -32,16 +32,15 @@ unlocked by the unified execution core (:mod:`repro.exec`):
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.exceptions import ConfigurationError
-from repro.ilp.backends import scoped_solver_stats
 from repro.ilp.cancellation import CancelToken, cancel_scope, current_cancel_token
 from repro.model.instance import MbspInstance
 from repro.pipeline.registry import StageFactory, register_stage
@@ -113,8 +112,7 @@ class BudgetedStage:
         self, instance: MbspInstance, incumbent: Optional[Incumbent], ctx: StageContext
     ) -> StageResult:
         token = CancelToken.after(self.seconds, parent=current_cancel_token())
-        start = time.perf_counter()
-        with obs.trace_span(
+        with obs.Meter() as meter, obs.trace_span(
             "budget", category="pipeline", spec=self.spec_token(), budget=self.seconds
         ) as span:
             with cancel_scope(token):
@@ -125,7 +123,7 @@ class BudgetedStage:
         # spec token (and job hash); elapsed/expired are wall-clock
         # telemetry, excluded from result fingerprints
         result.telemetry["budget"] = self.seconds
-        result.telemetry["budget_elapsed"] = time.perf_counter() - start
+        result.telemetry["budget_elapsed"] = meter.wall_time
         result.telemetry["budget_expired"] = token.deadline_expired()
         return result
 
@@ -255,8 +253,12 @@ class RaceStage:
             with ThreadPoolExecutor(
                 max_workers=slots, thread_name_prefix="repro-race"
             ) as pool:
+                # each branch runs in its own copy of this context, so the
+                # stage's and the job's meters count the branch's solves
+                # (two threads cannot enter one context at once)
                 futures = [
                     pool.submit(
+                        contextvars.copy_context().run,
                         self._run_branch, i, instance, incumbent, ctx, tokens[i],
                         outcomes, note_done, fail_fast,
                     )
@@ -299,13 +301,11 @@ class RaceStage:
         fail_fast,
     ) -> None:
         outcome = _BranchOutcome(token=self._tokens[idx])
-        stats_scope = scoped_solver_stats()
-        start = time.perf_counter()
         with obs.trace_span(
             "race.branch", category="pipeline", branch=self._tokens[idx], index=idx
         ) as span:
             try:
-                with stats_scope, cancel_scope(token):
+                with obs.Meter() as meter, cancel_scope(token):
                     current: Optional[Incumbent] = incumbent
                     for stage in self._branches[idx]:
                         if stage.requires_incumbent and current is None:
@@ -341,9 +341,9 @@ class RaceStage:
             outcome.cancelled = token.cancel_requested
             if outcome.cancelled:
                 outcome.cancel_reason = token.cancel_reason() or "cancelled"
-            outcome.wall_time = time.perf_counter() - start
-            outcome.solver_calls = stats_scope.stats.total
-            outcome.solver_time = stats_scope.stats.time_total
+            outcome.wall_time = meter.wall_time
+            outcome.solver_calls = meter.solver_calls
+            outcome.solver_time = meter.solver_time
             if obs.tracing_enabled():
                 span.set(
                     cost=outcome.cost,

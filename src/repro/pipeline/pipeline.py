@@ -30,7 +30,6 @@ import hashlib
 import json
 import math
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -331,7 +330,6 @@ class Pipeline:
         pruning (``None`` disables it).
         """
         from repro.experiments.runner import ExperimentConfig
-        from repro.ilp.backends import solver_call_stats
 
         if config is None:
             config = ExperimentConfig(name="pipeline")
@@ -451,13 +449,12 @@ class Pipeline:
                             ),
                         )
                     continue
-                wall_start = time.perf_counter()
-                calls_before = solver_call_stats().snapshot()
                 with obs.trace_span(
                     "stage", category="pipeline", spec=token
                 ) as stage_span:
                     try:
-                        stage_result = stage.run(instance, incumbent, ctx)
+                        with obs.Meter() as meter:
+                            stage_result = stage.run(instance, incumbent, ctx)
                     except ConfigurationError as exc:
                         if not getattr(
                             stage, "config_error_means_inapplicable", False
@@ -473,31 +470,22 @@ class Pipeline:
                         result.schedule = None
                         result.cost = math.inf
                         return result
-                    delta = solver_call_stats().delta_since(calls_before)
-                    stage_result.telemetry.setdefault(
-                        "wall_time", time.perf_counter() - wall_start
-                    )
-                    stage_result.telemetry["solver_calls"] = delta.get(
-                        "solver_calls", 0.0
-                    )
-                    stage_result.telemetry["solver_time"] = delta.get(
-                        "solver_time", 0.0
-                    )
-                    stage_result.telemetry["cost_in"] = (
+                    telemetry = stage_result.telemetry
+                    telemetry.setdefault("wall_time", meter.wall_time)
+                    telemetry["solver_calls"] = float(meter.solver_calls)
+                    telemetry["solver_time"] = meter.solver_time
+                    telemetry["cost_in"] = (
                         incumbent.cost if incumbent is not None else None
                     )
-                    stage_result.telemetry["cost_out"] = stage_result.cost
+                    telemetry["cost_out"] = stage_result.cost
                     if obs.tracing_enabled():
                         stage_span.set(
-                            cost_in=stage_result.telemetry["cost_in"],
+                            cost_in=telemetry["cost_in"],
                             cost_out=stage_result.cost,
-                            solver_calls=delta.get("solver_calls", 0.0),
+                            solver_calls=telemetry["solver_calls"],
                         )
-                        obs.observe(
-                            "pipeline.stage_time",
-                            stage_result.telemetry["wall_time"],
-                        )
-                solver_calls_so_far += delta.get("solver_calls", 0.0)
+                        obs.observe("pipeline.stage_time", telemetry["wall_time"])
+                solver_calls_so_far += telemetry["solver_calls"]
                 result.stages.append(stage_result)
                 if stage_result.schedule is not None:
                     incumbent = Incumbent(

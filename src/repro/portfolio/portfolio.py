@@ -247,31 +247,22 @@ class Portfolio:
         decisions live in :attr:`last_selection`.
         """
         jobs = []
-        index: Dict[tuple, int] = {}
+        slots: List[Optional[int]] = []
         for i, dag in enumerate(dags):
-            for member in selection.selections[i].chosen:
-                index[(i, member)] = len(jobs)
-                jobs.append(pipeline_job(dag, member, self.config, self.prune_gap))
-        with stage_reuse_scope() as reuse:
-            flat = session.run(RunPlan.from_jobs(jobs))
-        self.last_reuse = reuse.stats
-        out: List[PortfolioResult] = []
-        for i, dag in enumerate(dags):
-            row = PortfolioResult(
-                instance_name=dag.name, num_nodes=dag.num_nodes
-            )
+            chosen = selection.selections[i].chosen
             for member in members:
-                slot = index.get((i, member))
-                if slot is None:
-                    continue  # skipped by selection
-                result = flat[slot]
-                cost = result.extra_costs.get("member_cost", result.ilp_cost)
-                row.member_costs[member] = cost
-                row.member_status[member] = result.solver_status
-                if cost < row.best_cost:  # strict: first member wins ties
-                    row.best_cost = cost
-                    row.best_member = member
-            out.append(row)
+                if member in chosen:
+                    slots.append(len(jobs))
+                    jobs.append(
+                        pipeline_job(dag, member, self.config, self.prune_gap)
+                    )
+                else:
+                    slots.append(None)
+        with stage_reuse_scope() as reuse:
+            ran = session.run(RunPlan.from_jobs(jobs))
+        self.last_reuse = reuse.stats
+        flat = [None if slot is None else ran[slot] for slot in slots]
+        out = reduce_to_portfolio_rows(members, dags, flat)
         selection.finalize(out)
         return out
 
@@ -279,20 +270,24 @@ class Portfolio:
 def reduce_to_portfolio_rows(
     members: Sequence[str],
     dags: Sequence[ComputationalDag],
-    flat: Sequence[InstanceResult],
+    flat: Sequence[Optional[InstanceResult]],
 ) -> List[PortfolioResult]:
     """Reduce an instance-major ``members x dags`` result batch to one
     :class:`PortfolioResult` per instance (the winner-per-instance view).
 
-    This is *the* reduction of the portfolio (``repro exec run`` shares
-    it): winner = strictly lowest ``member_cost``, ties keep the first
-    member in ``members`` order.
+    This is *the* reduction of the portfolio (``repro exec run`` and
+    adaptive selection share it): winner = strictly lowest
+    ``member_cost``, ties keep the first member in ``members`` order.  A
+    ``None`` slot is a member that did not run on the instance (skipped by
+    adaptive selection); it contributes neither a cost nor a status.
     """
     out: List[PortfolioResult] = []
     for i, dag in enumerate(dags):
         row = PortfolioResult(instance_name=dag.name, num_nodes=dag.num_nodes)
         for j, member in enumerate(members):
             result = flat[i * len(members) + j]
+            if result is None:
+                continue
             cost = result.extra_costs.get("member_cost", result.ilp_cost)
             row.member_costs[member] = cost
             row.member_status[member] = result.solver_status

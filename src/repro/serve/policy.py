@@ -24,6 +24,7 @@ same instance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
@@ -56,8 +57,20 @@ class PolicyConfig:
     idle_depth: int = 0
 
     def validate(self) -> None:
-        if not math.isfinite(self.tight_slack):
+        try:
+            finite = math.isfinite(self.tight_slack)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ConfigurationError("tight_slack must be finite")
+        for name in ("pressure_depth", "idle_depth"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
         if self.pressure_depth <= self.idle_depth:
             raise ConfigurationError(
                 "policy thresholds must satisfy idle_depth < pressure_depth "
@@ -111,9 +124,9 @@ class AdaptivePolicy:
         ``slacks`` a ``float64`` array.  The comparisons are the ones
         ``choose`` makes, exactly:
 
-        * numpy compares an ``int64`` depth with a Python int exactly, also
-          beyond the ``int64`` range, and with a float after converting
-          the depth, which is exact below ``2**53``;
+        * the depth thresholds are integers (``PolicyConfig.validate``),
+          and numpy compares an ``int64`` depth with an integer exactly,
+          also beyond the ``int64`` range;
         * a float slack is at most ``tight_slack`` if and only if it is at
           most the largest float not above ``tight_slack``; that is
           ``float(tight_slack)``, or the float below it when the

@@ -14,10 +14,10 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, fork_join_dag, spmv
 from repro.experiments.runner import ExperimentConfig
-from repro.ilp import reset_solver_call_stats, solver_call_stats
 from repro.portfolio import (
     DEFAULT_MEMBERS,
     PRUNED_STATUS_PREFIX,
@@ -81,13 +81,11 @@ class TestPruningGoldenEquivalence:
 
     def test_pruned_run_makes_strictly_fewer_solver_calls(self):
         dags = _seed_dags()
-        reset_solver_call_stats()
-        Portfolio(config=CFG, prune_gap=0.0).run(["ilp"], dags)
-        pruned_calls = solver_call_stats().total
-        reset_solver_call_stats()
-        Portfolio(config=CFG, prune_gap=None).run(["ilp"], dags)
-        unpruned_calls = solver_call_stats().total
-        reset_solver_call_stats()
+        with obs.Meter() as pruned:
+            Portfolio(config=CFG, prune_gap=0.0).run(["ilp"], dags)
+        with obs.Meter() as unpruned:
+            Portfolio(config=CFG, prune_gap=None).run(["ilp"], dags)
+        pruned_calls, unpruned_calls = pruned.solver_calls, unpruned.solver_calls
         assert pruned_calls < unpruned_calls
         assert unpruned_calls == len(dags)  # one holistic solve per instance
         assert pruned_calls == sum(1 for tight in EXPECTED_PRUNED.values() if not tight)
@@ -134,14 +132,13 @@ class TestPruningGoldenEquivalence:
 
     def test_wide_gap_prunes_everything(self):
         dags = _seed_dags()
-        reset_solver_call_stats()
-        rows = Portfolio(config=CFG, prune_gap=100.0).run(["ilp"], dags)
-        assert solver_call_stats().total == 0
+        with obs.Meter() as meter:
+            rows = Portfolio(config=CFG, prune_gap=100.0).run(["ilp"], dags)
+        assert meter.solver_calls == 0
         assert all(row.num_pruned == 1 for row in rows)
         # the member then reports exactly the baseline cost everywhere
         for row in rows:
             assert math.isfinite(row.best_cost)
-        reset_solver_call_stats()
 
     def test_table_annotates_pruned_cells(self):
         rows = Portfolio(config=CFG, prune_gap=0.0).run(["ilp"], _seed_dags()[:2])

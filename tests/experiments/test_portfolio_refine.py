@@ -12,10 +12,10 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.dag.generators import chain_dag
 from repro.experiments.datasets import tiny_dataset
 from repro.experiments.runner import ExperimentConfig
-from repro.ilp import reset_solver_call_stats, solver_call_stats
 from repro.portfolio import (
     DEFAULT_MEMBERS,
     REFINE_SUFFIX,
@@ -134,7 +134,6 @@ class TestRefinedMemberPruning:
                           ilp_node_limit=40, step_cap=4)
 
     def test_bound_tight_instance_prunes_refinement(self):
-        reset_solver_call_stats()
         result = run_member(chain_dag(5), self.P1, "bspg+clairvoyant+refine",
                             prune_gap=0.0)
         assert is_pruned(result)
@@ -143,11 +142,10 @@ class TestRefinedMemberPruning:
         assert "refinement pruned" in result.solver_status
 
     def test_ilp_refined_member_pruned_skips_the_solve(self):
-        reset_solver_call_stats()
-        result = run_member(chain_dag(5), self.P1, "ilp+refine", prune_gap=0.0)
+        with obs.Meter() as meter:
+            result = run_member(chain_dag(5), self.P1, "ilp+refine", prune_gap=0.0)
         assert is_pruned(result)
-        assert solver_call_stats().total == 0
-        reset_solver_call_stats()
+        assert meter.solver_calls == 0
 
     def test_pruning_is_cost_neutral_at_gap_zero(self):
         for member in ("bspg+clairvoyant+refine", "ilp+refine"):

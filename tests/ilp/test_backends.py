@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.exceptions import ConfigurationError
 from repro.ilp import (
     ENV_BACKEND,
@@ -15,10 +16,8 @@ from repro.ilp import (
     default_backend,
     get_backend,
     register_backend,
-    reset_solver_call_stats,
     resolve_backend_name,
     solve,
-    solver_call_stats,
 )
 from repro.ilp.backends import AUTO_BNB_MAX_INTEGERS, _ALIASES, _REGISTRY
 
@@ -142,18 +141,27 @@ class TestAutoBackend:
         assert solution.message.startswith("auto[scipy]")
 
 
-class TestSolverCallStats:
+class TestSolveMeter:
     def test_dispatch_counts_calls_per_backend(self):
-        reset_solver_call_stats()
         model, _ = knapsack_model()
-        solve(model, SolverOptions(time_limit=10), backend="scipy")
-        solve(model, SolverOptions(time_limit=10), backend="scipy")
+        with obs.Meter() as meter:
+            solve(model, SolverOptions(time_limit=10), backend="scipy")
+            solve(model, SolverOptions(time_limit=10), backend="scipy")
+            solve(model, SolverOptions(time_limit=10), backend="bnb")
+        assert [backend for backend, _ in meter.solves] == ["scipy", "scipy", "bnb"]
+        assert all(seconds > 0 for _, seconds in meter.solves)
+        assert meter.solver_time <= meter.wall_time
+
+    def test_nested_meters_both_count_and_a_bare_solve_counts_nowhere(self):
+        model, _ = knapsack_model()
+        with obs.Meter() as outer:
+            with obs.Meter() as inner:
+                solve(model, SolverOptions(time_limit=10), backend="bnb")
+            solve(model, SolverOptions(time_limit=10), backend="bnb")
         solve(model, SolverOptions(time_limit=10), backend="bnb")
-        stats = solver_call_stats()
-        assert stats.total == 3
-        assert stats.by_backend == {"scipy": 2, "bnb": 1}
-        reset_solver_call_stats()
-        assert solver_call_stats().total == 0
+        assert inner.solver_calls == 1
+        assert outer.solver_calls == 2
+        assert outer.solves[0] == inner.solves[0]
 
 
 BACKENDS = ["scipy", "bnb"]

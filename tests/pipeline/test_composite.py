@@ -9,10 +9,11 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
 from repro.exceptions import ConfigurationError
-from repro.exec import slot_scope
+from repro.exec import RunPlan, Session, pipeline_job, slot_scope
 from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runner import ExperimentConfig
 from repro.pipeline import (
@@ -134,18 +135,45 @@ class TestRaceExecution:
         # after the first branch the winner is provably decided and *every*
         # remaining branch is cancelled before it starts (no extra solves —
         # a skipped loser must not un-decide the race for the next one)
-        from repro.ilp.backends import reset_solver_call_stats, solver_call_stats
-
         dag = chain_dag(5)
         config = CFG.variant(num_processors=1)
         branches = ",".join(
             f"refine(seed={seed})|ilp(warm=objective)" for seed in (1, 2, 3)
         )
-        reset_solver_call_stats()
-        result = run_member(dag, config, f"baseline|race({branches})")
+        with obs.Meter() as meter:
+            result = run_member(dag, config, f"baseline|race({branches})")
         assert math.isfinite(result.ilp_cost)
         # only the first branch dispatched solver calls
-        assert solver_call_stats().total <= 1
+        assert meter.solver_calls <= 1
+
+
+BACKEND_RACE = "baseline|race(ilp@bnb,ilp@scipy)"
+
+
+class TestRaceMeters:
+    """Race branches count into the meters of the stage and job around them."""
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_stage_counts_the_solves_of_its_branches(self, slots):
+        # with two slots the branches run on pool threads, each in a copy
+        # of the stage's context
+        with slot_scope(slots), obs.Meter() as meter:
+            result = Pipeline(BACKEND_RACE).run(_dag(), CFG)
+        race = result.stages[-1]
+        calls = [b["solver_calls"] for b in race.telemetry["race_branches"].values()]
+        assert calls == [1, 1] and all(type(c) is int for c in calls)
+        assert race.telemetry["solver_calls"] == 2.0
+        assert type(race.telemetry["solver_calls"]) is float
+        assert sorted(backend for backend, _ in meter.solves) == ["bnb", "scipy"]
+
+    def test_pool_session_job_counts_both_branches(self):
+        # one job on a two-worker session runs inline with two slots
+        (result,) = Session(workers=2).run(
+            RunPlan.from_jobs([pipeline_job(_dag(), BACKEND_RACE, CFG)])
+        )
+        stats = result.solver_stats
+        assert stats["solver_calls"] == 2.0
+        assert stats["solver_calls[bnb]"] == stats["solver_calls[scipy]"] == 1.0
 
 
 class TestBudgets:

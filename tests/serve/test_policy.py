@@ -58,3 +58,16 @@ class TestAdaptivePolicy:
     def test_non_finite_slack_threshold_is_rejected(self):
         with pytest.raises(ConfigurationError, match="tight_slack must be finite"):
             AdaptivePolicy(PolicyConfig(tight_slack=float("nan")))
+
+    def test_slack_threshold_beyond_the_float_range_is_rejected(self):
+        # math.isfinite raises OverflowError on such an int
+        with pytest.raises(ConfigurationError, match="tight_slack must be finite"):
+            AdaptivePolicy(PolicyConfig(tight_slack=10**400))
+
+    @pytest.mark.parametrize("field", ["pressure_depth", "idle_depth"])
+    @pytest.mark.parametrize("depth", [float("nan"), 2.5, "3"])
+    def test_non_integer_depth_threshold_is_rejected(self, field, depth):
+        # a NaN pressure_depth used to validate and then never count a
+        # queue as pressure
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            AdaptivePolicy(PolicyConfig(**{field: depth}))

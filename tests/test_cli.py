@@ -224,19 +224,18 @@ class TestBackendPlumbing:
     def test_bsp_ilp_member_honours_configured_backend(self):
         """The two-stage bsp-ilp member's first-stage ILP must solve with the
         configured backend — its engine cache key claims it does."""
+        from repro import obs
         from repro.dag.generators import chain_dag
         from repro.experiments.runner import ExperimentConfig
-        from repro.ilp import reset_solver_call_stats, solver_call_stats
         from repro.portfolio import run_member
 
-        reset_solver_call_stats()
-        run_member(
-            chain_dag(4),
-            ExperimentConfig(ilp_backend="bnb", ilp_time_limit=5.0),
-            "bsp-ilp+lru",
-        )
-        assert solver_call_stats().by_backend == {"bnb": 1}
-        reset_solver_call_stats()
+        with obs.Meter() as meter:
+            run_member(
+                chain_dag(4),
+                ExperimentConfig(ilp_backend="bnb", ilp_time_limit=5.0),
+                "bsp-ilp+lru",
+            )
+        assert [backend for backend, _ in meter.solves] == ["bnb"]
 
     def test_backend_job_keys_differ(self):
         """Jobs solved by different backends never collide in the cache."""
