@@ -329,6 +329,7 @@ def _pipeline_run_body(args: argparse.Namespace) -> int:
         L=args.latency,
         synchronous=not args.asynchronous,
         ilp_time_limit=args.time_limit,
+        ilp_node_limit=args.node_limit,
         seed=args.seed,
         refine=_refine_config_from_args(args, enabled=False),
         **_backend_kwargs(args),
@@ -1225,6 +1226,10 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_run.add_argument("--workers", type=int, default=1,
                           help="session worker slots: race(...) stages fan "
                                "branches out over this many threads")
+    pipe_run.add_argument("--node-limit", type=_node_limit, default=None,
+                          help="bound every ILP stage by branch-and-bound "
+                               "nodes, so its result does not depend on the "
+                               "wall clock (keep --time-limit generous)")
     pipe_run.add_argument("--budget", type=float, default=None,
                           help="wall-clock budget in seconds for every stage "
                                "without an explicit budget=<s>s option")

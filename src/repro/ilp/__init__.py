@@ -5,7 +5,8 @@ An :class:`IlpModel` is built from arrays only: one column path
 row path (:meth:`IlpModel.add_rows`, a block of rows given as
 column/coefficient arrays) and an array objective
 (:meth:`IlpModel.minimize` / :meth:`IlpModel.maximize`).
-:meth:`IlpModel.compile` builds the CSR matrix from the model's row store.
+:meth:`IlpModel.compile` builds the CSR matrix from the model's row store,
+in numpy (:class:`~repro.ilp.model.CsrMatrix`).
 Models are solved through :func:`solve`, which dispatches into the backend
 registry of :mod:`repro.ilp.backends`: ``"scipy"`` (HiGHS branch and cut,
 the default), ``"bnb"`` (the pure-Python branch and bound) or ``"auto"``
@@ -16,10 +17,13 @@ vendored with scipy (``scipy.optimize._highspy``): the ``scipy`` backend
 drives its MILP solver (:mod:`repro.ilp.scipy_backend`, the library's one
 MILP path), branch and bound its LP solver.
 
-scipy is imported on the first compile or solve, not with this package:
-``scipy.sparse`` by :meth:`IlpModel.compile`, ``scipy.optimize`` and its
-vendored HiGHS binding by the backends.  A process that never builds an
-ILP (heuristic pipelines, the serve loop) never loads them.
+Neither this package nor a compile imports scipy.  The first solve loads
+the HiGHS binding straight from scipy's install
+(:func:`~repro.ilp.scipy_backend.highs_binding`), which runs
+``import scipy`` but loads neither ``scipy.optimize`` nor
+``scipy.sparse``; only ``CsrMatrix.tocsr()`` imports ``scipy.sparse``.  A
+process that never solves an ILP (heuristic pipelines, the serve loop)
+loads no scipy at all.
 """
 
 from repro.ilp.cancellation import (

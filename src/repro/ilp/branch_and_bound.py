@@ -5,9 +5,11 @@ the node-limited benchmark runs can follow every node.  It solves LP
 relaxations with HiGHS and branches on the most fractional integer
 variable, using best-first search with incumbent pruning.  The relaxation
 is the exact LP that ``scipy.optimize.linprog(method="highs")`` would
-build, prepared once per model through scipy's vendored HiGHS binding
-(:func:`repro.ilp.scipy_backend.highs_binding`); each node only swaps in
-its column bounds and solves on a fresh HiGHS instance, so every vertex
+build, assembled once per model from the compiled CSR arrays in numpy and
+passed to scipy's vendored HiGHS binding
+(:func:`repro.ilp.scipy_backend.highs_binding`), so neither
+``scipy.optimize`` nor ``scipy.sparse`` is imported; each node only swaps
+in its column bounds and solves on a fresh HiGHS instance, so every vertex
 (and hence every tree) is the one per-node ``linprog`` calls would produce.
 Limits mean what they mean for the scipy backend: ``node_limit=0``
 explores no node, and a negative limit is rejected by
@@ -29,7 +31,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.ilp.cancellation import current_cancel_token
-from repro.ilp.model import CompiledModel, IlpModel, Sense
+from repro.ilp.model import CompiledModel, IlpModel, Sense, index_dtype
 from repro.ilp.scipy_backend import SolverOptions, highs_binding
 from repro.ilp.solution import IlpSolution, SolutionStatus
 
@@ -47,33 +49,16 @@ class _Node:
 
 
 def _split_constraints(compiled: CompiledModel):
-    """Convert two-sided row bounds into the A_ub / A_eq form of ``linprog``."""
-    if compiled.A.shape[0] == 0:
-        return None, None, None, None
-    from scipy import sparse
-
+    """The rows of ``linprog``'s ``A_ub`` / ``A_eq`` form of the two-sided
+    rows: the indices of the ``<=`` rows, of the ``>=`` rows (negated, they
+    follow the ``<=`` rows in ``A_ub``) and of the equality rows."""
     lb, ub = compiled.con_lb, compiled.con_ub
     eq_mask = np.isfinite(lb) & np.isfinite(ub) & (np.abs(ub - lb) < 1e-12)
-    ub_mask = np.isfinite(ub) & ~eq_mask
-    lb_mask = np.isfinite(lb) & ~eq_mask
-
-    A_eq = compiled.A[eq_mask] if eq_mask.any() else None
-    b_eq = ub[eq_mask] if eq_mask.any() else None
-
-    ub_rows = []
-    ub_rhs = []
-    if ub_mask.any():
-        ub_rows.append(compiled.A[ub_mask])
-        ub_rhs.append(ub[ub_mask])
-    if lb_mask.any():
-        ub_rows.append(-compiled.A[lb_mask])
-        ub_rhs.append(-lb[lb_mask])
-    if ub_rows:
-        A_ub = sparse.vstack(ub_rows)
-        b_ub = np.concatenate(ub_rhs)
-    else:
-        A_ub, b_ub = None, None
-    return A_ub, b_ub, A_eq, b_eq
+    return (
+        np.flatnonzero(np.isfinite(ub) & ~eq_mask),
+        np.flatnonzero(np.isfinite(lb) & ~eq_mask),
+        np.flatnonzero(eq_mask),
+    )
 
 
 #: linprog's feasibility check of a returned vertex: ``_check_result``
@@ -105,36 +90,48 @@ class _PreparedLp:
     """The ``HighsLp`` that ``linprog(method="highs")`` builds, built once.
 
     Rows are the ``<=`` rows, then the negated ``>=`` rows, then the
-    equality rows, as one CSC matrix; each node passes only its column
-    bounds to a fresh HiGHS instance with linprog's option set, so every
-    vertex equals the one ``optimize.linprog`` returns for the same node.
+    equality rows (:func:`_split_constraints`), gathered from the CSR arrays
+    of ``compiled.A`` and turned into one CSC matrix by a stable sort on the
+    column, so each column lists its rows in order, as scipy's conversion
+    does.  Each node passes only its column bounds to a fresh HiGHS instance
+    with linprog's option set, so every vertex equals the one
+    ``optimize.linprog`` returns for the same node.
     """
 
     def __init__(self, compiled: CompiledModel) -> None:
-        from scipy import sparse
-
         _highs = highs_binding()
+        A = compiled.A
         n = int(compiled.c.shape[0])
-        A_ub, b_ub, A_eq, b_eq = _split_constraints(compiled)
-        b_ub = np.zeros(0) if b_ub is None else b_ub
-        b_eq = np.zeros(0) if b_eq is None else b_eq
-        empty = sparse.coo_array((0, n))
-        blocks = [empty if a is None else sparse.coo_array(a, dtype=float) for a in (A_ub, A_eq)]
-        A = sparse.csc_array(sparse.vstack(blocks))
+        ub_rows, lb_rows, eq_rows = _split_constraints(compiled)
+        rows = np.concatenate((ub_rows, lb_rows, eq_rows))
+        b_ub = np.concatenate((compiled.con_ub[ub_rows], -compiled.con_lb[lb_rows]))
+        b_eq = compiled.con_ub[eq_rows]
+        # the stored entries of the gathered rows, row by row
+        counts = A.indptr[rows + 1] - A.indptr[rows]
+        dtype = index_dtype(int(counts.sum()), len(rows), n)
+        row = np.repeat(np.arange(len(rows), dtype=dtype), counts)
+        entries = np.arange(len(row)) + (A.indptr[rows] - (np.cumsum(counts) - counts))[row]
+        values = A.data[entries].astype(float)
+        negated = (row >= len(ub_rows)) & (row < len(ub_rows) + len(lb_rows))
+        np.negative(values, out=values, where=negated)
+        cols = A.indices[entries]
+        order = np.argsort(cols, kind="stable")
+        start = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
         self.num_ub = len(b_ub)
         self.rhs = _replace_inf(np.concatenate((b_ub, b_eq)))
         lp = _highs.HighsLp()
         lp.num_col_ = n
-        lp.num_row_ = A.shape[0]
+        lp.num_row_ = len(rows)
         lp.a_matrix_.num_col_ = n
-        lp.a_matrix_.num_row_ = A.shape[0]
+        lp.a_matrix_.num_row_ = len(rows)
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.col_cost_ = np.array(compiled.c, dtype=float)
         lp.row_lower_ = _replace_inf(np.concatenate((np.full(len(b_ub), -np.inf), b_eq)))
         lp.row_upper_ = self.rhs
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = row[order]
+        lp.a_matrix_.value_ = values[order]
         self.lp = lp
         self.options = _highs.HighsOptions()
         self.options.presolve = "on"

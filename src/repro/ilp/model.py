@@ -5,7 +5,10 @@ insertion order.  Columns arrive in equal-bound blocks
 (:meth:`IlpModel.add_variables`), rows as index/coefficient blocks
 (:meth:`IlpModel.add_rows`), and the objective as one column/coefficient
 array pair (:meth:`IlpModel.minimize` / :meth:`IlpModel.maximize`);
-:meth:`IlpModel.compile` builds the CSR matrix straight from the store.
+:meth:`IlpModel.compile` builds the CSR matrix straight from the store, as
+a :class:`CsrMatrix` of numpy arrays.  Nothing here imports scipy:
+:meth:`CsrMatrix.tocsr` loads ``scipy.sparse`` only for a caller that
+asks for a scipy matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +26,62 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from scipy import sparse
 
 INF = float("inf")
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def index_dtype(*extents: int) -> type:
+    """scipy.sparse's index dtype for a matrix of these sizes and nonzero
+    count: ``int32`` while every index and count fits, else ``int64``."""
+    return np.int32 if max(extents, default=0) <= _INT32_MAX else np.int64
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry of a CSR matrix with row pointer ``indptr``."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A sparse matrix in CSR form, held in numpy arrays.
+
+    Row ``i`` stores ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``; :meth:`IlpModel.compile` sorts the
+    columns within each row and gives the index arrays scipy's dtype
+    (:func:`index_dtype`).  The solver backends read only ``indptr``,
+    ``indices``, ``data`` and ``shape``, so a ``scipy.sparse.csr_matrix``
+    serves them as well.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored entries."""
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x) -> np.ndarray:
+        """``A @ x`` as scipy's ``csr_matvec`` computes it: ``np.bincount``
+        adds each row's products ``data * x[indices]`` in storage order onto
+        0.0, so the sums are the same floats."""
+        weights = self.data * np.asarray(x, dtype=float)[self.indices]
+        return np.bincount(_entry_rows(self.indptr), weights=weights, minlength=self.shape[0])
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix (repeated entries of a row add up)."""
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (_entry_rows(self.indptr), self.indices), self.data)
+        return dense
+
+    def tocsr(self) -> "sparse.csr_matrix":
+        """The same matrix as a ``scipy.sparse.csr_matrix`` sharing these
+        arrays (imports ``scipy.sparse``)."""
+        from scipy import sparse
+
+        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
 class Sense(enum.Enum):
@@ -36,14 +95,17 @@ class Sense(enum.Enum):
 class CompiledModel:
     """Arrays describing the model in the form consumed by solver backends.
 
-    ``A`` is a CSR matrix of constraint coefficients; the model is
+    ``A`` is the CSR matrix of constraint coefficients, a :class:`CsrMatrix`
+    (``A.tocsr()`` gives it as a scipy matrix); the model is
     ``minimize c @ x`` subject to ``con_lb <= A x <= con_ub`` and
     ``var_lb <= x <= var_ub`` with ``x_i`` integer where ``integrality_i = 1``.
-    (Maximization objectives are compiled by negating ``c``.)
+    (Maximization objectives are compiled by negating ``c``.)  The backends
+    read only ``A``'s ``indptr``, ``indices``, ``data`` and ``shape``, so a
+    ``scipy.sparse.csr_matrix`` works as ``A`` too.
     """
 
     c: np.ndarray
-    A: sparse.csr_matrix
+    A: CsrMatrix
     con_lb: np.ndarray
     con_ub: np.ndarray
     var_lb: np.ndarray
@@ -229,21 +291,26 @@ class IlpModel:
         """
         if self._compiled is not None:
             return self._compiled
-        from scipy import sparse
 
-        n = self.num_variables
+        m, n = self.num_constraints, self.num_variables
         c = np.zeros(n)
         c[self._obj_cols] = self._obj_vals
         if self._sense is Sense.MAXIMIZE:
             c = -c
 
-        indptr = np.zeros(self.num_constraints + 1, dtype=np.int64)
+        indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.array(self._row_len, dtype=np.int64), out=indptr[1:])
-        A = sparse.csr_matrix(
-            (np.array(self._row_vals), np.array(self._row_cols, dtype=np.int64), indptr),
-            shape=(self.num_constraints, n),
+        indices = np.array(self._row_cols, dtype=np.int64)
+        # the columns of each row in ascending order; a stable sort keeps a
+        # repeated column's entries in insertion order until the check below
+        order = np.argsort(_entry_rows(indptr) * n + indices, kind="stable")
+        dtype = index_dtype(len(indices), m, n)
+        A = CsrMatrix(
+            indptr=indptr.astype(dtype),
+            indices=indices[order].astype(dtype),
+            data=np.array(self._row_vals)[order],
+            shape=(m, n),
         )
-        A.sort_indices()
         _reject_repeated_columns(A)
         self._compiled = CompiledModel(
             c=c,
@@ -279,7 +346,7 @@ class IlpModel:
         )
 
 
-def _reject_repeated_columns(A: sparse.csr_matrix) -> None:
+def _reject_repeated_columns(A: CsrMatrix) -> None:
     """Raise :class:`IlpError` if a row of ``A`` (indices sorted) names a
     column twice; a backend would read such a row as a model error."""
     pairs = np.flatnonzero(A.indices[1:] == A.indices[:-1])

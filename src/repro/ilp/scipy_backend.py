@@ -6,9 +6,10 @@ exactly the same formulations, with configurable time and node limits.
 
 :func:`solve_with_scipy` is the library's one MILP driver.  It passes the
 compiled model to the HiGHS binding that ships inside scipy
-(``scipy.optimize._highspy._core``, imported on first use by
-:func:`highs_binding`) as a row-wise ``HighsLp``, plus an objective cutoff
-row when a warm start is known, and maps HiGHS's model status straight to a
+(``scipy.optimize._highspy._core``, loaded on first use by
+:func:`highs_binding` without importing ``scipy.optimize``) as a row-wise
+``HighsLp`` built from the model's CSR arrays, plus an objective cutoff row
+when a warm start is known, and maps HiGHS's model status straight to a
 :class:`~repro.ilp.solution.SolutionStatus`.  With a
 :class:`~repro.ilp.cancellation.CancelToken` in scope, HiGHS's MIP-interrupt
 callback polls the token, so a cancelled race branch or budgeted stage stops
@@ -20,8 +21,13 @@ answer with or without one.
 from __future__ import annotations
 
 import functools
+import importlib.util
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,16 +103,58 @@ class SolverOptions:
             )
 
 
+#: the canonical name of the HiGHS binding vendored with scipy
+BINDING = "scipy.optimize._highspy._core"
+_BINDING_LOCK = threading.Lock()
+
+
+def _load_binding():
+    """Load ``_core`` from scipy's install under its canonical name without
+    running ``scipy/optimize/__init__.py`` (the ``_highspy`` package's own
+    ``__init__`` is empty).  A later ``import scipy.optimize`` adopts the
+    registered module: ``from scipy.optimize._highspy import _core``
+    returns it, though the ``_highspy`` package, imported after it, holds
+    no ``_core`` attribute.  :class:`ImportError` if it cannot be loaded."""
+    import scipy  # the wheel's _distributor_init; loads no scipy.optimize
+
+    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = PathFinder.find_spec(BINDING, [directory])
+    if spec is None:
+        raise ImportError(f"no {BINDING} under {directory}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[BINDING] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[BINDING]
+        raise
+    return module
+
+
 @functools.cache
 def highs_binding():
-    """The HiGHS binding vendored with scipy, imported on the first call
-    (which loads ``scipy.optimize``); :class:`SolverError` if it does not
-    import."""
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError as exc:
-        raise SolverError(f"scipy's vendored HiGHS binding is unavailable: {exc}") from exc
-    return _core
+    """The HiGHS binding vendored with scipy, loaded on the first call.
+
+    An already imported binding is returned as is.  Otherwise it is loaded
+    straight from scipy's install, which leaves ``scipy.optimize`` and
+    ``scipy.sparse`` unimported; if that fails, through the package import
+    (``scipy.optimize`` included).  :class:`SolverError` if neither loads.
+    The first load holds a lock: race branches solve on threads, and the
+    extension must be initialized once.
+    """
+    with _BINDING_LOCK:
+        module = sys.modules.get(BINDING)
+        if module is not None:
+            return module
+        try:
+            return _load_binding()
+        except ImportError:
+            pass
+        try:
+            from scipy.optimize._highspy import _core
+        except ImportError as exc:
+            raise SolverError(f"scipy's vendored HiGHS binding is unavailable: {exc}") from exc
+        return _core
 
 
 def _status(model_status, has_values: bool) -> SolutionStatus:
@@ -133,17 +181,22 @@ def _status(model_status, has_values: bool) -> SolutionStatus:
 
 
 def _highs_lp(compiled: CompiledModel, cutoff: Optional[float]):
-    """``compiled`` as a row-wise ``HighsLp``; with ``cutoff``, one more row
-    ``c @ x <= cutoff`` (compiled space, tolerance already applied)."""
-    from scipy import sparse
-
+    """``compiled`` as a row-wise ``HighsLp`` taken from the CSR arrays of
+    ``compiled.A``; with ``cutoff``, one more row ``c @ x <= cutoff``
+    (compiled space, tolerance already applied) that holds ``c``'s nonzeros
+    (a ``-0.0`` of a negated objective is zero too)."""
     _highs = highs_binding()
-    rows = compiled.A.tocsr() if compiled.A.shape[0] else None
+    A = compiled.A
+    num_rows = int(A.shape[0])
+    start, index, value = A.indptr, A.indices, A.data
     con_lb = np.asarray(compiled.con_lb, dtype=float)
     con_ub = np.asarray(compiled.con_ub, dtype=float)
     if cutoff is not None:
-        cut_row = sparse.csr_matrix(compiled.c.reshape(1, -1))
-        rows = cut_row if rows is None else sparse.vstack([rows, cut_row], format="csr")
+        cut = np.flatnonzero(compiled.c)
+        start = np.append(start, start[-1] + len(cut))
+        index = np.concatenate((index, cut))
+        value = np.concatenate((value, compiled.c[cut]))
+        num_rows += 1
         con_lb = np.append(con_lb, -np.inf)
         con_ub = np.append(con_ub, float(cutoff))
 
@@ -151,18 +204,18 @@ def _highs_lp(compiled: CompiledModel, cutoff: Optional[float]):
     clip = lambda a: np.clip(np.asarray(a, dtype=float), -inf, inf)
     lp = _highs.HighsLp()
     lp.num_col_ = int(compiled.c.shape[0])
-    lp.num_row_ = 0 if rows is None else int(rows.shape[0])
+    lp.num_row_ = num_rows
     lp.col_cost_ = np.asarray(compiled.c, dtype=float)
     lp.col_lower_ = clip(compiled.var_lb)
     lp.col_upper_ = clip(compiled.var_ub)
     lp.row_lower_ = clip(con_lb)
     lp.row_upper_ = clip(con_ub)
-    if rows is not None:
+    if num_rows:
         matrix = lp.a_matrix_
         matrix.format_ = _highs.MatrixFormat.kRowwise
-        matrix.start_ = np.asarray(rows.indptr, dtype=np.int32)
-        matrix.index_ = np.asarray(rows.indices, dtype=np.int32)
-        matrix.value_ = np.asarray(rows.data, dtype=float)
+        matrix.start_ = np.asarray(start, dtype=np.int32)
+        matrix.index_ = np.asarray(index, dtype=np.int32)
+        matrix.value_ = np.asarray(value, dtype=float)
     lp.integrality_ = np.array(
         [
             _highs.HighsVarType.kInteger if flag else _highs.HighsVarType.kContinuous

@@ -55,7 +55,7 @@ import json
 import math
 import operator
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -312,14 +312,14 @@ def _plain(x: np.ndarray, n: np.ndarray) -> bool:
 
 
 def _byte_table(texts: List[bytes]):
-    """``texts`` as the columns of a NUL-padded ``uint8`` matrix, and the
-    mask of their bytes."""
+    """``texts`` as the rows of a NUL-padded ``uint8`` matrix, and the mask
+    of their bytes."""
     table = np.array(texts, dtype=bytes)
     lengths = np.fromiter(map(len, texts), np.int64, len(texts))
     width = table.itemsize
     return (
-        table.view(np.uint8).reshape(len(texts), width).T,
-        np.arange(width)[:, None] < lengths,
+        table.view(np.uint8).reshape(len(texts), width),
+        np.arange(width) < lengths[:, None],
     )
 
 
@@ -328,9 +328,10 @@ _FLAGS = _byte_table([b"false", b"true"])
 
 
 def _lookup(table, index: np.ndarray):
-    """The columns ``index`` of a :func:`_byte_table`."""
+    """The rows ``index`` of a :func:`_byte_table`, one column each (a row
+    gather, then a transposed view)."""
     data, keep = table
-    return np.take(data, index, axis=1), np.take(keep, index, axis=1)
+    return data[index].T, keep[index].T
 
 
 def _text(text: bytes):
@@ -479,9 +480,10 @@ class ServiceReport:
         makespan = float(finish.max()) if n else 0.0
         misses = int(np.count_nonzero(finish > arrival + np.array(trace.deadline)))
         specs: Dict[str, int] = {}
-        for job, requests in Counter(records.job).items():
+        requests = np.bincount(np.asarray(records.job, dtype=np.int64))
+        for job in np.flatnonzero(requests):
             spec = records.specs[job]
-            specs[spec] = specs.get(spec, 0) + requests
+            specs[spec] = specs.get(spec, 0) + int(requests[job])
         return {
             "requests": n,
             "distinct_jobs": len(self.results),

@@ -104,10 +104,16 @@ def ilp_model(name: str):
 
 
 def linprog_relaxation(compiled):
-    """The relaxation as per-node ``optimize.linprog`` calls, for reference."""
-    from scipy import optimize
+    """The relaxation as per-node ``optimize.linprog`` calls, for reference,
+    with branch and bound's row split (``<=``, negated ``>=``, equality
+    rows) as scipy matrices."""
+    from scipy import optimize, sparse
 
-    A_ub, b_ub, A_eq, b_eq = branch_and_bound._split_constraints(compiled)
+    A = compiled.A.tocsr()
+    ub_rows, lb_rows, eq_rows = branch_and_bound._split_constraints(compiled)
+    A_ub = sparse.vstack([A[ub_rows], -A[lb_rows]])
+    b_ub = np.concatenate((compiled.con_ub[ub_rows], -compiled.con_lb[lb_rows]))
+    A_eq, b_eq = A[eq_rows], compiled.con_ub[eq_rows]
 
     def solve(lower, upper):
         res = optimize.linprog(

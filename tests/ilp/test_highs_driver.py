@@ -150,7 +150,9 @@ def milp_reference(model: IlpModel, options: SolverOptions):
     from scipy import optimize, sparse
 
     compiled = model.compile()
-    constraints = [optimize.LinearConstraint(compiled.A, compiled.con_lb, compiled.con_ub)]
+    constraints = [
+        optimize.LinearConstraint(compiled.A.tocsr(), compiled.con_lb, compiled.con_ub)
+    ]
     sign = 1.0 if compiled.sense is Sense.MINIMIZE else -1.0
     if options.warm_start_objective is not None:
         cutoff = sign * (options.warm_start_objective - compiled.objective_constant)

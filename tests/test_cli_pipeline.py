@@ -1,8 +1,10 @@
 """CLI tests for the pipeline sub-command and the portfolio spec plumbing."""
 
+import json
+
 import pytest
 
-from repro import cli
+from repro import cli, obs
 
 
 class TestPipelineList:
@@ -45,6 +47,39 @@ class TestPipelineRun:
         ])
         assert exit_code == 1
         assert "inapplicable" in capsys.readouterr().out
+
+    def test_node_limit_bounds_every_ilp_stage(self, capsys, tmp_path):
+        command = [
+            "pipeline", "run", "--spec", "baseline|ilp", "--generator", "spmv",
+            "--size", "3", "--backend", "bnb", "--time-limit", "60",
+            "--node-limit", "2",
+        ]
+        trace = tmp_path / "trace.json"
+        reports = []
+        for extra in (["--trace", str(trace)], []):
+            try:
+                assert cli.main([*command, *extra]) == 0
+            finally:
+                # as the tests/obs fixture does: close the tracer's spill file
+                obs.get_tracer().reset()
+            out = capsys.readouterr().out
+            reports.append([
+                line for line in out.splitlines()
+                if line.startswith(("status:", "  final cost:"))
+            ])
+        assert len(reports[0]) == 2 and reports[0] == reports[1]
+        events = json.loads(trace.read_text())["traceEvents"]
+        solves = [event["args"] for event in events if event["name"] == "ilp.solve"]
+        assert solves and all(args["node_limit"] == 2 for args in solves)
+
+    def test_negative_node_limit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([
+                "pipeline", "run", "--spec", "baseline|ilp", "--generator", "spmv",
+                "--size", "3", "--node-limit", "-1",
+            ])
+        assert exit_info.value.code == 2
+        assert "argument --node-limit: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_unknown_spec_raises(self):
         with pytest.raises(Exception):
