@@ -8,7 +8,8 @@
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentConfig, geometric_mean
+from repro.experiments.runner import geometric_mean
+from repro.pipeline import ExperimentConfig
 from repro.experiments.tables import p1_experiment, recomputation_ablation
 
 from helpers import env_limit, env_time_limit, make_session, record_results, record_text

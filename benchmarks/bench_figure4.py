@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.experiments import paper_reference
 from repro.experiments.figures import figure4, render_figure4
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 
 from helpers import env_limit, env_time_limit, make_session, record_text
 

@@ -27,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.learn import mine_history
 from repro.portfolio import Portfolio
 

@@ -37,7 +37,7 @@ from repro import obs
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
 from repro.exec import Session, plan_pipelines
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 
 TRAJECTORY = Path(__file__).parent / "BENCH_obs.json"
 

@@ -20,7 +20,7 @@ import os
 
 from repro import obs
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig, _env_float
+from repro.pipeline.config import ExperimentConfig, _env_float
 from repro.portfolio import DEFAULT_MEMBERS, Portfolio, format_portfolio_table
 
 from helpers import env_backend, env_limit, env_time_limit, record_text

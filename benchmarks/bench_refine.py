@@ -35,7 +35,7 @@ from pathlib import Path
 from repro.core.scheduler import MbspIlpScheduler
 from repro.core.two_stage import baseline_schedule
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.refine import refine_schedule
 
 sys.path.insert(0, str(Path(__file__).parent))

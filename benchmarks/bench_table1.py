@@ -9,7 +9,7 @@ over the two-stage baseline (per-instance values in
 from __future__ import annotations
 
 from repro.experiments import paper_reference
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.experiments.tables import table1
 
 from helpers import env_limit, env_time_limit, make_session, record_results

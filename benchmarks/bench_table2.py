@@ -10,7 +10,7 @@ coupled ones (iterated SpMV, k-NN) — unlike the warm-started full ILP it is
 from __future__ import annotations
 
 from repro.experiments import paper_reference
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.experiments.tables import table2
 
 from helpers import env_limit, env_time_limit, make_session, record_results

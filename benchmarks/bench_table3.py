@@ -9,7 +9,8 @@ main baseline, 0.66x vs Cilk+LRU and 0.88x vs the BSP-ILP baseline.
 from __future__ import annotations
 
 from repro.experiments import paper_reference
-from repro.experiments.runner import ExperimentConfig, geometric_mean
+from repro.experiments.runner import geometric_mean
+from repro.pipeline import ExperimentConfig
 from repro.experiments.tables import table3
 
 from helpers import env_limit, env_time_limit, make_session, record_results, record_text

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import paper_reference
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.experiments.tables import table4
 
 from helpers import env_limit, env_time_limit, make_session, record_results

@@ -25,14 +25,8 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from repro.experiments.reporting import format_results_table, write_csv
-from repro.experiments.runner import (
-    InstanceResult,
-    _env_float,
-    _env_int,
-    env_bench_workers,
-    env_cache_dir,
-    geometric_mean,
-)
+from repro.experiments.runner import env_bench_workers, env_cache_dir, geometric_mean
+from repro.pipeline.config import InstanceResult, _env_float, _env_int
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -59,7 +53,7 @@ def env_workers(default: int = 1) -> int:
 def env_backend() -> str:
     """The ILP solver backend selected through REPRO_ILP_BACKEND.
 
-    Every :class:`~repro.experiments.runner.ExperimentConfig` a benchmark
+    Every :class:`~repro.pipeline.config.ExperimentConfig` a benchmark
     constructs resolves this knob itself; the helper exists so harness code
     can *report* which backend a run used.
     """

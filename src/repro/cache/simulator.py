@@ -5,9 +5,10 @@ isolation (this is the sub-problem whose NP-hardness Lemmas 5.1 and 5.2
 establish): the compute steps of one processor are fixed, and the only
 freedom is which values to load, keep and evict.  This module simulates a
 single processor's cache over a fixed compute order under an eviction policy
-and reports the resulting I/O cost — the executable form of that sub-problem,
-used by tests, the Lemma 5.1 reduction experiments and the memory-pressure
-example.
+and reports the resulting I/O cost — the executable form of that sub-problem.
+Only the tests (``tests/cache``) call it: the two-stage schedulers convert
+schedules with :func:`repro.cache.conversion.two_stage_schedule`, and so
+does the memory-pressure example.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Command-line interface for the MBSP scheduling library.
 
-Nine sub-commands are provided:
+Twelve sub-commands are provided:
 
 * ``schedule``   — generate (or load) a DAG, schedule it with a chosen method
   and print costs, validation results and an optional schedule rendering;
@@ -49,7 +49,18 @@ Nine sub-commands are provided:
   through ``--members`` and/or full specs through repeatable ``--pipeline``
   flags; ``--list-members`` prints every known member with its canonical
   pipeline.  Unknown member names warn and are skipped (matching the
-  ``REPRO_*`` environment-knob convention) instead of failing the sweep.
+  ``REPRO_*`` environment-knob convention) instead of failing the sweep;
+* ``lint``       — the static determinism/concurrency analyzer
+  (:mod:`repro.lint`): AST rules over Python sources, gated against
+  ``lint-baseline.json`` (exit 0 clean, 1 findings, 2 usage error);
+* ``check``      — validate pipeline specs, serve policy tiers and plan
+  shardability statically, without executing anything (the default smoke
+  set is the default portfolio members, the documented race specs and the
+  shipped policy tiers);
+* ``learn``      — learned member selection (:mod:`repro.learn`):
+  ``learn mine`` turns JSONL results files into a byte-stable history,
+  ``learn select`` predicts the top-k members per instance from it and
+  ``learn report`` prints per-member cost distributions.
 
 Refinement threads through everything: ``schedule --refine`` post-optimizes
 the produced schedule, ``experiment --refine`` refines every per-instance
@@ -100,6 +111,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import List, Optional
 
 from repro.dag import io as dag_io
@@ -117,6 +129,7 @@ from repro.dag.generators import (
     spmv,
 )
 from repro.dag.graph import ComputationalDag
+from repro.exceptions import ConfigurationError
 from repro.ilp import SolverOptions
 from repro.model import (
     asynchronous_cost,
@@ -245,17 +258,24 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     return _finish_schedule_output(args, schedule)
 
 
+def _print_member_table(title: str) -> None:
+    """The legacy member names with their canonical pipelines, under
+    ``title`` (``pipeline list`` and ``portfolio --list-members``)."""
+    from repro.pipeline import LEGACY_MEMBER_SPECS
+
+    print(title)
+    for member, spec in LEGACY_MEMBER_SPECS.items():
+        print(f"  {member:<28s} {spec}")
+
+
 def _cmd_pipeline_list(args: argparse.Namespace) -> int:
     from repro.pipeline import EXAMPLE_RACE_SPECS, stage_descriptions
-    from repro.portfolio import member_descriptions
 
     print("registered pipeline stages (compose with '|'):")
     for name, description in stage_descriptions():
         print(f"  {name:<12s} {description}")
     print()
-    print("portfolio member specs (legacy name -> canonical pipeline):")
-    for member, spec in member_descriptions():
-        print(f"  {member:<28s} {spec}")
+    _print_member_table("portfolio member specs (legacy name -> canonical pipeline):")
     print()
     print('spec grammar: stage["("key=value,...")"] joined by "|", e.g. '
           '"bspg+clairvoyant|refine|ilp"')
@@ -313,26 +333,22 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
 
 def _pipeline_run_body(args: argparse.Namespace) -> int:
     from repro.exec import Session
-    from repro.experiments.runner import ExperimentConfig
-    from repro.pipeline import canonicalize, with_default_budget
-    from repro.portfolio import resolve_member
+    from repro.pipeline import canonicalize, resolve_member, with_default_budget
 
     dag = _build_dag(args)
     stats = dag_statistics(dag)
     print(f"DAG {dag.name}: {int(stats['nodes'])} nodes, {int(stats['edges'])} edges, "
           f"r0 = {stats['r0']:g}")
-    config = ExperimentConfig(
-        name="pipeline",
+    config = _experiment_config(
+        args,
+        "pipeline",
         num_processors=args.processors,
         cache_factor=args.cache_factor,
         g=args.g,
         L=args.latency,
         synchronous=not args.asynchronous,
-        ilp_time_limit=args.time_limit,
-        ilp_node_limit=args.node_limit,
         seed=args.seed,
         refine=_refine_config_from_args(args, enabled=False),
-        **_backend_kwargs(args),
     )
     spec = resolve_member(args.spec)
     if getattr(args, "budget", None) is not None:
@@ -353,8 +369,6 @@ def _pipeline_run_body(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.exceptions import ConfigurationError
-
     try:
         return _with_trace(args, lambda: _serve_bench_body(args))
     except ConfigurationError as exc:
@@ -442,16 +456,45 @@ def _make_session(args: argparse.Namespace):
     )
 
 
-def _backend_kwargs(args: argparse.Namespace) -> dict:
-    """``ilp_backend`` keyword for ExperimentConfig when ``--backend`` was
-    given (otherwise the config falls back to REPRO_ILP_BACKEND / scipy)."""
-    return {"ilp_backend": args.backend} if args.backend else {}
+def _experiment_config(args: argparse.Namespace, name: str, **fields):
+    """The ExperimentConfig of a command: the ILP budget flags
+    (``--time-limit``, ``--node-limit``, ``--backend``) plus the command's
+    own ``fields``.  Without ``--backend`` the config falls back to
+    REPRO_ILP_BACKEND / scipy."""
+    from repro.pipeline import ExperimentConfig
+
+    if args.backend:
+        fields["ilp_backend"] = args.backend
+    return ExperimentConfig(
+        name=name,
+        ilp_time_limit=args.time_limit,
+        ilp_node_limit=args.node_limit,
+        **fields,
+    )
+
+
+def _refine_fields(args: argparse.Namespace, specs) -> dict:
+    """The ``refine`` config field when a spec in ``specs`` refines.
+
+    The refine knobs enter the config (and so every job hash) only when a
+    refined member consumes them, so runs without refined members keep
+    cache keys independent of the knobs; with refined members present they
+    are part of every job hash by design, and sweeps with different
+    refinement settings never collide.
+    """
+    if any("refine" in spec for spec in specs):
+        return {"refine": _refine_config_from_args(args, enabled=False)}
+    return {}
+
+
+def _comma_list(text: str) -> List[str]:
+    """The non-empty items of a comma-separated flag value (``--members``)."""
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import paper_reference
     from repro.experiments.reporting import format_results_table
-    from repro.experiments.runner import ExperimentConfig
     from repro.experiments.tables import table1, table2, table4
 
     session = _make_session(args)
@@ -461,22 +504,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     refine_kwargs = (
         {"refine": _refine_config_from_args(args)} if args.refine else {}
     )
-    config = ExperimentConfig(
-        ilp_time_limit=args.time_limit,
-        ilp_node_limit=args.node_limit,
-        **_backend_kwargs(args),
-        **refine_kwargs,
-    )
+    config = _experiment_config(args, "base", **refine_kwargs)
     if args.table == 1:
         results = table1(config=config, limit=args.limit, session=session)
         print(format_results_table(results, "Table 1", paper_reference.TABLE1))
     elif args.table == 2:
-        results = table2(limit=args.limit,
-                         config=ExperimentConfig(cache_factor=5.0,
-                                                 ilp_time_limit=args.time_limit,
-                                                 ilp_node_limit=args.node_limit,
-                                                 **_backend_kwargs(args),
-                                                 **refine_kwargs),
+        results = table2(limit=args.limit, config=config.variant(cache_factor=5.0),
                          session=session)
         print(format_results_table(results, "Table 2", paper_reference.TABLE2))
     elif args.table == 4:
@@ -494,25 +527,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_portfolio(args: argparse.Namespace) -> int:
-    import warnings as _warnings
-
-    from repro.exceptions import ConfigurationError
-    from repro.experiments.runner import ExperimentConfig
-    from repro.portfolio import (
-        DEFAULT_MEMBERS,
-        MEMBER_SPECS,
-        Portfolio,
-        format_portfolio_table,
-        is_refined_member,
-        member_descriptions,
+    from repro.pipeline import (
+        LEGACY_MEMBER_SPECS,
+        REFINE_SUFFIX,
+        parse as parse_spec,
         resolve_member,
     )
-    from repro.portfolio import REFINE_SUFFIX
+    from repro.portfolio import DEFAULT_MEMBERS, Portfolio, format_portfolio_table
 
     if args.list_members:
-        print("portfolio members (legacy name -> canonical pipeline spec):")
-        for member, spec in member_descriptions():
-            print(f"  {member:<28s} {spec}")
+        _print_member_table("portfolio members (legacy name -> canonical pipeline spec):")
         print("any pipeline spec is a valid member too "
               "(see 'repro pipeline list' for the stages)")
         print("sweep syntax: --pipeline 'dac(max_part_size={2,4,8})' expands "
@@ -522,56 +546,31 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
               "wall-clock stage budgets")
         return 0
 
-    members = [m.strip() for m in args.members.split(",") if m.strip()] \
-        if args.members else list(DEFAULT_MEMBERS)
+    members = _comma_list(args.members) if args.members else list(DEFAULT_MEMBERS)
     # --pipeline accepts full specs including race(...), budget=<s>s and the
     # sweep syntax key={a,b,c}, which expands to one member per combination
-    members += _expand_pipeline_specs(args.pipeline, _warnings)
-    # unknown member names warn and are skipped (matching the REPRO_* env
-    # knob convention) so one typo cannot fail a long sweep — validated
-    # before the --refine expansion, so a typo warns once, not twice; an
-    # all-unknown list is still an error
-    members, resolved = _validate_members(members, _warnings)
-    if not members:
-        raise ConfigurationError(
-            "no valid portfolio members left after skipping unknown names; "
-            "see 'repro portfolio --list-members'"
-        )
+    members += _expand_pipeline_specs(args.pipeline)
+    # validated before the --refine expansion, so a typo warns once, not twice
+    members, resolved = _validate_members(members, _NO_VALID_MEMBERS)
     if args.refine:
-        from repro.pipeline import parse as parse_spec
-
-        def ends_refined(member):
+        for member in list(members):
             # legacy "+refine" names and raw specs whose last stage already
             # is a refine pass gain nothing from a second one
-            return is_refined_member(member) or \
-                parse_spec(member).stages[-1].name == "refine"
-
-        for member in list(members):
-            if ends_refined(member):
+            if parse_spec(member).stages[-1].name == "refine":
                 continue
             # legacy names take the historical "+refine" suffix; raw
             # pipeline specs are extended with an explicit refine stage
-            variant = member + REFINE_SUFFIX if member in MEMBER_SPECS \
+            variant = member + REFINE_SUFFIX if member in LEGACY_MEMBER_SPECS \
                 else member + "|refine"
             members.append(variant)
             resolved[variant] = resolve_member(variant)
     dags = _dataset(args)
     session = _make_session(args)
-    # only thread the refine knobs into the config (and therefore into the
-    # job hashes) when a refined member actually consumes them, so
-    # that runs without refined members keep cache keys independent of the
-    # knobs.  (With refined members present the knobs are part of every job
-    # hash by design — ExperimentConfig.refine is covered by the content
-    # hash so sweeps with different refinement settings never collide.)
-    uses_refine = any("refine" in spec for spec in resolved.values())
-    config = ExperimentConfig(
-        name="portfolio",
+    config = _experiment_config(
+        args,
+        "portfolio",
         num_processors=args.processors,
-        ilp_time_limit=args.time_limit,
-        ilp_node_limit=args.node_limit,
-        **({"refine": _refine_config_from_args(args, enabled=False)}
-           if uses_refine else {}),
-        **_backend_kwargs(args),
+        **_refine_fields(args, resolved.values()),
     )
     prune_gap = None if args.no_prune else args.prune_gap
     # adaptive member selection (repro.learn): an unreadable or malformed
@@ -585,7 +584,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         try:
             history = LearnedHistory.load(args.history)
         except ConfigurationError as exc:
-            _warnings.warn(
+            warnings.warn(
                 f"ignoring unusable history file ({exc}); "
                 f"falling back to exhaustive evaluation",
                 UserWarning,
@@ -619,8 +618,8 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn_mine(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import ExperimentConfig
     from repro.learn import mine_history
+    from repro.pipeline import ExperimentConfig
 
     config = ExperimentConfig(name="learn", num_processors=args.processors)
     dags = _dataset(args)
@@ -636,22 +635,13 @@ def _cmd_learn_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn_select(args: argparse.Namespace) -> int:
-    import warnings as _warnings
-
-    from repro.exceptions import ConfigurationError
-    from repro.experiments.runner import ExperimentConfig
     from repro.learn import LearnedHistory, plan_selection
+    from repro.pipeline import ExperimentConfig
     from repro.portfolio import DEFAULT_MEMBERS
 
     history = LearnedHistory.load(args.history)
-    members = [m.strip() for m in args.members.split(",") if m.strip()] \
-        if args.members else list(DEFAULT_MEMBERS)
-    members, canonical = _validate_members(members, _warnings)
-    if not members:
-        raise ConfigurationError(
-            "no valid portfolio members left after skipping unknown names; "
-            "see 'repro portfolio --list-members'"
-        )
+    members = _comma_list(args.members) if args.members else list(DEFAULT_MEMBERS)
+    members, canonical = _validate_members(members, _NO_VALID_MEMBERS)
     config = ExperimentConfig(name="learn", num_processors=args.processors)
     dags = _dataset(args)
     report = plan_selection(
@@ -689,13 +679,12 @@ def _cmd_learn_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _expand_pipeline_specs(specs, _warnings) -> List[str]:
+def _expand_pipeline_specs(specs) -> List[str]:
     """Expand ``--pipeline`` values (sweep syntax included) into members.
 
     Malformed specs warn and are skipped, matching the unknown-member
     convention, so one typo cannot fail a long sweep.
     """
-    from repro.exceptions import ConfigurationError
     from repro.pipeline import expand_spec
 
     members: List[str] = []
@@ -706,7 +695,7 @@ def _expand_pipeline_specs(specs, _warnings) -> List[str]:
         try:
             members += expand_spec(spec)
         except ConfigurationError as exc:
-            _warnings.warn(
+            warnings.warn(
                 f"ignoring malformed pipeline spec {spec!r} ({exc})",
                 UserWarning,
                 stacklevel=3,
@@ -714,16 +703,23 @@ def _expand_pipeline_specs(specs, _warnings) -> List[str]:
     return members
 
 
-def _validate_members(members, _warnings):
+#: the error of ``portfolio`` and ``learn select`` when no member is valid
+_NO_VALID_MEMBERS = (
+    "no valid portfolio members left after skipping unknown names; "
+    "see 'repro portfolio --list-members'"
+)
+
+
+def _validate_members(members, empty: str):
     """Resolve member names/specs, warning-and-skipping unknown ones.
 
-    The shared warn-and-skip convention of ``portfolio`` and ``exec run``:
-    one typo cannot fail a long sweep, but an all-unknown list is still an
-    error (handled by the callers, whose wording differs).  Returns the
-    valid members plus their canonical specs.
+    The shared warn-and-skip convention of ``portfolio``, ``learn select``
+    and ``exec run`` (matching the REPRO_* env knob convention): one typo
+    cannot fail a long sweep, but an all-unknown list is still an error,
+    raised with the caller's message ``empty``.  Returns the valid members
+    plus their canonical specs.
     """
-    from repro.exceptions import ConfigurationError
-    from repro.portfolio import resolve_member
+    from repro.pipeline import resolve_member
 
     valid: List[str] = []
     resolved = {}
@@ -732,12 +728,14 @@ def _validate_members(members, _warnings):
             resolved[member] = resolve_member(member)
             valid.append(member)
         except ConfigurationError:
-            _warnings.warn(
+            warnings.warn(
                 f"ignoring unknown portfolio member {member!r}; see "
                 f"'repro portfolio --list-members' and 'repro pipeline list'",
                 UserWarning,
                 stacklevel=3,
             )
+    if not valid:
+        raise ConfigurationError(empty)
     return valid, resolved
 
 
@@ -747,20 +745,15 @@ def _exec_plan_from_args(args: argparse.Namespace):
     merge command rebuilds the exact plan of the shard runs from the same
     flags, because both shard assignment and the merged record order are
     functions of the plan."""
-    import warnings as _warnings
-
-    from repro.exceptions import ConfigurationError
     from repro.exec import plan_pipelines
-    from repro.experiments.runner import ExperimentConfig
     from repro.pipeline import with_default_budget
     from repro.portfolio import DEFAULT_MEMBERS
 
     if args.budget is not None and args.budget <= 0:
         raise ConfigurationError("--budget must be positive (seconds)")
     requested = bool(args.members) or bool(args.pipeline)
-    members = [m.strip() for m in args.members.split(",") if m.strip()] \
-        if args.members else []
-    members += _expand_pipeline_specs(args.pipeline, _warnings)
+    members = _comma_list(args.members) if args.members else []
+    members += _expand_pipeline_specs(args.pipeline)
     if not members:
         if requested:
             # every explicitly requested spec was malformed and skipped; a
@@ -771,23 +764,18 @@ def _exec_plan_from_args(args: argparse.Namespace):
                 "--pipeline/--members values; see 'repro pipeline list'"
             )
         members = list(DEFAULT_MEMBERS)
-    members, _ = _validate_members(members, _warnings)
-    if not members:
-        raise ConfigurationError(
-            "no valid pipeline specs left after skipping unknown ones; "
-            "see 'repro pipeline list'"
-        )
+    members, _ = _validate_members(
+        members,
+        "no valid pipeline specs left after skipping unknown ones; "
+        "see 'repro pipeline list'",
+    )
     if args.budget is not None:
         members = [with_default_budget(member, args.budget) for member in members]
-    uses_refine = any("refine" in member for member in members)
-    config = ExperimentConfig(
-        name="exec",
+    config = _experiment_config(
+        args,
+        "exec",
         num_processors=args.processors,
-        ilp_time_limit=args.time_limit,
-        ilp_node_limit=args.node_limit,
-        **({"refine": _refine_config_from_args(args, enabled=False)}
-           if uses_refine else {}),
-        **_backend_kwargs(args),
+        **_refine_fields(args, members),
     )
     dags = _dataset(args)
     prune_gap = None if args.no_prune else args.prune_gap
@@ -803,8 +791,6 @@ def _event_line(done, total, instance, member, result, source) -> str:
 
 
 def _validate_shard_args(args) -> None:
-    from repro.exceptions import ConfigurationError
-
     if args.spawn_shards is not None:
         if args.shards is not None or args.shard_id is not None:
             raise ConfigurationError(
@@ -925,11 +911,8 @@ def _cmd_exec_merge(args: argparse.Namespace) -> int:
     """Stable-merge the per-shard JSONL files of a manual sharded run
     (``exec run --shards N --shard-id I`` per shard) back into plan order,
     then print the portfolio reduction of the merged results."""
-    from repro.exceptions import ConfigurationError
-    from repro.exec import merge_shard_logs
-    from repro.experiments.parallel import job_keys
-    from repro.experiments.reporting import iter_jsonl_records
-    from repro.experiments.runner import InstanceResult
+    from repro.exec import iter_jsonl_records, job_keys, merge_shard_logs
+    from repro.pipeline import InstanceResult
     from repro.portfolio import format_portfolio_table, reduce_to_portfolio_rows
 
     if not args.results:
@@ -964,7 +947,6 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     import os
 
     from repro import obs
-    from repro.exceptions import ConfigurationError
 
     spill = args.spill
     if spill is None:
@@ -1023,7 +1005,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import os
 
     from repro import lint
-    from repro.exceptions import ConfigurationError
 
     if args.list_rules:
         print(f"{'rule':<10s} {'severity':<9s} description")
@@ -1031,8 +1012,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"{rule_id:<10s} {severity:<9s} {description}")
         return lint.EXIT_OK
 
-    rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()] \
-        if args.rules else None
+    rule_ids = _comma_list(args.rules) if args.rules else None
     try:
         findings = lint.lint_paths(args.paths or ["src"], rule_ids)
     except ConfigurationError as exc:
@@ -1069,15 +1049,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     documented example race specs and the shipped serve policy tiers —
     the exact set the CI smoke gate runs.
     """
-    import warnings as _warnings
-
     from repro import lint
-    from repro.exceptions import ConfigurationError
-    from repro.pipeline.composite import EXAMPLE_RACE_SPECS
-    from repro.portfolio import DEFAULT_MEMBERS, resolve_member
+    from repro.pipeline import EXAMPLE_RACE_SPECS, resolve_member
+    from repro.portfolio import DEFAULT_MEMBERS
 
-    specs = [m.strip() for m in args.members.split(",") if m.strip()] \
-        if args.members else []
+    specs = _comma_list(args.members) if args.members else []
     specs += [s.strip() for s in (args.pipeline or []) if s.strip()]
     check_policy = args.policy or any(
         (args.policy_cheap, args.policy_steady, args.policy_rich)
@@ -1105,7 +1081,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # dry-run the deterministic shard assignment over the real plan
         # the specs × dataset fan-out would execute
         from repro.exec import plan_pipelines
-        from repro.experiments.runner import ExperimentConfig
+        from repro.pipeline import ExperimentConfig
 
         resolvable = []
         for spec in specs:
@@ -1115,8 +1091,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             except ConfigurationError:
                 pass  # already reported as a REP-S01/REP-S06 finding
         if resolvable:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 config = ExperimentConfig(
                     name="check", num_processors=args.processors
                 )
@@ -1160,6 +1136,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--refine-strategy", choices=["hill", "anneal"],
                        default=defaults.strategy,
                        help="hill climbing (default) or simulated annealing")
+
+    def add_dataset_arguments(p: argparse.ArgumentParser) -> None:
+        """The benchmark instances a command runs over (``_dataset``) and
+        their processor count."""
+        p.add_argument("--which", choices=["tiny", "small"], default="tiny",
+                       help="benchmark dataset")
+        p.add_argument("--scale", choices=["default", "paper"], default="default")
+        p.add_argument("--limit", type=int, default=None,
+                       help="only the first N instances of the dataset")
+        p.add_argument("--processors", "-p", type=int, default=4,
+                       help="processors P of every instance (default 4)")
 
     def add_dag_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("--generator", default="spmv",
@@ -1342,11 +1329,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated legacy member names to add "
                             "(default when nothing is given: the default "
                             "portfolio members)")
-        p.add_argument("--which", choices=["tiny", "small"], default="tiny")
-        p.add_argument("--scale", choices=["default", "paper"], default="default")
-        p.add_argument("--limit", type=int, default=None,
-                       help="only the first N instances")
-        p.add_argument("--processors", "-p", type=int, default=4)
+        add_dataset_arguments(p)
         p.add_argument("--time-limit", type=float, default=5.0)
         add_backend_argument(p)
         p.add_argument("--budget", type=float, default=None,
@@ -1489,15 +1472,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "assignment of the specs x dataset plan "
                             "(catches the coordinator's "
                             "ConfigurationError without starting workers)")
-    check.add_argument("--which", choices=["tiny", "small"], default="tiny",
-                       help="dataset for the --shards plan dry-run")
-    check.add_argument("--scale", choices=["default", "paper"],
-                       default="default")
-    check.add_argument("--limit", type=int, default=None,
-                       help="only the first N instances of the dataset")
-    check.add_argument("--processors", "-p", type=int, default=4,
-                       help="processor count assumed by the incumbent "
-                            "analysis (dfs applies only to P = 1)")
+    add_dataset_arguments(check)
     check.add_argument("--max-sweep", type=int, default=16,
                        help="sweep cardinality above which REP-S05 warns "
                             "(default 16)")
@@ -1512,16 +1487,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     learn_sub = learn_parser.add_subparsers(dest="action", required=True)
 
-    def add_learn_dataset_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--which", choices=["tiny", "small"], default="tiny")
-        p.add_argument("--scale", choices=["default", "paper"],
-                       default="default")
-        p.add_argument("--limit", type=int, default=None,
-                       help="only the first N instances of the dataset")
-        p.add_argument("--processors", "-p", type=int, default=4,
-                       help="processor count the features are computed for "
-                            "(must match the runs being mined/planned)")
-
     learn_mine = learn_sub.add_parser(
         "mine",
         help="mine one or more JSONL results files (from runs with "
@@ -1532,7 +1497,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="JSONL results file to mine (repeatable; "
                                  "only records carrying a member spec "
                                  "contribute)")
-    add_learn_dataset_arguments(learn_mine)
+    add_dataset_arguments(learn_mine)
     learn_mine.add_argument("--output", default="history.json", metavar="FILE",
                             help="learned-history JSON to write "
                                  "(default: history.json)")
@@ -1548,7 +1513,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn_select.add_argument("--members", default=None,
                               help="comma-separated member names/specs "
                                    "(default: the portfolio defaults)")
-    add_learn_dataset_arguments(learn_select)
+    add_dataset_arguments(learn_select)
     learn_select.add_argument("--top-k", type=int, default=3,
                               help="members to keep per instance (default 3)")
     learn_select.add_argument("--selector", choices=["greedy", "knn"],
@@ -1580,10 +1545,7 @@ def build_parser() -> argparse.ArgumentParser:
     port.add_argument("--list-members", action="store_true",
                       help="print every member name with its canonical "
                            "pipeline spec and exit")
-    port.add_argument("--which", choices=["tiny", "small"], default="tiny")
-    port.add_argument("--scale", choices=["default", "paper"], default="default")
-    port.add_argument("--limit", type=int, default=None, help="only the first N instances")
-    port.add_argument("--processors", "-p", type=int, default=4)
+    add_dataset_arguments(port)
     port.add_argument("--time-limit", type=float, default=5.0)
     add_backend_argument(port)
     port.add_argument("--prune-gap", type=float, default=0.0,

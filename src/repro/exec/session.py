@@ -21,7 +21,7 @@ Execution semantics (session services):
   completed results append to a JSONL log in plan order; resumed keys are
   not re-executed.
 * **In-pipeline concurrency** — when the session executes a job inline it
-  grants its worker slots to the pipeline (:mod:`repro.exec.slots`), so a
+  grants its worker slots to the pipeline (:mod:`repro.pipeline.slots`), so a
   ``race(...)`` stage fans branches out over threads; jobs dispatched to
   worker processes run their pipelines with one slot each.
 
@@ -44,15 +44,12 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro import obs
-from repro.exec.plan import RunPlan, as_plan
-from repro.exec.slots import slot_scope
+from repro.exec.plan import RunPlan, as_plan, job_keys
 from repro.exec.store import PathLike, ResultCache, ResultLog
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
-    from repro.experiments.runner import InstanceResult
+from repro.pipeline import InstanceResult, Pipeline, slot_scope
 
 #: pool jobs in flight per worker: the one it runs and one queued behind
 #: it, which it takes from the pool's call queue as soon as it is free
@@ -201,8 +198,6 @@ class Session:
         per-stage telemetry; ``race(...)`` stages fan out over the
         session's worker slots.
         """
-        from repro.pipeline import Pipeline
-
         with slot_scope(self.workers):
             return Pipeline(spec).run(
                 dag, config, instance=instance, prune_gap=prune_gap
@@ -222,9 +217,10 @@ class Session:
         arriving in completion order.  Cache and JSONL writes always happen
         in plan order, so the stores are byte-stable across worker counts.
         """
-        # looked up per run: benchmark harnesses and tests rebind it
-        from repro.experiments.parallel import execute_job, job_keys
-        from repro.experiments.runner import InstanceResult
+        # the one import that points up a layer, looked up per run: the
+        # repository benchmark (perfbench/) and tests rebind this name, and
+        # the benchmark's wrapper hands forked pool workers' spans back
+        from repro.experiments.parallel import execute_job
 
         nodes = plan.nodes
         # the log's append handle is released however the run ends: done,

@@ -37,14 +37,13 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro import obs
 from repro.exceptions import ConfigurationError
-from repro.exec.plan import RunPlan, as_plan
+from repro.exec.plan import RunPlan, as_plan, job_keys
 from repro.exec.store import PathLike
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.runner import InstanceResult
+from repro.pipeline import InstanceResult
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,6 @@ def merge_shard_logs(
     shard's file (interrupted worker, wrong ``--shards`` count) raises a
     clear :class:`ConfigurationError` naming the shard file to re-run.
     """
-    from repro.experiments.parallel import job_keys
-
     plan = as_plan(plan)
     assignment = shard_assignment(plan, shards)
     shard_lines: List[dict] = []
@@ -195,7 +192,6 @@ def _run_shard_worker(
     serialized results in sub-plan order, and the shard session's counter
     tuple for the coordinator to aggregate.
     """
-    from repro import obs
     from repro.exec.session import Session
 
     plan = RunPlan(nodes)
@@ -247,7 +243,7 @@ def run_sharded(
     resume: bool = False,
     job_timeout: Optional[float] = None,
     stats=None,
-) -> List["InstanceResult"]:
+) -> List[InstanceResult]:
     """Fork-join coordinator: run ``plan`` as ``shards`` worker processes.
 
     Each shard runs in its own process as a ``Session(workers=workers)``
@@ -258,8 +254,6 @@ def run_sharded(
     :class:`~repro.exec.session.SessionStats`) accumulates the shard
     sessions' counters when provided.
     """
-    from repro.experiments.runner import InstanceResult
-
     plan = as_plan(plan)
     shards = int(shards)
     shard_assignment(plan, shards)  # validates the shard count

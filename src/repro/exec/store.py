@@ -1,17 +1,20 @@
 """Result persistence services of the execution core.
 
 Two stores, both keyed by the job content hash
-(:meth:`repro.experiments.parallel.ExperimentJob.key`):
+(:meth:`repro.exec.plan.ExperimentJob.key`):
 
 * :class:`ResultCache` — one JSON file per job hash in a cache directory.
-  A hit replays the recorded :class:`~repro.experiments.runner.
+  A hit replays the recorded :class:`~repro.pipeline.config.
   InstanceResult` without executing anything — including budgeted and
   raced outcomes, whose limits are part of the canonical spec and hence of
   the hash.  Corrupt entries read as misses and are overwritten.
 * :class:`ResultLog` — an append-only JSONL stream of completed results
   (one object per line: job key, kind, instance name, pipeline spec,
   result), which doubles as the *resume* store: keys already recorded are
-  not re-executed.
+  not re-executed.  :func:`iter_jsonl_records` streams such a file's
+  records; the resume index, ``exec merge``, the history miner
+  (:mod:`repro.learn.history`) and :func:`repro.experiments.reporting.
+  read_jsonl` all parse results files through it.
 
 Both are session services shared by every execution surface (the paper's
 tables, the portfolio, serve, ``repro exec run`` — including its sharded
@@ -38,12 +41,36 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
-    from repro.experiments.runner import InstanceResult
+from repro import obs
+from repro.pipeline import InstanceResult
 
 PathLike = Union[str, Path]
+
+
+def iter_jsonl_records(path: PathLike) -> Iterator[dict]:
+    """Yield the well-formed records (dicts with a ``result`` key) of a
+    JSONL results file, in file order.
+
+    A true generator: the file is streamed line by line, so resuming a
+    ~10\\ :sup:`5`-row results file never materializes the whole file in
+    memory.  Malformed lines (e.g. a truncated final line after a crash)
+    are skipped; this is the single parsing routine shared by the resume
+    index, ``exec merge``, the history miner and
+    :func:`repro.experiments.reporting.read_jsonl`.
+    """
+    with open(path, "r") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                record["result"] = dict(record["result"])
+            except (ValueError, KeyError, TypeError):
+                continue
+            yield record
 
 
 class ResultCache:
@@ -64,10 +91,7 @@ class ResultCache:
         # part after the key's last dot)
         return self.cache_dir / (key + ".json")
 
-    def load(self, key: str) -> Optional["InstanceResult"]:
-        from repro import obs
-        from repro.experiments.runner import InstanceResult
-
+    def load(self, key: str) -> Optional[InstanceResult]:
         path = self.path(key)
         if path is None:
             return None
@@ -86,7 +110,7 @@ class ResultCache:
         obs.count("cache.hit")
         return result
 
-    def store(self, key: str, result: "InstanceResult") -> None:
+    def store(self, key: str, result: InstanceResult) -> None:
         """Write (or repair) the cache entry for ``key``.
 
         Safe under concurrent writer processes sharing one cache directory
@@ -98,8 +122,6 @@ class ResultCache:
         occupied by a directory) warns and leaves the run uncached instead
         of crashing it.
         """
-        from repro import obs
-
         path = self.path(key)
         if path is None:
             return
@@ -175,8 +197,6 @@ class ResultLog:
         if self.results_path is None or not self.results_path.is_file():
             self._recorded_index = {}
             return self._recorded_index
-        from repro.experiments.reporting import iter_jsonl_records
-
         recorded: Dict[str, dict] = {}
         for record in iter_jsonl_records(self.results_path):
             if "key" in record:
@@ -209,10 +229,8 @@ class ResultLog:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def append(self, key: str, job, result: "InstanceResult") -> None:
+    def append(self, key: str, job, result: InstanceResult) -> None:
         """Append one result record (deduplicated by job key)."""
-        from repro import obs
-
         if self.results_path is None:
             return
         if key in self._streamed_keys:

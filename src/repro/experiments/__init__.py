@@ -1,4 +1,9 @@
-"""Experiment harness: datasets, configuration, table/figure regeneration."""
+"""Experiment harness: datasets, table/figure regeneration and the job runner.
+
+The harness sits above the execution core: its tables are pipeline plans
+(:mod:`repro.exec`) over the configuration and result types of
+:mod:`repro.pipeline`.
+"""
 
 from repro.experiments.datasets import (
     InstanceSpec,
@@ -7,12 +12,7 @@ from repro.experiments.datasets import (
     tiny_dataset,
     tiny_dataset_specs,
 )
-from repro.experiments.runner import (
-    ExperimentConfig,
-    InstanceResult,
-    geometric_mean,
-)
-from repro.experiments.parallel import ExperimentJob
+from repro.experiments.runner import geometric_mean
 from repro.experiments.reporting import (
     format_results_table,
     read_jsonl,
@@ -46,10 +46,7 @@ __all__ = [
     "small_dataset_specs",
     "tiny_dataset",
     "tiny_dataset_specs",
-    "ExperimentConfig",
-    "InstanceResult",
     "geometric_mean",
-    "ExperimentJob",
     "format_results_table",
     "read_jsonl",
     "results_to_rows",

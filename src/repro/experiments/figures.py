@@ -28,7 +28,8 @@ from repro.theory.constructions import (
     optimal_gap_schedule,
     two_stage_gap_construction,
 )
-from repro.experiments.runner import ExperimentConfig, InstanceResult, geometric_mean
+from repro.experiments.runner import geometric_mean
+from repro.pipeline import ExperimentConfig
 from repro.experiments.tables import table4
 
 

@@ -2,8 +2,9 @@
 
 Besides the fixed-width tables and CSV export, this module reads and writes
 the streaming JSONL result files produced by the execution session
-(:mod:`repro.exec.store`): one JSON object per line with the job key, kind,
-instance name, pipeline spec and the serialized result.
+(:mod:`repro.exec.store`, whose :func:`~repro.exec.store.iter_jsonl_records`
+parses them): one JSON object per line with the job key, kind, instance
+name, pipeline spec and the serialized result.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.experiments.runner import InstanceResult, geometric_mean
+from repro.exec.store import iter_jsonl_records
+from repro.experiments.runner import geometric_mean
+from repro.pipeline import InstanceResult
 
 PathLike = Union[str, Path]
 
@@ -98,29 +101,6 @@ def write_jsonl(results: Sequence[InstanceResult], path: PathLike) -> None:
                 )
                 + "\n"
             )
-
-
-def iter_jsonl_records(path: PathLike) -> Iterator[dict]:
-    """Yield the well-formed records (dicts with a ``result`` key) of a
-    JSONL results file, in file order.
-
-    A true generator: the file is streamed line by line, so resuming a
-    ~10\\ :sup:`5`-row results file never materializes the whole file in
-    memory.  Malformed lines (e.g. a truncated final line after a crash)
-    are skipped; this is the single parsing routine shared by
-    :func:`read_jsonl` and the execution core's resume logic.
-    """
-    with open(path, "r") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                record["result"] = dict(record["result"])
-            except (ValueError, KeyError, TypeError):
-                continue
-            yield record
 
 
 def read_jsonl(path: PathLike) -> List[InstanceResult]:

@@ -26,13 +26,8 @@ from repro.exec import Session, plan_pipelines
 from repro.experiments import paper_reference
 from repro.experiments.datasets import small_dataset, tiny_dataset
 from repro.experiments.reporting import format_results_table
-from repro.experiments.runner import (
-    ExperimentConfig,
-    InstanceResult,
-    dataset_limit,
-    dataset_scale,
-    geometric_mean,
-)
+from repro.experiments.runner import dataset_limit, dataset_scale, geometric_mean
+from repro.pipeline import ExperimentConfig, InstanceResult
 
 #: The main comparison of Tables 1, 3 and 4, Figure 4 and Section 7.2: the
 #: two-stage baseline, then the holistic ILP warm-started from its cost.

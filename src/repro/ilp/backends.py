@@ -17,7 +17,7 @@ which looks the backend up in a process-wide registry:
 Backend selection threads through the whole stack: ``SolverOptions`` are
 shared by all backends (including ``warm_start_objective``, the incumbent
 bound used to warm-start a solve), scheduler configurations carry a
-``backend`` field, :class:`~repro.experiments.runner.ExperimentConfig`
+``backend`` field, :class:`~repro.pipeline.config.ExperimentConfig`
 carries ``ilp_backend`` (so session job hashes cover the backend),
 and the CLI exposes ``--backend``.  The process default is ``"scipy"``,
 overridable through the ``REPRO_ILP_BACKEND`` environment variable; an

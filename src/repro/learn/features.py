@@ -6,7 +6,7 @@ features it predicts from must be
 
 * **cheap** — nothing here may schedule or solve; every quantity is a
   linear-time pass over the DAG (:mod:`repro.dag.analysis`) or a field of
-  the :class:`~repro.experiments.runner.ExperimentConfig`;
+  the :class:`~repro.pipeline.config.ExperimentConfig`;
 * **deterministic** — the vector is a pure function of (DAG, config):
   no wall clock, no randomness, no hash-salted iteration order (all node
   iteration happens over the DAG's ordered node list).
@@ -36,7 +36,7 @@ from repro.dag.analysis import (
     node_levels,
 )
 from repro.dag.graph import ComputationalDag
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 
 #: Version of the feature-vector schema.  Bump when :data:`FEATURE_NAMES`
 #: or any feature definition changes; mined histories carry the version and

@@ -3,7 +3,7 @@
 Every portfolio/exec/serve run since the streaming store landed appends
 JSONL records carrying the canonical member spec, the achieved cost and the
 per-job solver telemetry.  :func:`mine_history` streams those files
-(:func:`repro.experiments.reporting.iter_jsonl_records` — malformed lines
+(:func:`repro.exec.store.iter_jsonl_records` — malformed lines
 are skipped, nothing is ever held in memory) into a
 :class:`LearnedHistory`: per benchmark instance, the best observed cost of
 every canonical spec, keyed by the instance's feature bucket
@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.dag.graph import ComputationalDag
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import ExperimentConfig
+from repro.exec.store import iter_jsonl_records
 from repro.learn.features import (
     FEATURE_NAMES,
     SCHEMA_VERSION as FEATURE_SCHEMA_VERSION,
@@ -39,6 +39,7 @@ from repro.learn.features import (
     feature_bucket,
     instance_features,
 )
+from repro.pipeline import ExperimentConfig
 
 PathLike = Union[str, Path]
 
@@ -314,8 +315,6 @@ def mine_history(
     before the spec landed in the record simply mine to nothing, they do
     not error.
     """
-    from repro.experiments.reporting import iter_jsonl_records
-
     history = history if history is not None else LearnedHistory(
         processors=config.num_processors
     )

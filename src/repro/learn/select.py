@@ -25,10 +25,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.dag.graph import ComputationalDag
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import ExperimentConfig
 from repro.learn.features import instance_features
 from repro.learn.history import LearnedHistory
 from repro.learn.model import SELECTORS, rank_members
+from repro.pipeline import ExperimentConfig
 
 
 @dataclass

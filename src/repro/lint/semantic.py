@@ -341,7 +341,7 @@ def check_policy(
     spec-checked like any pipeline (REP-S01..S05, labelled
     ``<policy.cheap>`` etc.).
     """
-    from repro.portfolio.members import resolve_member
+    from repro.pipeline.spec import resolve_member
     from repro.serve.policy import PolicyConfig
 
     if config is None:

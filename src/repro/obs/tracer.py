@@ -274,8 +274,8 @@ class Tracer:
             return 0
         return len(spans)
 
-    def close(self) -> None:
-        self.flush()
+    def _close_spill(self) -> None:
+        """Release the spill file's append handle (the next flush reopens)."""
         with self._lock:
             if self._spill_handle is not None:
                 try:
@@ -283,6 +283,10 @@ class Tracer:
                 except OSError:  # pragma: no cover
                     pass
                 self._spill_handle = None
+
+    def close(self) -> None:
+        self.flush()
+        self._close_spill()
 
     def reset(self) -> None:
         """Forget everything (tests / between CLI trace scopes)."""
@@ -338,6 +342,10 @@ def configure_tracing(
     if max_spans is not None and max_spans != _TRACER.max_spans:
         _TRACER.max_spans = max_spans
         _TRACER._spans = deque(_TRACER._spans, maxlen=max_spans)
+    if spill_dir != _TRACER.spill_dir:
+        # the append handle belongs to one spill directory: kept open, the
+        # next scope's spans would land in this one's (possibly deleted) file
+        _TRACER._close_spill()
     _TRACER.spill_dir = spill_dir
     _TRACER.enabled = enabled
     return _TRACER

@@ -14,7 +14,17 @@ The package that turns the paper's experiment recipes into one abstraction:
   legacy portfolio member name (:data:`LEGACY_MEMBER_SPECS`);
 * :class:`Pipeline` — the generic runner threading each stage's best
   schedule into the next, with per-stage bound-aware pruning and
-  shared-prefix reuse (:func:`stage_reuse_scope`).
+  shared-prefix reuse (:func:`stage_reuse_scope`); :func:`run_member`
+  reduces one run to an :class:`InstanceResult`;
+* :class:`ExperimentConfig` / :class:`InstanceResult` — the configuration
+  a pipeline runs under and the result it reduces to, the types the
+  execution core (:mod:`repro.exec`) hashes, stores and returns;
+* the execution slots (:func:`slot_scope`, :func:`branch_slots`) that a
+  session grants and ``race(...)`` stages fan their branches out over.
+
+The package sits above the scheduling layers (``dag``, ``model``, ``ilp``,
+``core``, ``bsp``, ``cache``, ``refine``, ``theory``, ``obs``) and below
+the execution core; it imports nothing from the packages above it.
 
 Quick start::
 
@@ -23,6 +33,8 @@ Quick start::
     >>> result.cost, result.status()
 """
 
+from repro.pipeline.config import ExperimentConfig, InstanceResult
+from repro.pipeline.slots import branch_slots, slot_scope
 from repro.pipeline.stage import (
     PRUNED_STATUS_PREFIX,
     Incumbent,
@@ -56,8 +68,10 @@ from repro.pipeline.spec import (
     canonicalize,
     expand_spec,
     is_pipeline_spec,
+    is_prunable_member,
     legacy_member_names,
     parse,
+    resolve_member,
     with_default_budget,
 )
 from repro.pipeline.composite import (
@@ -71,11 +85,17 @@ from repro.pipeline.pipeline import (
     StageReuseCache,
     StageReuseStats,
     describe_stage_table,
+    is_pruned,
+    run_member,
     run_pipeline,
     stage_reuse_scope,
 )
 
 __all__ = [
+    "ExperimentConfig",
+    "InstanceResult",
+    "branch_slots",
+    "slot_scope",
     "PRUNED_STATUS_PREFIX",
     "Incumbent",
     "Stage",
@@ -102,8 +122,10 @@ __all__ = [
     "canonicalize",
     "expand_spec",
     "is_pipeline_spec",
+    "is_prunable_member",
     "legacy_member_names",
     "parse",
+    "resolve_member",
     "with_default_budget",
     "EXAMPLE_RACE_SPECS",
     "BudgetedStage",
@@ -113,6 +135,8 @@ __all__ = [
     "StageReuseCache",
     "StageReuseStats",
     "describe_stage_table",
+    "is_pruned",
+    "run_member",
     "run_pipeline",
     "stage_reuse_scope",
 ]

@@ -7,7 +7,7 @@ unlocked by the unified execution core (:mod:`repro.exec`):
   (each branch is a sub-pipeline, e.g. ``race(ilp@bnb, ilp@scipy)`` or an
   anneal-seed race over ``refine(seed=..., strategy=anneal)`` variants).
   Branches run concurrently when the executing session granted slots
-  (:func:`repro.exec.slots.branch_slots`), sequentially otherwise — the
+  (:func:`repro.pipeline.slots.branch_slots`), sequentially otherwise — the
   outcome is identical either way: the **winner is chosen
   deterministically** by lowest cost, ties broken by canonical branch
   order (branches canonicalize *sorted*, so shuffling them in the spec
@@ -44,6 +44,7 @@ from repro.exceptions import ConfigurationError
 from repro.ilp.cancellation import CancelToken, cancel_scope, current_cancel_token
 from repro.model.instance import MbspInstance
 from repro.pipeline.registry import StageFactory, register_stage
+from repro.pipeline.slots import branch_slots
 from repro.pipeline.stage import Incumbent, StageContext, StageResult
 
 #: Tolerance for "the leader's cost already matches the lower bound".
@@ -207,8 +208,6 @@ class RaceStage:
     def run(
         self, instance: MbspInstance, incumbent: Optional[Incumbent], ctx: StageContext
     ) -> StageResult:
-        from repro.exec.slots import branch_slots
-
         count = len(self._branches)
         parent = current_cancel_token()
         tokens = [CancelToken(parent=parent) for _ in range(count)]

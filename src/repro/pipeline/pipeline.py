@@ -4,9 +4,10 @@
 on one instance: stages run in order, each stage's best schedule becomes the
 next stage's warm-start incumbent, and per-stage telemetry (wall time,
 solver calls, costs) is collected along the way.  The result reduces to the
-exact :class:`~repro.experiments.runner.InstanceResult` shape the execution
+exact :class:`~repro.pipeline.config.InstanceResult` shape the execution
 session and the portfolio consume, so every portfolio member and every
-paper experiment is *one declarative spec executed by this runner*.
+paper experiment is *one declarative spec executed by this runner*
+(:func:`run_member`).
 
 **Bound-aware pruning** is decided per stage: before a prunable stage
 (``ilp``, ``refine``) runs, the incumbent cost is compared against the
@@ -36,9 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.dag.graph import ComputationalDag
+from repro.dag.io import dag_to_dict
 from repro.exceptions import ConfigurationError
 from repro.model.instance import MbspInstance
-from repro.pipeline.spec import PipelineSpec, parse
+from repro.pipeline.config import ExperimentConfig, InstanceResult
+from repro.pipeline.spec import PipelineSpec, parse, resolve_member
 from repro.pipeline.stage import (
     PRUNED_STATUS_PREFIX,
     Incumbent,
@@ -187,7 +190,7 @@ class PipelineResult:
             parts.append(last.status)
         return "; ".join(parts)
 
-    def to_instance_result(self):
+    def to_instance_result(self) -> InstanceResult:
         """Reduce to the session's :class:`InstanceResult` shape.
 
         The mapping reproduces the historical portfolio-member results
@@ -196,8 +199,6 @@ class PipelineResult:
         ``extra_costs`` with the final ``member_cost``, and the summed ILP
         solve time.
         """
-        from repro.experiments.runner import InstanceResult
-
         if self.inapplicable:
             return InstanceResult(
                 instance_name=self.instance_name,
@@ -318,7 +319,7 @@ class Pipeline:
     def run(
         self,
         dag: Optional[ComputationalDag] = None,
-        config=None,
+        config: Optional[ExperimentConfig] = None,
         *,
         instance: Optional[MbspInstance] = None,
         prune_gap: Optional[float] = None,
@@ -329,8 +330,6 @@ class Pipeline:
         a ready ``instance``.  ``prune_gap`` enables per-stage bound-aware
         pruning (``None`` disables it).
         """
-        from repro.experiments.runner import ExperimentConfig
-
         if config is None:
             config = ExperimentConfig(name="pipeline")
         if instance is None:
@@ -350,7 +349,7 @@ class Pipeline:
         prefix_keys: List[tuple] = []
         if cache is not None:
             cache.stats.runs += 1
-            content = _content_key(_dag_key_data(dag), config)
+            content = _content_key(dag_to_dict(dag), config)
             running = []
             any_prunable = False
             for stage, token in zip(self.stages, self._tokens):
@@ -506,17 +505,39 @@ class Pipeline:
             return result
 
 
-def _dag_key_data(dag: ComputationalDag) -> dict:
-    from repro.dag.io import dag_to_dict
-
-    return dag_to_dict(dag)
-
-
 def run_pipeline(
     spec: Union[str, PipelineSpec],
     dag: ComputationalDag,
-    config=None,
+    config: Optional[ExperimentConfig] = None,
     prune_gap: Optional[float] = None,
 ) -> PipelineResult:
     """One-shot convenience wrapper: parse, build and run a pipeline."""
     return Pipeline(spec).run(dag, config, prune_gap=prune_gap)
+
+
+def run_member(
+    dag: ComputationalDag,
+    config: ExperimentConfig,
+    member: str,
+    prune_gap: Optional[float] = None,
+) -> InstanceResult:
+    """Evaluate one portfolio ``member`` (legacy name or pipeline spec) on
+    ``dag`` and reduce it to an :class:`InstanceResult`.
+
+    Both cost fields carry the member's cost, and
+    ``extra_costs["member_cost"]`` repeats it for table code.  For
+    deterministic members ``solver_status`` carries a digest of the produced
+    schedule, so callers can assert that two runs produced *bit-identical*
+    schedules, not merely equal costs.  Members that do not apply to an
+    instance (``dfs`` with ``P > 1``) report an infinite cost instead of
+    failing the whole sweep.  ``prune_gap`` enables per-stage bound-aware
+    pruning; ``None`` (the default) or a negative gap disables it.
+    """
+    pipeline = Pipeline(resolve_member(member))
+    gap = prune_gap if prune_gap is not None and prune_gap >= 0 else None
+    return pipeline.run(dag, config, prune_gap=gap).to_instance_result()
+
+
+def is_pruned(result: InstanceResult) -> bool:
+    """Whether ``result`` reports bound-pruned (skipped) pipeline stages."""
+    return result.solver_status.startswith(PRUNED_STATUS_PREFIX)

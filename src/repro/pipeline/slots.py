@@ -4,10 +4,11 @@ The :class:`~repro.exec.session.Session` owns the worker slots of a run.
 When it executes jobs inline (``workers == 1`` plan fan-out, or a single
 job with ``workers > 1``), it installs the slot count here so composite
 pipeline stages — ``race(a,b,...)`` — can fan their branches out over
-threads *within* the executing process.  Jobs dispatched to worker
-processes run with the default of one slot (the process pool already uses
-the machine); results are identical either way, only the wall clock
-changes.
+threads *within* the executing process.  The race stage reads the slots
+and the session grants them, so they live in the pipeline layer, below
+the execution core.  Jobs dispatched to worker processes run with the
+default of one slot (the process pool already uses the machine); results
+are identical either way, only the wall clock changes.
 
 The scope is **thread-local**: the session enters it in the thread that
 executes the job inline (the thread that called ``Session.run`` or

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.pipeline.registry import get_stage_factory, make_stage
+from repro.pipeline.registry import available_stages, get_stage_factory, make_stage
 from repro.pipeline.stage import Stage
 from repro.pipeline.stages import TWO_STAGE_POLICIES, TWO_STAGE_SCHEDULERS
 
@@ -350,6 +350,38 @@ def is_pipeline_spec(text: str) -> bool:
         return True
     except ConfigurationError:
         return False
+
+
+def resolve_member(member: str) -> str:
+    """Canonical pipeline spec for a portfolio member name or raw spec.
+
+    Like :func:`canonicalize`, but the :class:`~repro.exceptions.
+    ConfigurationError` for a name that is neither a legacy member nor a
+    parseable spec lists both the member names and the registered stages.
+    """
+    try:
+        return canonicalize(member)
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"unknown portfolio member {member!r} ({exc}); expected one of "
+            f"the member names {legacy_member_names()} or a pipeline spec "
+            f"'stage|stage|...' over the stages {available_stages()} "
+            f"(see 'repro pipeline list')"
+        ) from None
+
+
+def is_prunable_member(member: str) -> bool:
+    """Whether bound-aware pruning may skip work for ``member`` cost-neutrally.
+
+    True exactly when the member's pipeline contains a prunable stage
+    (``ilp`` or ``refine``): skipping such a stage keeps the incumbent,
+    which the stage could not have improved on a bound-matching instance.
+    """
+    try:
+        spec = parse(member)
+    except ConfigurationError:
+        return False
+    return any(stage.prunable for stage in spec.build_stages())
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Dict, Optional, Protocol, runtime_checkable
 
 from repro.model.instance import MbspInstance
 from repro.model.schedule import MbspSchedule
+from repro.pipeline.config import ExperimentConfig
 
 #: ``solver_status`` prefix of results whose work was skipped by bound-aware
 #: pruning (the canonical definition; re-exported by :mod:`repro.portfolio`).
@@ -62,7 +63,7 @@ class StageContext:
     """
 
     instance: MbspInstance
-    config: "ExperimentConfig"  # noqa: F821 - repro.experiments.runner
+    config: ExperimentConfig
     prune_gap: Optional[float] = None
     _lower_bound: Optional[float] = None
 
@@ -113,7 +114,7 @@ class StageResult:
         stage reports its internal two-stage baseline).
     extras:
         ``extra_costs`` entries merged (in stage order) into the pipeline's
-        :class:`~repro.experiments.runner.InstanceResult`.
+        :class:`~repro.pipeline.config.InstanceResult`.
     telemetry:
         Per-stage diagnostics (wall time, solver calls, warm-start mode …);
         surfaced by ``repro pipeline run``, never part of fingerprints.

@@ -1,53 +1,30 @@
 """Scheduler portfolio: evaluate several pipelines, keep the best per instance.
 
 Members are pipeline specs (see :mod:`repro.pipeline`); the legacy member
-names remain valid aliases (:data:`MEMBER_SPECS` pins each to its canonical
-spec).  Public API: :class:`Portfolio`, :class:`PortfolioResult`,
-:func:`run_member`, :func:`resolve_member`, :data:`DEFAULT_MEMBERS`,
-:func:`available_members`, :func:`is_pruned` and
-:func:`format_portfolio_table`.
+names remain valid aliases (:data:`repro.pipeline.LEGACY_MEMBER_SPECS` pins
+each to its canonical spec, and :func:`repro.pipeline.run_member` runs one
+member on one instance).  Public API: :class:`Portfolio`,
+:class:`PortfolioResult`, :data:`DEFAULT_MEMBERS`,
+:func:`format_portfolio_table` and :func:`reduce_to_portfolio_rows`.
 """
 
-from repro.portfolio.members import (
-    DEFAULT_MEMBERS,
-    MEMBER_SPECS,
-    PRUNABLE_MEMBERS,
-    PRUNED_STATUS_PREFIX,
-    REFINE_SUFFIX,
-    available_members,
-    base_member_name,
-    is_pruned,
-    is_prunable_member,
-    is_refined_member,
-    member_descriptions,
-    resolve_member,
-    run_member,
-    schedule_digest,
-)
 from repro.portfolio.portfolio import (
+    DEFAULT_MEMBERS,
     Portfolio,
     PortfolioResult,
     format_portfolio_table,
     reduce_to_portfolio_rows,
 )
 
+# resolve_member is re-exported: the repository benchmark (perfbench/)
+# imports it from this package
+from repro.pipeline import resolve_member
+
 __all__ = [
     "DEFAULT_MEMBERS",
-    "MEMBER_SPECS",
-    "PRUNABLE_MEMBERS",
-    "PRUNED_STATUS_PREFIX",
-    "REFINE_SUFFIX",
-    "available_members",
-    "base_member_name",
-    "is_pruned",
-    "is_prunable_member",
-    "is_refined_member",
-    "member_descriptions",
-    "resolve_member",
-    "run_member",
-    "schedule_digest",
     "Portfolio",
     "PortfolioResult",
     "format_portfolio_table",
     "reduce_to_portfolio_rows",
+    "resolve_member",
 ]

@@ -55,17 +55,21 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 from repro.dag.graph import ComputationalDag
 from repro.exceptions import ConfigurationError
 from repro.exec import RunPlan, Session, pipeline_job, plan_pipelines
-from repro.experiments.runner import ExperimentConfig, InstanceResult
-from repro.pipeline import StageReuseStats, stage_reuse_scope
-from repro.portfolio.members import (
-    DEFAULT_MEMBERS,
+from repro.pipeline import (
     PRUNED_STATUS_PREFIX,
+    ExperimentConfig,
+    InstanceResult,
+    StageReuseStats,
     resolve_member,
+    stage_reuse_scope,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.learn.history import LearnedHistory
     from repro.learn.select import SelectionReport
+
+#: The default portfolio evaluated by :class:`Portfolio`.
+DEFAULT_MEMBERS = ("bspg+clairvoyant", "cilk+lru", "ilp")
 
 
 @dataclass

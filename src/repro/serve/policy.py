@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.pipeline import resolve_member
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.learn.features import FeatureVector
@@ -85,8 +86,6 @@ class AdaptivePolicy:
     """Maps per-request load observables to a canonical pipeline spec."""
 
     def __init__(self, config: PolicyConfig = PolicyConfig()) -> None:
-        from repro.portfolio.members import resolve_member
-
         config.validate()
         self.config = config
         # canonicalize once: the job content hashes (and hence the cache

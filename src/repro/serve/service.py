@@ -59,14 +59,14 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.exec import RunPlan, Session, pipeline_job
-from repro.experiments.runner import ExperimentConfig
+from repro.exec import ExperimentJob, RunPlan, Session, pipeline_job
 from repro.obs.metrics import nearest_rank_percentile
+from repro.pipeline import ExperimentConfig, InstanceResult
 from repro.serve.arrivals import (
     ArrivalConfig,
     RequestTrace,
@@ -74,10 +74,6 @@ from repro.serve.arrivals import (
     request_pool,
 )
 from repro.serve.policy import AdaptivePolicy, PolicyConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.parallel import ExperimentJob
-    from repro.experiments.runner import InstanceResult
 
 
 def spec_weight(spec: str) -> float:
@@ -462,8 +458,8 @@ class ServiceReport:
 
     config: ServiceConfig
     records: RequestRecords
-    results: Dict[str, "InstanceResult"]
-    jobs: Dict[str, "ExperimentJob"]
+    results: Dict[str, InstanceResult]
+    jobs: Dict[str, ExperimentJob]
 
     def slo_summary(self) -> Dict[str, object]:
         """The SLO summary: a pure function of the seed (no wall clock).
@@ -792,7 +788,7 @@ class ScheduleService:
         # virtual service time on a cache miss
         slots: Dict[int, Dict[str, int]] = defaultdict(dict)
         miss_time: List[float] = []
-        jobs: Dict[str, "ExperimentJob"] = {}
+        jobs: Dict[str, ExperimentJob] = {}
         hot: set = set()
         total = len(requests)
         records = RequestRecords(requests)
@@ -885,7 +881,7 @@ class ScheduleService:
             index += 1
         return records, jobs
 
-    def _execute(self, jobs: Dict[str, "ExperimentJob"]):
+    def _execute(self, jobs: Dict[str, ExperimentJob]):
         """Phase 2: run the distinct jobs (first-appearance order) as one
         plan through the session; disk-cached keys replay without solving."""
         if not jobs:

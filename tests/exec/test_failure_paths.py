@@ -41,10 +41,8 @@ import pytest
 
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
-from repro.exec import ResultLog, RunPlan, Session
-from repro.experiments.parallel import ExperimentJob
-from repro.experiments.reporting import iter_jsonl_records
-from repro.experiments.runner import ExperimentConfig, InstanceResult
+from repro.exec import ExperimentJob, ResultLog, RunPlan, Session, iter_jsonl_records
+from repro.pipeline import ExperimentConfig, InstanceResult
 
 CFG = ExperimentConfig(name="failure-test", num_processors=2, ilp_time_limit=1.0)
 
@@ -343,9 +341,8 @@ STUCK_SCRIPT = textwrap.dedent("""
 
     import repro.experiments.parallel as parallel
     from repro.dag.generators import spmv
-    from repro.exec import RunPlan, Session
-    from repro.experiments.parallel import ExperimentJob
-    from repro.experiments.runner import ExperimentConfig
+    from repro.exec import ExperimentJob, RunPlan, Session
+    from repro.pipeline import ExperimentConfig
 
 
     def stuck(job):
@@ -373,9 +370,8 @@ ORPHAN_SCRIPT = textwrap.dedent("""
 
     import repro.experiments.parallel as parallel
     from repro.dag.generators import spmv
-    from repro.exec import RunPlan, Session
-    from repro.experiments.parallel import ExperimentJob
-    from repro.experiments.runner import ExperimentConfig
+    from repro.exec import ExperimentJob, RunPlan, Session
+    from repro.pipeline import ExperimentConfig
 
 
     def stuck(job):

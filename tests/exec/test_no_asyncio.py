@@ -18,7 +18,7 @@ import sys
 import repro.exec
 from repro.exec import Session, plan_pipelines
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 
 config = ExperimentConfig(name="no-asyncio")
 dags = tiny_dataset(limit=1)

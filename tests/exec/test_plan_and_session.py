@@ -13,19 +13,17 @@ from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
 from repro.exceptions import ConfigurationError
 from repro.exec import (
+    ExperimentJob,
     PlanNode,
     ResultEvent,
     RunPlan,
     Session,
     as_plan,
-    branch_slots,
     pipeline_job,
     plan_pipelines,
-    slot_scope,
 )
-from repro.experiments.parallel import ExperimentJob
 from repro.experiments.reporting import read_jsonl
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig, branch_slots, slot_scope
 
 
 def _dags(count=3):
@@ -145,7 +143,7 @@ class TestSession:
         assert len(read_jsonl(path)) == len(jobs)
 
     def test_jsonl_is_plan_ordered_even_with_workers(self, tmp_path):
-        from repro.experiments.reporting import iter_jsonl_records
+        from repro.exec import iter_jsonl_records
 
         jobs = _fast_jobs()
         serial_path = tmp_path / "serial.jsonl"

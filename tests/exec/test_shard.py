@@ -11,6 +11,7 @@ from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
 from repro.exceptions import ConfigurationError
 from repro.exec import (
+    ExperimentJob,
     RunPlan,
     Session,
     merge_shard_logs,
@@ -20,8 +21,7 @@ from repro.exec import (
     shard_plan,
     shard_results_path,
 )
-from repro.experiments.parallel import ExperimentJob
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 
 CFG = ExperimentConfig(name="shard-test", num_processors=2, ilp_time_limit=1.0)
 

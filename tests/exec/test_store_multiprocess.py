@@ -16,7 +16,7 @@ import pytest
 
 from repro.exec import ResultCache, ResultLog, RunPlan, merge_shard_logs
 from repro.exec.shard import shard_results_path
-from repro.experiments.runner import InstanceResult
+from repro.pipeline import InstanceResult
 
 
 def _result(tag: int) -> InstanceResult:

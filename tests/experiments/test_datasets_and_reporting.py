@@ -15,7 +15,8 @@ from repro.experiments.reporting import (
     summarize_ratios,
     write_csv,
 )
-from repro.experiments.runner import InstanceResult, geometric_mean
+from repro.experiments.runner import geometric_mean
+from repro.pipeline import InstanceResult
 from repro.experiments import paper_reference
 
 

@@ -13,7 +13,7 @@ from repro.core.two_stage import run_two_stage
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import fork_join_dag, iterated_spmv, spmv
 from repro.model.instance import make_instance
-from repro.portfolio.members import schedule_digest
+from repro.pipeline import schedule_digest
 
 
 def _spmv_dag():

@@ -12,10 +12,16 @@ import pytest
 
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import fork_join_dag, spmv
-from repro.exec import RunPlan, Session, SessionStats, pipeline_job, plan_pipelines
-from repro.experiments.parallel import ExperimentJob
+from repro.exec import (
+    ExperimentJob,
+    RunPlan,
+    Session,
+    SessionStats,
+    pipeline_job,
+    plan_pipelines,
+)
 from repro.experiments.reporting import read_jsonl
-from repro.experiments.runner import ExperimentConfig, InstanceResult
+from repro.pipeline import ExperimentConfig, InstanceResult
 from repro.experiments.tables import ILP_SPEC
 
 

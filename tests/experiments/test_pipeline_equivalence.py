@@ -24,7 +24,13 @@ import pytest
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import ExperimentConfig, InstanceResult
+from repro.pipeline import (
+    ExperimentConfig,
+    InstanceResult,
+    legacy_member_names,
+    run_member,
+    schedule_digest,
+)
 from repro.core.acyclic_partition import PartitionConfig
 from repro.core.divide_conquer import DivideAndConquerScheduler
 from repro.core.scheduler import MbspIlpScheduler
@@ -32,7 +38,6 @@ from repro.core.two_stage import TwoStageResult, baseline_schedule, run_two_stag
 from repro.dag.graph import ComputationalDag
 from repro.ilp import SolverOptions
 from repro.model.instance import MbspInstance
-from repro.portfolio import available_members, run_member, schedule_digest
 from repro.refine import RefineConfig, Refiner
 from repro.theory.bounds import instance_lower_bound
 
@@ -372,7 +377,7 @@ def session_run_member(dag, config, member, prune_gap=None):
     return Session().run(plan)[0]
 
 
-@pytest.mark.parametrize("member", available_members())
+@pytest.mark.parametrize("member", legacy_member_names())
 def test_legacy_member_fingerprints_identical(member):
     dag = _spmv_dag()
     old = legacy_run_member(dag, CFG, member)
@@ -404,7 +409,7 @@ def test_pruned_fingerprints_identical(member):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("member", available_members())
+@pytest.mark.parametrize("member", legacy_member_names())
 def test_legacy_member_fingerprints_identical_on_tiny_dataset(member):
     from repro.experiments.datasets import tiny_dataset
 
@@ -429,9 +434,13 @@ class TestKnownDivergence:
 
 
 def test_dispatch_functions_are_gone():
-    """The acceptance bar: members.py's per-member dispatch is deleted, not
-    wrapped — the only executor left is the generic pipeline runner."""
-    import repro.portfolio.members as members
+    """The acceptance bar: the per-member dispatch is deleted, not wrapped —
+    the only executor left is the generic pipeline runner, and the member
+    module that held the dispatch is gone with it."""
+    import importlib.util
 
+    import repro.pipeline as pipeline
+
+    assert importlib.util.find_spec("repro.portfolio.members") is None
     for legacy_fn in ("_run_ilp_member", "_two_stage_member", "_run_refined_member"):
-        assert not hasattr(members, legacy_fn)
+        assert not hasattr(pipeline, legacy_fn)

@@ -8,15 +8,13 @@ from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import iterated_spmv, spmv
 from repro.exceptions import ConfigurationError
 from repro.exec import Session
-from repro.experiments.runner import ExperimentConfig
-from repro.portfolio import (
-    DEFAULT_MEMBERS,
-    Portfolio,
-    available_members,
-    format_portfolio_table,
+from repro.pipeline import (
+    ExperimentConfig,
+    legacy_member_names,
     run_member,
     schedule_digest,
 )
+from repro.portfolio import DEFAULT_MEMBERS, Portfolio, format_portfolio_table
 
 FAST_MEMBERS = ["bspg+clairvoyant", "cilk+lru"]
 
@@ -38,8 +36,8 @@ CFG = ExperimentConfig(name="portfolio-test", num_processors=2, ilp_time_limit=1
 
 
 class TestMembers:
-    def test_available_members_cover_defaults(self):
-        members = available_members()
+    def test_legacy_member_names_cover_defaults(self):
+        members = legacy_member_names()
         assert set(DEFAULT_MEMBERS) <= set(members)
         assert "ilp" in members and "dac" in members
         assert "dfs+clairvoyant" in members

@@ -17,15 +17,8 @@ import pytest
 from repro import obs
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, fork_join_dag, spmv
-from repro.experiments.runner import ExperimentConfig
-from repro.portfolio import (
-    DEFAULT_MEMBERS,
-    PRUNED_STATUS_PREFIX,
-    Portfolio,
-    format_portfolio_table,
-    is_pruned,
-    run_member,
-)
+from repro.pipeline import PRUNED_STATUS_PREFIX, ExperimentConfig, is_pruned, run_member
+from repro.portfolio import DEFAULT_MEMBERS, Portfolio, format_portfolio_table
 from repro.theory.bounds import instance_lower_bound
 
 

@@ -15,18 +15,16 @@ import pytest
 from repro import obs
 from repro.dag.generators import chain_dag
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig
-from repro.portfolio import (
-    DEFAULT_MEMBERS,
+from repro.pipeline import (
     REFINE_SUFFIX,
-    Portfolio,
-    available_members,
-    base_member_name,
+    ExperimentConfig,
     is_pruned,
     is_prunable_member,
-    is_refined_member,
+    legacy_member_names,
+    parse,
     run_member,
 )
+from repro.portfolio import DEFAULT_MEMBERS, Portfolio
 from repro.refine import RefineConfig
 
 
@@ -40,17 +38,18 @@ def _tiny_dag():
 
 class TestRefinedMemberNaming:
     def test_every_base_member_has_a_refined_variant(self):
-        members = available_members()
+        members = legacy_member_names()
         refined = [m for m in members if m.endswith(REFINE_SUFFIX)]
         base = [m for m in members if not m.endswith(REFINE_SUFFIX)]
         assert len(refined) == len(base)
-        assert set(base_member_name(m) for m in refined) == set(base)
+        assert set(m[: -len(REFINE_SUFFIX)] for m in refined) == set(base)
 
     def test_refined_member_predicates(self):
-        assert is_refined_member("bspg+clairvoyant+refine")
-        assert not is_refined_member("bspg+clairvoyant")
-        assert base_member_name("ilp+refine") == "ilp"
-        assert base_member_name("cilk+lru") == "cilk+lru"
+        # a refined legacy name parses to a pipeline whose last stage is a
+        # refine pass (what `portfolio --refine` checks before adding one)
+        assert parse("bspg+clairvoyant+refine").stages[-1].name == "refine"
+        assert parse("ilp+refine").stages[-1].name == "refine"
+        assert parse("bspg+clairvoyant").stages[-1].name != "refine"
         assert is_prunable_member("ilp")
         assert is_prunable_member("dac+refine")
         assert is_prunable_member("bspg+clairvoyant+refine")

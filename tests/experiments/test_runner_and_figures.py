@@ -10,14 +10,12 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments.figures import RatioSeries, render_figure4, theorem41_comparison
 from repro.experiments.runner import (
-    ExperimentConfig,
-    _env_float,
-    _env_int,
     dataset_limit,
     dataset_scale,
     env_bench_workers,
     env_cache_dir,
 )
+from repro.pipeline.config import ExperimentConfig, _env_float, _env_int
 from repro.exec import Session, plan_pipelines
 from repro.experiments.tables import (
     ILP_SPEC,

@@ -10,9 +10,8 @@ import pytest
 from repro import obs
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
-from repro.exec import RunPlan, Session, pipeline_job
-from repro.experiments.parallel import ExperimentJob
-from repro.experiments.runner import ExperimentConfig, InstanceResult
+from repro.exec import ExperimentJob, RunPlan, Session, pipeline_job
+from repro.pipeline import ExperimentConfig, InstanceResult
 from repro.experiments.tables import ILP_SPEC
 
 

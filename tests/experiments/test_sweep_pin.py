@@ -17,10 +17,9 @@ import json
 import zlib
 
 from repro.dag.analysis import assign_random_memory_weights
-from repro.exec import Session, plan_pipelines
+from repro.exec import Session, job_keys, plan_pipelines
 from repro.experiments.datasets import small_dataset_specs
-from repro.experiments.parallel import job_keys
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.refine import RefineConfig
 
 MEMBERS = [

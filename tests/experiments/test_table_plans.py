@@ -13,9 +13,8 @@ import pytest
 
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
-from repro.exec import RunPlan, Session
-from repro.experiments.parallel import ExperimentJob
-from repro.experiments.runner import ExperimentConfig
+from repro.exec import ExperimentJob, RunPlan, Session
+from repro.pipeline import ExperimentConfig
 from repro.experiments.tables import p1_experiment, table1, table2, table3, table4
 from repro.refine import RefineConfig
 

@@ -29,7 +29,7 @@ from repro.core.scheduler import estimate_time_steps
 from repro.core.two_stage import baseline_schedule
 from repro.dag.io import dag_from_dict, dag_to_dict
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.ilp import branch_and_bound
 
 #: instance -> ((x sha256, objective, branching variable) of the root LP,

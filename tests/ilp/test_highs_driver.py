@@ -26,7 +26,7 @@ import pytest
 from repro.core.full_ilp import MbspIlpBuilder, MbspIlpConfig
 from repro.core.two_stage import baseline_schedule
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig, run_member
 from repro.ilp import (
     INF,
     CancelToken,
@@ -37,7 +37,6 @@ from repro.ilp import (
     cancel_scope,
     solve_with_scipy,
 )
-from repro.portfolio import run_member
 
 NODE_LIMITS = (None, 0, 1, 2, 5)
 SEEDS = range(30)

@@ -16,7 +16,7 @@ from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
 from repro.exceptions import ConfigurationError
 from repro.exec import Session
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.learn import mine_history
 from repro.portfolio import Portfolio, format_portfolio_table
 

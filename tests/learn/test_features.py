@@ -9,7 +9,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from repro.dag.generators import random_layered_dag
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.learn import FEATURE_NAMES, feature_bucket, instance_features
 
 
@@ -70,7 +70,7 @@ class TestDeterminism:
         script = (
             "from repro.dag.generators import spmv\n"
             "from repro.dag.analysis import assign_random_memory_weights\n"
-            "from repro.experiments.runner import ExperimentConfig\n"
+            "from repro.pipeline import ExperimentConfig\n"
             "from repro.learn import instance_features\n"
             "dag = spmv(5, seed=2)\n"
             "assign_random_memory_weights(dag, seed=3)\n"

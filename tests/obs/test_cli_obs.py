@@ -77,6 +77,20 @@ class TestPipelineRunTrace:
         }
         assert {"pipeline", "stage", "ilp.solve"} <= names
 
+    def test_each_traced_run_in_one_process_writes_its_spans(self, tmp_path, capsys):
+        # every --trace run spills into its own temporary directory; the
+        # second run in a process must not append to the first's, deleted,
+        # spill file and write an empty trace
+        for name in ("first.json", "second.json"):
+            trace = tmp_path / name
+            assert cli.main([
+                "pipeline", "run", "--spec", "bspg+clairvoyant",
+                "--generator", "spmv", "--size", "3",
+                "--trace", str(trace),
+            ]) == 0
+            events = json.load(open(trace))["traceEvents"]
+            assert any(event["ph"] == "X" for event in events)
+
 
 class TestServeBenchTrace:
     def test_traced_summary_identical_to_untraced(self, tmp_path, capsys):

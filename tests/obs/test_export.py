@@ -127,9 +127,8 @@ class TestProgressRenderer:
         assert stream.getvalue() == out
 
     def test_attach_drives_updates_from_session_events(self):
-        from repro.exec import RunPlan, Session
-        from repro.experiments.parallel import ExperimentJob
-        from repro.experiments.runner import ExperimentConfig
+        from repro.exec import ExperimentJob, RunPlan, Session
+        from repro.pipeline import ExperimentConfig
         from repro.dag.generators import spmv
 
         config = ExperimentConfig(

@@ -9,11 +9,9 @@ import math
 from repro import obs
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
-from repro.exec import RunPlan, Session
-from repro.experiments.parallel import ExperimentJob
-from repro.experiments.runner import ExperimentConfig
+from repro.exec import ExperimentJob, RunPlan, Session
+from repro.pipeline import ExperimentConfig, describe_stage_table
 from repro.obs.export import span_tree_errors
-from repro.pipeline import describe_stage_table
 from repro.pipeline.stage import StageResult
 
 RACE_SPEC = "baseline|race(ilp@bnb,ilp@scipy)"

@@ -127,6 +127,22 @@ class TestScopeAndSpill:
         spans = obs.read_spill_spans(spill)
         assert [span.name for span in spans] == ["work"]
 
+    def test_trace_scope_exit_leaves_no_spill_handle_open(self, tmp_path):
+        with obs.trace_scope(spill_dir=str(tmp_path / "spill")):
+            with obs.trace_span("work"):
+                pass
+        assert obs.get_tracer()._spill_handle is None
+
+    def test_a_second_scope_spills_into_its_own_directory(self, tmp_path):
+        # the append handle belongs to one spill directory; kept open, the
+        # second scope's spans would land in the first scope's file
+        for name in ("first", "second"):
+            spill = str(tmp_path / name)
+            with obs.trace_scope(spill_dir=spill):
+                with obs.trace_span(name):
+                    pass
+            assert [span.name for span in obs.read_spill_spans(spill)] == [name]
+
     def test_flush_appends_jsonl_and_roundtrips(self, tmp_path):
         spill = str(tmp_path)
         obs.configure_tracing(True, spill_dir=spill)

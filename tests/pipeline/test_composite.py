@@ -13,19 +13,20 @@ from repro import obs
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
 from repro.exceptions import ConfigurationError
-from repro.exec import RunPlan, Session, pipeline_job, slot_scope
-from repro.experiments.parallel import ExperimentJob
-from repro.experiments.runner import ExperimentConfig
+from repro.exec import ExperimentJob, RunPlan, Session, pipeline_job
 from repro.pipeline import (
     EXAMPLE_RACE_SPECS,
+    ExperimentConfig,
     Pipeline,
     canonicalize,
     expand_spec,
+    is_prunable_member,
     parse,
+    run_member,
+    slot_scope,
     with_default_budget,
 )
 from repro.pipeline.composite import splice_option
-from repro.portfolio import is_prunable_member, run_member
 
 
 def _dag():

@@ -9,12 +9,7 @@ import pytest
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import ExperimentConfig
-from repro.pipeline import (
-    Pipeline,
-    run_pipeline,
-    stage_reuse_scope,
-)
+from repro.pipeline import ExperimentConfig, Pipeline, run_pipeline, stage_reuse_scope
 from repro.refine import RefineConfig
 
 
@@ -90,7 +85,7 @@ class TestBasicExecution:
         """Only two-stage heuristics may declare themselves inapplicable; a
         genuinely broken configuration (here: an invalid ILP step cap) must
         fail loudly, not become an infinitely expensive member."""
-        from repro.portfolio import run_member
+        from repro.pipeline import run_member
 
         with pytest.raises(ConfigurationError, match="max_steps"):
             run_member(_dag(), CFG.variant(step_cap=0), "ilp")

@@ -17,9 +17,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.dag.generators import random_layered_dag
-from repro.exec import RunPlan, Session
-from repro.experiments.parallel import ExperimentJob
-from repro.experiments.runner import ExperimentConfig
+from repro.exec import ExperimentJob, RunPlan, Session
+from repro.pipeline import ExperimentConfig
 
 MEMBERS = ("bspg+clairvoyant", "cilk+lru", "etf+clairvoyant")
 

@@ -23,8 +23,8 @@ from pathlib import PurePosixPath
 
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.parallel import ExperimentJob, job_keys
-from repro.experiments.runner import ExperimentConfig
+from repro.exec import ExperimentJob, job_keys
+from repro.pipeline import ExperimentConfig
 from repro.refine import RefineConfig
 
 

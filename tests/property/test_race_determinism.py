@@ -23,10 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import random_layered_dag, spmv
-from repro.exec import Session, plan_pipelines, slot_scope
-from repro.experiments.runner import ExperimentConfig
-from repro.pipeline import canonicalize
-from repro.portfolio import run_member
+from repro.exec import Session, plan_pipelines
+from repro.pipeline import ExperimentConfig, canonicalize, run_member, slot_scope
 
 CFG = ExperimentConfig(
     name="race-prop",
@@ -93,7 +91,7 @@ def test_race_fingerprints_invariant_to_branch_order_and_slots(case):
 
 def test_race_results_and_jsonl_identical_across_worker_counts(tmp_path):
     """workers=1 vs workers=4: same fingerprints, same JSONL keys."""
-    from repro.experiments.reporting import iter_jsonl_records
+    from repro.exec import iter_jsonl_records
 
     dags = []
     for seed in (1, 2):

@@ -21,7 +21,7 @@ from repro.dag.generators import random_layered_dag
 from repro.model.cost import synchronous_cost
 from repro.model.instance import make_instance
 from repro.model.validation import validate_schedule
-from repro.portfolio.members import schedule_digest
+from repro.pipeline import schedule_digest
 from repro.refine import RefineConfig, Refiner, refine_schedule
 
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
 from repro.exec import Session, plan_pipelines, run_sharded
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 
 CFG = ExperimentConfig(
     name="shard-prop",

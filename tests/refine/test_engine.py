@@ -9,12 +9,10 @@ from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import fork_join_dag, iterated_spmv, spmv
 from repro.exceptions import InvalidScheduleError
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig, Pipeline, schedule_digest
 from repro.model.cost import asynchronous_cost, schedule_cost, synchronous_cost
 from repro.model.instance import make_instance
 from repro.model.validation import validate_schedule
-from repro.pipeline import Pipeline
-from repro.portfolio.members import schedule_digest
 from repro.refine import (
     MOVE_FAMILIES,
     IncrementalValidator,

@@ -50,8 +50,8 @@ from repro.serve import (
 from repro.serve import service as service_module
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.parallel import ExperimentJob
-    from repro.experiments.runner import InstanceResult
+    from repro.exec import ExperimentJob
+    from repro.pipeline import InstanceResult
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import spmv
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.learn import LearnedHistory, instance_features
 from repro.serve import (
     AdaptivePolicy,

@@ -13,7 +13,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.exec import Session
 from repro.model import validate_schedule
-from repro.portfolio.members import run_member
+from repro.pipeline import run_member
 from repro.serve import (
     ArrivalConfig,
     PolicyConfig,
@@ -164,7 +164,7 @@ class TestTelemetry:
             assert row["cost"] > 0
 
     def test_distinct_jobs_stream_to_the_plan_ordered_log(self, tmp_path):
-        from repro.experiments.reporting import iter_jsonl_records
+        from repro.exec import iter_jsonl_records
 
         config = _service_config(requests=30)
         session = Session(

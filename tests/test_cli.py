@@ -185,7 +185,7 @@ class TestPortfolioCommand:
 
 class TestBackendPlumbing:
     def test_env_backend_threads_into_experiment_config(self, monkeypatch):
-        from repro.experiments.runner import ExperimentConfig
+        from repro.pipeline import ExperimentConfig
         from repro.ilp import ENV_BACKEND
 
         monkeypatch.setenv(ENV_BACKEND, "bnb")
@@ -194,7 +194,7 @@ class TestBackendPlumbing:
         assert config.ilp_config().backend == "bnb"
 
     def test_unknown_env_backend_warns_and_falls_back(self, monkeypatch):
-        from repro.experiments.runner import ExperimentConfig
+        from repro.pipeline import ExperimentConfig
         from repro.ilp import ENV_BACKEND
 
         monkeypatch.setenv(ENV_BACKEND, "cplex")
@@ -226,8 +226,7 @@ class TestBackendPlumbing:
         configured backend — its engine cache key claims it does."""
         from repro import obs
         from repro.dag.generators import chain_dag
-        from repro.experiments.runner import ExperimentConfig
-        from repro.portfolio import run_member
+        from repro.pipeline import ExperimentConfig, run_member
 
         with obs.Meter() as meter:
             run_member(
@@ -239,8 +238,8 @@ class TestBackendPlumbing:
 
     def test_backend_job_keys_differ(self):
         """Jobs solved by different backends never collide in the cache."""
-        from repro.experiments.parallel import ExperimentJob
-        from repro.experiments.runner import ExperimentConfig
+        from repro.exec import ExperimentJob
+        from repro.pipeline import ExperimentConfig
 
         dag = spmv(3, seed=0)
         scipy_job = ExperimentJob.make(

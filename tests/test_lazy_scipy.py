@@ -38,7 +38,7 @@ import numpy as np
 import repro, repro.exec, repro.portfolio, repro.serve.bench
 from repro.exec import Session, plan_pipelines
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.serve.bench import run_serve_bench
 
 def loaded(*names):
