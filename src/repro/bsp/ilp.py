@@ -14,9 +14,7 @@ this scheduler only as the first stage of a *two-stage* baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.dag.graph import ComputationalDag
 from repro.exceptions import ScheduleError
@@ -24,6 +22,9 @@ from repro.ilp import IlpModel, SolverOptions, solve
 from repro.bsp.cost import bsp_cost
 from repro.bsp.greedy import greedy_bsp_schedule
 from repro.bsp.schedule import BspSchedule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -94,6 +95,8 @@ class IlpBspScheduler:
         L: float,
     ) -> Tuple[IlpModel, np.ndarray]:
         """The model and its ``x`` columns, shaped (computable node, P, S)."""
+        import numpy as np
+
         model = IlpModel(f"bsp_ilp_{dag.name}")
         computable = [v for v in dag.nodes if not dag.is_source(v)]
         n = len(computable)
@@ -176,6 +179,8 @@ class IlpBspScheduler:
         x: np.ndarray,
         solution,
     ) -> Optional[BspSchedule]:
+        import numpy as np
+
         n, P, S = x.shape
         schedule = BspSchedule(dag, P)
         topo_position = {v: i for i, v in enumerate(dag.topological_order())}

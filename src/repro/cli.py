@@ -301,6 +301,16 @@ def _node_limit(text: str) -> int:
     return value
 
 
+def _limit(text: str) -> int:
+    """The dataset ``--limit`` value: an integer >= 1, else a usage error
+    (the datasets slice ``specs[:limit]``, which a negative limit counts
+    from the end)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _with_trace(args: argparse.Namespace, body) -> int:
     """Run ``body()``; with ``--trace FILE`` the run is traced end to end
     (temporary spill directory, so pool/shard worker processes join in)
@@ -1143,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--which", choices=["tiny", "small"], default="tiny",
                        help="benchmark dataset")
         p.add_argument("--scale", choices=["default", "paper"], default="default")
-        p.add_argument("--limit", type=int, default=None,
+        p.add_argument("--limit", type=_limit, default=None,
                        help="only the first N instances of the dataset")
         p.add_argument("--processors", "-p", type=int, default=4,
                        help="processors P of every instance (default 4)")
@@ -1303,7 +1313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run one of the paper's table experiments")
     exp.add_argument("--table", type=int, choices=[1, 2, 4], default=1)
-    exp.add_argument("--limit", type=int, default=None, help="only the first N instances")
+    exp.add_argument("--limit", type=_limit, default=None, help="only the first N instances")
     exp.add_argument("--time-limit", type=float, default=5.0)
     add_backend_argument(exp)
     add_session_arguments(exp)
@@ -1583,4 +1593,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+    except ConfigurationError as exc:
+        # a flag value argparse cannot judge: the usage convention of
+        # argparse, `serve bench` and `lint` (one error line, exit 2);
+        # main() itself raises, for in-process callers
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)

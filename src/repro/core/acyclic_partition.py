@@ -11,13 +11,14 @@ is expressed as a small ILP; a topological-order sweep is used as a fallback
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.dag.graph import ComputationalDag, NodeId
 from repro.exceptions import ConfigurationError
 from repro.ilp import INF, IlpModel, SolverOptions, solve
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -92,6 +93,8 @@ def ilp_acyclic_bipartition(
     objective counts cut edges.  Falls back to the topological sweep if the
     solver produces nothing usable.
     """
+    import numpy as np
+
     config = config or PartitionConfig()
     fallback = topological_sweep_bipartition(dag, config.balance_fraction)
     if not config.use_ilp or dag.num_nodes < 4:

@@ -36,14 +36,15 @@ objective-only warm start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.dag.graph import NodeId
 from repro.model.pebbling import OpType
 from repro.model.schedule import MbspSchedule
 from repro.core.full_ilp import MbspIlpBuilder, MbspIlpVariables
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -295,6 +296,8 @@ def _assign(
     steps: List[_SimStep],
     num_variables: int,
 ) -> np.ndarray:
+    import numpy as np
+
     dag = builder.dag
     P = builder.P
     T = var.num_steps

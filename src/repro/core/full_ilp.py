@@ -38,14 +38,15 @@ JSON) it follows ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.dag.graph import NodeId
 from repro.exceptions import ConfigurationError
 from repro.ilp import INF, IlpModel, SolverOptions
 from repro.model.instance import MbspInstance
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -208,11 +209,15 @@ class _Rows(NamedTuple):
 
 def _term(cols, vals=1.0):
     """One column per row: ``(cols, vals)`` with a trailing term axis of 1."""
+    import numpy as np
+
     return np.asarray(cols)[..., None], np.asarray(vals, dtype=float)[..., None]
 
 
 def _rows(*terms, lower=-INF, upper=INF, keep=True) -> _Rows:
     """Rows made of ``terms``, each ``(cols, vals)`` with a trailing term axis."""
+    import numpy as np
+
     shape = np.broadcast_shapes(
         *(np.shape(cols)[:-1] for cols, _ in terms),
         np.shape(lower), np.shape(upper), np.shape(keep),
@@ -230,6 +235,8 @@ def _rows(*terms, lower=-INF, upper=INF, keep=True) -> _Rows:
 
 def _padded(blocks: Sequence[_Rows]) -> List[_Rows]:
     """``blocks`` with their term axes zero-padded to one width."""
+    import numpy as np
+
     width = max(block.cols.shape[-1] for block in blocks)
     return [
         _rows(
@@ -243,11 +250,15 @@ def _padded(blocks: Sequence[_Rows]) -> List[_Rows]:
 
 def _stack(blocks: Sequence[_Rows], axis: int) -> _Rows:
     """Interleave equally shaped row blocks along a new row axis ``axis``."""
+    import numpy as np
+
     return _Rows(*(np.stack(parts, axis=axis) for parts in zip(*_padded(blocks))))
 
 
 def _concat(blocks: Sequence[_Rows], axis: int) -> _Rows:
     """Join row blocks along the existing row axis ``axis``."""
+    import numpy as np
+
     return _Rows(*(np.concatenate(parts, axis=axis) for parts in zip(*_padded(blocks))))
 
 
@@ -300,6 +311,8 @@ class MbspIlpBuilder:
         config: Optional[MbspIlpConfig] = None,
         boundary: Optional[BoundaryConditions] = None,
     ) -> None:
+        import numpy as np
+
         self.instance = instance
         self.config = config or MbspIlpConfig()
         self.boundary = boundary or BoundaryConditions()
@@ -373,6 +386,8 @@ class MbspIlpBuilder:
         initial configuration and has no columns; the accessors treat
         missing entries as constants).
         """
+        import numpy as np
+
         nodes = self.dag.nodes
         P = self.P
         init_blue = self.initial_blue()
@@ -426,6 +441,8 @@ class MbspIlpBuilder:
     def _add_fundamental_constraints(
         self, model: IlpModel, var: MbspIlpVariables, grid: _Grid
     ) -> None:
+        import numpy as np
+
         dag = self.dag
         nodes = dag.nodes
         T = var.num_steps
@@ -555,6 +572,8 @@ class MbspIlpBuilder:
     def _add_synchronous_cost(
         self, model: IlpModel, var: MbspIlpVariables, grid: _Grid
     ) -> Dict[int, float]:
+        import numpy as np
+
         T = var.num_steps
         P = self.P
         n = self.dag.num_nodes
@@ -650,6 +669,8 @@ class MbspIlpBuilder:
     def _add_asynchronous_cost(
         self, model: IlpModel, var: MbspIlpVariables, grid: _Grid
     ) -> Dict[int, float]:
+        import numpy as np
+
         T = var.num_steps
         P = self.P
         n = self.dag.num_nodes

@@ -17,13 +17,16 @@ vendored with scipy (``scipy.optimize._highspy``): the ``scipy`` backend
 drives its MILP solver (:mod:`repro.ilp.scipy_backend`, the library's one
 MILP path), branch and bound its LP solver.
 
-Neither this package nor a compile imports scipy.  The first solve loads
-the HiGHS binding straight from scipy's install
+Importing this package loads neither numpy nor scipy.  numpy is imported
+by the first call that builds or reads an array (a model's
+:meth:`~IlpModel.add_rows`, :meth:`~IlpModel.compile`, the HiGHS
+assembly), and a compile imports no scipy.  The first solve loads the
+HiGHS binding straight from scipy's install
 (:func:`~repro.ilp.scipy_backend.highs_binding`), which runs
 ``import scipy`` but loads neither ``scipy.optimize`` nor
 ``scipy.sparse``; only ``CsrMatrix.tocsr()`` imports ``scipy.sparse``.  A
-process that never solves an ILP (heuristic pipelines, the serve loop)
-loads no scipy at all.
+process that never builds an ILP (heuristic pipelines) loads neither
+numpy nor scipy, and the serve loop loads no scipy.
 """
 
 from repro.ilp.cancellation import (

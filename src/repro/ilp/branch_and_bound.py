@@ -26,14 +26,17 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.ilp.cancellation import current_cancel_token
 from repro.ilp.model import CompiledModel, IlpModel, Sense, index_dtype
 from repro.ilp.scipy_backend import SolverOptions, highs_binding
 from repro.ilp.solution import IlpSolution, SolutionStatus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    Relaxation = Callable[[np.ndarray, np.ndarray], Optional[Tuple[np.ndarray, float]]]
 
 _INT_TOL = 1e-6
 
@@ -52,6 +55,8 @@ def _split_constraints(compiled: CompiledModel):
     """The rows of ``linprog``'s ``A_ub`` / ``A_eq`` form of the two-sided
     rows: the indices of the ``<=`` rows, of the ``>=`` rows (negated, they
     follow the ``<=`` rows in ``A_ub``) and of the equality rows."""
+    import numpy as np
+
     lb, ub = compiled.con_lb, compiled.con_ub
     eq_mask = np.isfinite(lb) & np.isfinite(ub) & (np.abs(ub - lb) < 1e-12)
     return (
@@ -64,8 +69,6 @@ def _split_constraints(compiled: CompiledModel):
 #: linprog's feasibility check of a returned vertex: ``_check_result``
 #: scales its default ``tol=1e-9`` to ``sqrt(tol) * 10``
 _VERTEX_TOL = math.sqrt(1e-9) * 10
-
-Relaxation = Callable[[np.ndarray, np.ndarray], Optional[Tuple[np.ndarray, float]]]
 
 
 def _relaxation(compiled: CompiledModel) -> Relaxation:
@@ -80,6 +83,8 @@ def _relaxation(compiled: CompiledModel) -> Relaxation:
 
 def _replace_inf(values: np.ndarray) -> np.ndarray:
     """``values`` with every infinity replaced by HiGHS's own (as linprog does)."""
+    import numpy as np
+
     out = np.array(values, dtype=float)
     infinite = np.isinf(out)
     out[infinite] = np.sign(out[infinite]) * highs_binding().kHighsInf
@@ -99,6 +104,8 @@ class _PreparedLp:
     """
 
     def __init__(self, compiled: CompiledModel) -> None:
+        import numpy as np
+
         _highs = highs_binding()
         A = compiled.A
         n = int(compiled.c.shape[0])
@@ -142,6 +149,8 @@ class _PreparedLp:
         self.options.simplex_strategy = strategies.kSimplexStrategyDual
 
     def solve(self, lower: np.ndarray, upper: np.ndarray):
+        import numpy as np
+
         _highs = highs_binding()
         upper = np.where(np.isfinite(upper), upper, np.inf)
         self.lp.col_lower_ = _replace_inf(lower)
@@ -173,6 +182,8 @@ class _PreparedLp:
 
 def _most_fractional(values: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
     """Index of the integer variable farthest from integral (first on ties)."""
+    import numpy as np
+
     if int_idx.size == 0:
         return None
     frac = np.abs(values[int_idx] - np.round(values[int_idx]))
@@ -203,6 +214,8 @@ def solve_with_branch_and_bound(
     the objective-only bound.  Infeasible warm solutions are ignored (noted
     in the result message).
     """
+    import numpy as np
+
     options = options or SolverOptions()
     compiled = model.compile()
     start = time.perf_counter()

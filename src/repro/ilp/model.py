@@ -6,9 +6,10 @@ insertion order.  Columns arrive in equal-bound blocks
 (:meth:`IlpModel.add_rows`), and the objective as one column/coefficient
 array pair (:meth:`IlpModel.minimize` / :meth:`IlpModel.maximize`);
 :meth:`IlpModel.compile` builds the CSR matrix straight from the store, as
-a :class:`CsrMatrix` of numpy arrays.  Nothing here imports scipy:
-:meth:`CsrMatrix.tocsr` loads ``scipy.sparse`` only for a caller that
-asks for a scipy matrix.
+a :class:`CsrMatrix` of numpy arrays.  Importing this module loads
+neither numpy nor scipy: numpy is imported by the methods that build or
+read arrays, and :meth:`CsrMatrix.tocsr` loads ``scipy.sparse`` only for a
+caller that asks for a scipy matrix.
 """
 
 from __future__ import annotations
@@ -18,26 +19,30 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.exceptions import IlpError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
     from scipy import sparse
 
 INF = float("inf")
 
-_INT32_MAX = int(np.iinfo(np.int32).max)
+#: ``np.iinfo(np.int32).max``
+_INT32_MAX = 2**31 - 1
 
 
 def index_dtype(*extents: int) -> type:
     """scipy.sparse's index dtype for a matrix of these sizes and nonzero
     count: ``int32`` while every index and count fits, else ``int64``."""
+    import numpy as np
+
     return np.int32 if max(extents, default=0) <= _INT32_MAX else np.int64
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:
     """The row of every stored entry of a CSR matrix with row pointer ``indptr``."""
+    import numpy as np
+
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
@@ -67,11 +72,15 @@ class CsrMatrix:
         """``A @ x`` as scipy's ``csr_matvec`` computes it: ``np.bincount``
         adds each row's products ``data * x[indices]`` in storage order onto
         0.0, so the sums are the same floats."""
+        import numpy as np
+
         weights = self.data * np.asarray(x, dtype=float)[self.indices]
         return np.bincount(_entry_rows(self.indptr), weights=weights, minlength=self.shape[0])
 
     def toarray(self) -> np.ndarray:
         """The dense matrix (repeated entries of a row add up)."""
+        import numpy as np
+
         dense = np.zeros(self.shape)
         np.add.at(dense, (_entry_rows(self.indptr), self.indices), self.data)
         return dense
@@ -120,6 +129,8 @@ class CompiledModel:
 
     def objective_value(self, values: np.ndarray) -> float:
         """Objective of a variable assignment in the *original* model space."""
+        import numpy as np
+
         sign = 1.0 if self.sense is Sense.MINIMIZE else -1.0
         return sign * float(self.c @ np.asarray(values, dtype=float)) + self.objective_constant
 
@@ -130,6 +141,8 @@ class CompiledModel:
         backend installs them as the initial incumbent.  Violations within
         ``tol`` (absolute) are accepted.
         """
+        import numpy as np
+
         x = np.asarray(values, dtype=float)
         if x.shape != (self.num_variables,):
             return False
@@ -173,6 +186,8 @@ class IlpModel:
     """
 
     def __init__(self, name: str = "model") -> None:
+        import numpy as np
+
         self.name = name
         self._col_lb = array("d")
         self._col_ub = array("d")
@@ -215,6 +230,8 @@ class IlpModel:
 
     @property
     def num_binary_variables(self) -> int:
+        import numpy as np
+
         integer = np.array(self._col_integer, dtype=bool)
         return int(np.count_nonzero(integer & (np.array(self._col_ub) <= 1.0)))
 
@@ -230,6 +247,8 @@ class IlpModel:
         zeros.  The non-zero columns of one row must be distinct
         (:meth:`compile` rejects a repeat).
         """
+        import numpy as np
+
         cols = np.asarray(cols, dtype=np.int64)
         num_rows = cols.shape[0]
         vals = np.broadcast_to(np.asarray(vals, dtype=float), cols.shape)
@@ -258,6 +277,8 @@ class IlpModel:
     def _set_objective(self, sense: Sense, cols, vals, constant: float) -> None:
         """Set the objective; ``vals`` broadcasts to ``cols``, whose entries
         must be distinct columns of the model."""
+        import numpy as np
+
         cols = np.asarray(cols, dtype=np.int64).reshape(-1)
         vals = np.broadcast_to(np.asarray(vals, dtype=float), cols.shape)
         if cols.size and (cols.min() < 0 or cols.max() >= self.num_variables):
@@ -289,6 +310,8 @@ class IlpModel:
         schedule encoder's feasibility vetting and the solver backend's own
         compile of the same model share one build of the matrix.
         """
+        import numpy as np
+
         if self._compiled is not None:
             return self._compiled
 
@@ -328,6 +351,8 @@ class IlpModel:
     # ------------------------------------------------------------------
     def statistics(self) -> Dict[str, int]:
         """Model size statistics (for logging and tests)."""
+        import numpy as np
+
         integers = int(np.count_nonzero(np.array(self._col_integer)))
         return {
             "variables": self.num_variables,
@@ -349,6 +374,8 @@ class IlpModel:
 def _reject_repeated_columns(A: CsrMatrix) -> None:
     """Raise :class:`IlpError` if a row of ``A`` (indices sorted) names a
     column twice; a backend would read such a row as a model error."""
+    import numpy as np
+
     pairs = np.flatnonzero(A.indices[1:] == A.indices[:-1])
     rows = np.searchsorted(A.indptr, pairs, side="right") - 1
     within = pairs + 1 < A.indptr[rows + 1]

@@ -28,13 +28,14 @@ import threading
 import time
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.exceptions import ConfigurationError, SolverError
 from repro.ilp.model import CompiledModel, IlpModel, Sense
 from repro.ilp.solution import IlpSolution, SolutionStatus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -185,6 +186,8 @@ def _highs_lp(compiled: CompiledModel, cutoff: Optional[float]):
     ``compiled.A``; with ``cutoff``, one more row ``c @ x <= cutoff``
     (compiled space, tolerance already applied) that holds ``c``'s nonzeros
     (a ``-0.0`` of a negated objective is zero too)."""
+    import numpy as np
+
     _highs = highs_binding()
     A = compiled.A
     num_rows = int(A.shape[0])
@@ -233,6 +236,8 @@ def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -
     A failure inside the binding raises :class:`SolverError` (so ``auto``
     can fall back to branch and bound).
     """
+    import numpy as np
+
     from repro.ilp.cancellation import clamped_time_limit, current_cancel_token
 
     options = options or SolverOptions()

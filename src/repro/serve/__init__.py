@@ -12,6 +12,10 @@ SLO reporting and the ``repro serve bench`` load harness live in
 Everything is replayable bit-identically per seed — across machines and
 across session worker counts — because the timeline is virtual and the
 real execution is the session's plan-order-deterministic batch.
+
+Importing this package loads no numpy: the arrival draw, the event loop's
+block kernel, the SLO summary and the trace digest import it when they
+first run.
 """
 
 from repro.serve.arrivals import (

@@ -59,11 +59,11 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, Iterator, List
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.dag.graph import ComputationalDag
 
 
@@ -207,6 +207,8 @@ _REQUEST = re.compile(rb"(?s).{4}\x00*\x01")
 
 def _words(rng: random.Random, count: int) -> np.ndarray:
     """The next ``count`` 32-bit words of ``rng``, in generation order."""
+    import numpy as np
+
     return np.frombuffer(
         rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4"
     )
@@ -253,6 +255,8 @@ def generate_requests(config: ArrivalConfig, pool_size: int) -> RequestTrace:
     ``pool_size`` must be an integer (``operator.index``) in ``[1,
     2**32)``, a :class:`ConfigurationError` otherwise.
     """
+    import numpy as np
+
     config.validate()
     pool = _pool_size(pool_size)
     total = config.requests

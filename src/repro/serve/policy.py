@@ -28,12 +28,12 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 from repro.pipeline import resolve_member
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.learn.features import FeatureVector
     from repro.learn.history import LearnedHistory
 
@@ -135,6 +135,8 @@ class AdaptivePolicy:
         whose ``choose`` is defined on the same class (see
         ``repro.serve.service``).
         """
+        import numpy as np
+
         cfg = self.config
         tight = float(cfg.tight_slack)
         if tight > cfg.tight_slack:

@@ -49,6 +49,7 @@ encoded by ``json.dumps`` as before.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
@@ -59,9 +60,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.exec import ExperimentJob, RunPlan, Session, pipeline_job
@@ -74,6 +73,9 @@ from repro.serve.arrivals import (
     request_pool,
 )
 from repro.serve.policy import AdaptivePolicy, PolicyConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 def spec_weight(spec: str) -> float:
@@ -259,10 +261,16 @@ class RequestRecords(Sequence):
 #: or one ``json.dumps`` call for a block outside the byte kernel's domain
 DIGEST_CHUNK = 4096
 
-#: 10**0 ... 10**18, every power of ten an int64 holds
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 #: Veltkamp's splitting constant for float64, 2**27 + 1
 _SPLIT = 134217729.0
+
+
+@functools.cache
+def _pow10() -> np.ndarray:
+    """10**0 ... 10**18, every power of ten an int64 holds."""
+    import numpy as np
+
+    return 10 ** np.arange(19, dtype=np.int64)
 
 
 def _nanos(x: np.ndarray) -> np.ndarray:
@@ -278,6 +286,8 @@ def _nanos(x: np.ndarray) -> np.ndarray:
     is -0.5 and ``e < 0``.  IEEE division then gives ``n / 1e9 ==
     round(x, 9)``: both are the double nearest to ``n * 10**-9``.
     """
+    import numpy as np
+
     # an infinite or huge x yields inf or nan, which _plain rejects
     with np.errstate(over="ignore", invalid="ignore"):
         p = x * 1e9
@@ -303,6 +313,8 @@ def _plain(x: np.ndarray, n: np.ndarray) -> bool:
     writes no exponent.  ``n == 0`` is plain only from a non-negative
     ``x``: a negative one rounds to ``-0.0``.
     """
+    import numpy as np
+
     plain = ((n >= 1e5) & (n < 1e15)) | ((n == 0) & ~np.signbit(x))
     return bool(plain.all())
 
@@ -310,6 +322,8 @@ def _plain(x: np.ndarray, n: np.ndarray) -> bool:
 def _byte_table(texts: List[bytes]):
     """``texts`` as the rows of a NUL-padded ``uint8`` matrix, and the mask
     of their bytes."""
+    import numpy as np
+
     table = np.array(texts, dtype=bytes)
     lengths = np.fromiter(map(len, texts), np.int64, len(texts))
     width = table.itemsize
@@ -319,8 +333,10 @@ def _byte_table(texts: List[bytes]):
     )
 
 
-#: ``false`` and ``true``, indexed by a flag
-_FLAGS = _byte_table([b"false", b"true"])
+@functools.cache
+def _flags():
+    """``false`` and ``true`` as a :func:`_byte_table`, indexed by a flag."""
+    return _byte_table([b"false", b"true"])
 
 
 def _lookup(table, index: np.ndarray):
@@ -332,6 +348,8 @@ def _lookup(table, index: np.ndarray):
 
 def _text(text: bytes):
     """The same bytes in every column."""
+    import numpy as np
+
     data = np.frombuffer(text, np.uint8)[:, None]
     return data, np.ones(data.shape, bool)
 
@@ -340,6 +358,8 @@ def _digit_bytes(quotients: np.ndarray) -> np.ndarray:
     """ASCII digits from ``quotients[k] = v // 10**(width - 1 - k)``:
     digit ``k`` is ``quotients[k] - 10 * quotients[k - 1]``, a value in
     0..9 that ``uint8`` arithmetic modulo 256 computes exactly."""
+    import numpy as np
+
     digits = quotients.astype(np.uint8)
     digits[1:] -= 10 * digits[:-1]
     digits += ord("0")
@@ -350,7 +370,7 @@ def _digits(values: np.ndarray):
     """The decimal digits of non-negative integers, leading zeros masked
     out (the last digit is always kept)."""
     width = len(str(int(values.max())))
-    quotients = values // _POW10[width - 1::-1, None]
+    quotients = values // _pow10()[width - 1::-1, None]
     keep = quotients > 0
     keep[-1] = True
     return _digit_bytes(quotients), keep
@@ -362,8 +382,10 @@ def _decimal(n: np.ndarray):
     decimals, with the integer part's leading zeros and the decimals'
     trailing zeros masked out (the units digit and the first decimal are
     always kept)."""
+    import numpy as np
+
     n = n.astype(np.int64)
-    quotients = n // _POW10[14::-1, None]
+    quotients = n // _pow10()[14::-1, None]
     digits = _digit_bytes(quotients)
     data = np.empty((16, len(n)), np.uint8)
     data[:6] = digits[:6]
@@ -372,7 +394,7 @@ def _decimal(n: np.ndarray):
     keep = np.ones(data.shape, bool)
     keep[:5] = quotients[:5] > 0
     # decimal j > 0 is kept while n % 10**(9 - j), its tail, is nonzero
-    keep[8:] = n != quotients[6:14] * _POW10[8:0:-1, None]
+    keep[8:] = n != quotients[6:14] * _pow10()[8:0:-1, None]
     return data, keep
 
 
@@ -386,6 +408,8 @@ def _block_bytes(records: RequestRecords, block: slice, specs):
     one column per row (``(width, 1)`` for text every row shares); the
     fields are stacked and the kept bytes read out row by row.
     """
+    import numpy as np
+
     trace = records.trace
     times = [
         np.asarray(column)[block]
@@ -417,9 +441,9 @@ def _block_bytes(records: RequestRecords, block: slice, specs):
         comma,
         _digits(depth),
         comma,
-        _lookup(_FLAGS, hit.view(np.uint8)),
+        _lookup(_flags(), hit.view(np.uint8)),
         comma,
-        _lookup(_FLAGS, miss.view(np.uint8)),
+        _lookup(_flags(), miss.view(np.uint8)),
         _text(b"]"),
     ]
     width = sum(len(data) for data, _ in fields)
@@ -467,6 +491,8 @@ class ServiceReport:
         Floats are rounded to 9 decimals so the JSON rendering is stable
         enough to diff byte-for-byte (the CI determinism gate).
         """
+        import numpy as np
+
         records = self.records
         trace = records.trace
         n = len(records)
@@ -571,6 +597,8 @@ def _advance(records, first, size, free, in_system, hit_time, choose_many, table
     Returns the number of requests answered, whose columns are written,
     and the two heaps after them.
     """
+    import numpy as np
+
     trace = records.trace
     block = slice(first, first + size)
     arrival = np.frombuffer(trace.arrival, np.float64)[block]
@@ -760,6 +788,8 @@ class ScheduleService:
         sets their items and the kernel writes them through numpy views
         that live only while it runs, so no buffer stays exported.
         """
+        import numpy as np
+
         cfg = self.config
         servers = cfg.servers
         hit_time = float(cfg.cache_hit_time)

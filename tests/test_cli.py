@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -247,3 +250,44 @@ class TestBackendPlumbing:
         bnb_job = ExperimentJob.make(
             dag, ExperimentConfig(ilp_backend="bnb"), member="ilp")
         assert scipy_job.key() != bnb_job.key()
+
+
+class TestConfigurationErrors:
+    """A bad flag value that only the program can judge raises
+    :class:`~repro.exceptions.ConfigurationError` out of :func:`cli.main`;
+    ``python -m repro.cli`` reports it like an argparse usage error."""
+
+    PROCESSORS = "num_processors must be at least 1, got 0"
+    EXEC = ["exec", "run", "--pipeline", "bspg+clairvoyant", "--limit", "1"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (EXEC + ["--budget", "-1"], "--budget must be positive (seconds)"),
+        (EXEC + ["--spawn-shards", "0"], "--spawn-shards must be >= 1"),
+        (EXEC + ["--shard-id", "1"], "--shard-id requires --shards N"),
+        (["exec", "run", "--pipeline", "nosuch", "--limit", "1"],
+         "no valid pipeline specs left after skipping malformed "
+         "--pipeline/--members values; see 'repro pipeline list'"),
+        (EXEC + ["--processors", "0"], PROCESSORS),
+        (["portfolio", "--members", "bspg+clairvoyant", "--limit", "1",
+          "--processors", "0"], PROCESSORS),
+        (["schedule", "--processors", "0"], PROCESSORS),
+        (["pipeline", "run", "--spec", "bspg+clairvoyant", "--processors", "0"],
+         PROCESSORS),
+    ], ids=["budget", "spawn-shards", "shard-id", "no-spec", "exec-processors",
+            "portfolio-processors", "schedule-processors", "pipeline-processors"])
+    def test_exits_2_with_one_error_line(self, tmp_path, argv, message):
+        """Exit code 2, one ``error:`` line on stderr, no traceback, and no
+        trace file from ``--trace`` (on the commands that take one)."""
+        trace = tmp_path / "t.json"
+        if argv[0] in ("exec", "pipeline"):
+            argv = argv + ["--trace", str(trace)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {message}"]
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert not trace.exists()

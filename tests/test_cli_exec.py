@@ -101,13 +101,24 @@ class TestExecRun:
                     "--limit", "1", "--time-limit", "1",
                 ])
 
-    @pytest.mark.parametrize("command", [["exec", "run"], ["experiment"], ["portfolio"]])
+    @pytest.mark.parametrize("command", [
+        ["exec", "run", "--limit", "1", "--node-limit", "-1"],
+        ["experiment", "--limit", "1", "--node-limit", "-1"],
+        ["portfolio", "--limit", "1", "--node-limit", "-1"],
+        # a dataset --limit below 1 used to slice from the end or run nothing
+        ["exec", "run", "--limit", "-2"],
+        ["exec", "run", "--limit", "0"],
+        ["experiment", "--limit", "0"],
+        ["portfolio", "--limit", "0"],
+    ])
     def test_negative_node_limit_is_a_usage_error(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            cli.main([*command, "--limit", "1", "--node-limit", "-1"])
+            cli.main(command)
         assert exit_info.value.code == 2
+        flag, value = command[-2:]
+        bound = {"--node-limit": 0, "--limit": 1}[flag]
         err = capsys.readouterr().err
-        assert "argument --node-limit: must be >= 0, got -1" in err
+        assert f"argument {flag}: must be >= {bound}, got {value}" in err
 
 
 class TestExecSharded:

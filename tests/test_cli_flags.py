@@ -108,7 +108,7 @@ SURFACE = {
     ],
     "experiment": [
         (("--table",), "table", 1, "int", [1, 2, 4], False, "_StoreAction"),
-        (("--limit",), "limit", None, "int", None, False, "_StoreAction"),
+        (("--limit",), "limit", None, "_limit", None, False, "_StoreAction"),
         (("--time-limit",), "time_limit", 5.0, "float", None, False, "_StoreAction"),
         (("--backend",), "backend", None, None, ["auto", "bnb", "scipy"], False, "_StoreAction"),
         (("--workers",), "workers", 1, "int", None, False, "_StoreAction"),
@@ -128,7 +128,7 @@ SURFACE = {
         (("--members",), "members", None, None, None, False, "_StoreAction"),
         (("--which",), "which", "tiny", None, ["tiny", "small"], False, "_StoreAction"),
         (("--scale",), "scale", "default", None, ["default", "paper"], False, "_StoreAction"),
-        (("--limit",), "limit", None, "int", None, False, "_StoreAction"),
+        (("--limit",), "limit", None, "_limit", None, False, "_StoreAction"),
         (("--processors", "-p"), "processors", 4, "int", None, False, "_StoreAction"),
         (("--time-limit",), "time_limit", 5.0, "float", None, False, "_StoreAction"),
         (("--backend",), "backend", None, None, ["auto", "bnb", "scipy"], False, "_StoreAction"),
@@ -153,7 +153,7 @@ SURFACE = {
         (("--members",), "members", None, None, None, False, "_StoreAction"),
         (("--which",), "which", "tiny", None, ["tiny", "small"], False, "_StoreAction"),
         (("--scale",), "scale", "default", None, ["default", "paper"], False, "_StoreAction"),
-        (("--limit",), "limit", None, "int", None, False, "_StoreAction"),
+        (("--limit",), "limit", None, "_limit", None, False, "_StoreAction"),
         (("--processors", "-p"), "processors", 4, "int", None, False, "_StoreAction"),
         (("--time-limit",), "time_limit", 5.0, "float", None, False, "_StoreAction"),
         (("--backend",), "backend", None, None, ["auto", "bnb", "scipy"], False, "_StoreAction"),
@@ -196,7 +196,7 @@ SURFACE = {
         (("--shards",), "shards", None, "int", None, False, "_StoreAction"),
         (("--which",), "which", "tiny", None, ["tiny", "small"], False, "_StoreAction"),
         (("--scale",), "scale", "default", None, ["default", "paper"], False, "_StoreAction"),
-        (("--limit",), "limit", None, "int", None, False, "_StoreAction"),
+        (("--limit",), "limit", None, "_limit", None, False, "_StoreAction"),
         (("--processors", "-p"), "processors", 4, "int", None, False, "_StoreAction"),
         (("--max-sweep",), "max_sweep", 16, "int", None, False, "_StoreAction"),
         (("--format",), "format", "text", None, ["text", "json"], False, "_StoreAction"),
@@ -208,7 +208,7 @@ SURFACE = {
         (("--results",), "results", None, None, None, True, "_AppendAction"),
         (("--which",), "which", "tiny", None, ["tiny", "small"], False, "_StoreAction"),
         (("--scale",), "scale", "default", None, ["default", "paper"], False, "_StoreAction"),
-        (("--limit",), "limit", None, "int", None, False, "_StoreAction"),
+        (("--limit",), "limit", None, "_limit", None, False, "_StoreAction"),
         (("--processors", "-p"), "processors", 4, "int", None, False, "_StoreAction"),
         (("--output",), "output", "history.json", None, None, False, "_StoreAction"),
     ],
@@ -217,7 +217,7 @@ SURFACE = {
         (("--members",), "members", None, None, None, False, "_StoreAction"),
         (("--which",), "which", "tiny", None, ["tiny", "small"], False, "_StoreAction"),
         (("--scale",), "scale", "default", None, ["default", "paper"], False, "_StoreAction"),
-        (("--limit",), "limit", None, "int", None, False, "_StoreAction"),
+        (("--limit",), "limit", None, "_limit", None, False, "_StoreAction"),
         (("--processors", "-p"), "processors", 4, "int", None, False, "_StoreAction"),
         (("--top-k",), "top_k", 3, "int", None, False, "_StoreAction"),
         (("--selector",), "selector", "greedy", None, ["greedy", "knn"], False, "_StoreAction"),
@@ -234,7 +234,7 @@ SURFACE = {
         (("--list-members",), "list_members", False, None, None, False, "_StoreTrueAction"),
         (("--which",), "which", "tiny", None, ["tiny", "small"], False, "_StoreAction"),
         (("--scale",), "scale", "default", None, ["default", "paper"], False, "_StoreAction"),
-        (("--limit",), "limit", None, "int", None, False, "_StoreAction"),
+        (("--limit",), "limit", None, "_limit", None, False, "_StoreAction"),
         (("--processors", "-p"), "processors", 4, "int", None, False, "_StoreAction"),
         (("--time-limit",), "time_limit", 5.0, "float", None, False, "_StoreAction"),
         (("--backend",), "backend", None, None, ["auto", "bnb", "scipy"], False, "_StoreAction"),

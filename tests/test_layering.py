@@ -17,6 +17,11 @@ Exactly one upward import is allowed: ``Session._events`` looks up
 ``repro.experiments.parallel.execute_job`` on every run, because the
 repository benchmark wraps that name and its wrapper is how forked pool
 workers hand their spans back.
+
+numpy is imported only where an array is built: no module imports it
+when the module itself is imported (outside ``if TYPE_CHECKING:``), so
+heuristic processes never load it, and importing any package in a fresh
+interpreter leaves it out of ``sys.modules``.
 """
 
 import ast
@@ -112,6 +117,33 @@ def _upward_imports():
     return upward
 
 
+def _eager_numpy_imports(tree: ast.AST):
+    """Lines of the numpy imports that run when the module is imported:
+    those outside every function body and every ``if TYPE_CHECKING:``."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "typing.TYPE_CHECKING"
+        ):
+            for stmt in node.orelse:
+                visit(stmt)
+            return
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "numpy" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level and (node.module or "").split(".")[0] == "numpy":
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return lines
+
+
 def test_no_import_points_up_except_the_job_runner_lookup():
     violations = [
         f"{module}:{line} ({scope or 'module level'}) imports {target}"
@@ -141,6 +173,35 @@ def test_the_scan_sees_deferred_and_typing_only_imports():
     ]
 
 
+def test_no_module_imports_numpy_when_it_is_imported():
+    eager = [
+        f"{module}:{line}"
+        for module, path in _modules()
+        for line in _eager_numpy_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not eager, (
+        "numpy imported at module level; import it in the functions that "
+        "build arrays:\n" + "\n".join(eager)
+    )
+
+
+def test_the_numpy_scan_skips_function_bodies_and_typing_blocks():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "class C:\n"
+        "    from numpy import ndarray\n"
+        "try:\n"
+        "    import numpy.linalg\n"
+        "except ImportError:\n"
+        "    pass\n"
+    )
+    assert _eager_numpy_imports(ast.parse(source)) == [7, 9]
+
+
 @pytest.mark.parametrize(
     "module",
     [
@@ -156,8 +217,12 @@ def test_the_scan_sees_deferred_and_typing_only_imports():
 def test_each_package_imports_first_in_a_fresh_interpreter(module):
     # pytest imports modules in one order; a cycle that breaks only when
     # one given package is imported first shows only in a fresh process
+    # (which must not have loaded numpy either)
     completed = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
+        [
+            sys.executable, "-c",
+            f"import sys, {module}; assert 'numpy' not in sys.modules, 'numpy loaded'",
+        ],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
